@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .forward import ControlLaw, NoiseBatch, PathEnsemble, TimeGrid, simulate_forward
+from .forward import PathEnsemble, TimeGrid
 from .problems import DiscountedProblem, grad_x_hamiltonian
 from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
@@ -40,22 +40,18 @@ class RegressionError(RuntimeError):
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Basis family for the per-step conditional expectation regressions.
+    """Polynomial basis for the per-step conditional expectation regressions.
 
-    ``family`` is "polynomial" (monomials in the standardized state, total
-    degree <= degree for several state dimensions) or "laguerre"
-    (exponentially weighted Laguerre functions, scalar state only).
-    ``reciprocal`` appends a standardized 1/x column, useful for problems on
-    the positive half-line whose costate has reciprocal structure.
+    Monomials in the standardized state, of total degree <= ``degree`` for
+    several state dimensions.  ``reciprocal`` appends a standardized 1/x
+    column, useful for problems on the positive half-line whose costate has
+    reciprocal structure.
     """
 
-    family: str = "polynomial"
     degree: int = 4
     reciprocal: bool = False
 
     def __post_init__(self) -> None:
-        if self.family not in ("polynomial", "laguerre"):
-            raise ValueError("family must be 'polynomial' or 'laguerre'")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 
@@ -68,11 +64,6 @@ class RegressionBasis:
         degenerate = bool(np.all(scale < 1e-12 * (1.0 + np.abs(shift))))
         scale = np.where(scale < 1e-300, 1.0, scale)
         rec_shift = rec_scale = None
-        loc = None
-        if self.family == "laguerre":
-            if x.shape[1] != 1:
-                raise ValueError("laguerre basis supports scalar states only")
-            loc = float(ref.min(axis=0)[0])
         if self.reciprocal:
             if np.any(ref <= 0):
                 raise ValueError("reciprocal basis column needs positive states")
@@ -83,7 +74,6 @@ class RegressionBasis:
             shift=shift,
             scale=scale,
             degenerate=degenerate,
-            laguerre_loc=loc,
             reciprocal_shift=rec_shift,
             reciprocal_scale=rec_scale,
         )
@@ -95,32 +85,18 @@ class RegressionBasis:
         if transform.degenerate:
             return np.ones((P, 1))
         s = (x - transform.shift) / transform.scale
-        if self.family == "polynomial":
-            cols = [np.ones(P)]
-            if x.shape[1] == 1:
-                v = s[:, 0]
-                for j in range(1, self.degree + 1):
-                    cols.append(v**j)
-            else:
-                for deg in range(1, self.degree + 1):
-                    for combo in combinations_with_replacement(range(x.shape[1]), deg):
-                        col = np.ones(P)
-                        for idx in combo:
-                            col = col * s[:, idx]
-                        cols.append(col)
+        cols = [np.ones(P)]
+        if x.shape[1] == 1:
+            v = s[:, 0]
+            for j in range(1, self.degree + 1):
+                cols.append(v**j)
         else:
-            # Laguerre recurrence on the shifted nonnegative variable
-            t = (x[:, 0] - transform.laguerre_loc) / transform.scale[0]
-            t = np.maximum(t, 0.0)
-            w = np.exp(-0.5 * t)
-            lk_minus, lk = np.ones(P), 1.0 - t
-            cols = [w * lk_minus]
-            if self.degree >= 1:
-                cols.append(w * lk)
-            for j in range(1, self.degree):
-                lk_next = ((2 * j + 1 - t) * lk - j * lk_minus) / (j + 1)
-                lk_minus, lk = lk, lk_next
-                cols.append(w * lk)
+            for deg in range(1, self.degree + 1):
+                for combo in combinations_with_replacement(range(x.shape[1]), deg):
+                    col = np.ones(P)
+                    for idx in combo:
+                        col = col * s[:, idx]
+                    cols.append(col)
         if self.reciprocal:
             rec = (1.0 / np.maximum(x[:, 0], 1e-300) - transform.reciprocal_shift)
             cols.append(rec / transform.reciprocal_scale)
@@ -134,7 +110,6 @@ class BasisTransform:
     shift: Array
     scale: Array
     degenerate: bool = False
-    laguerre_loc: float | None = None
     reciprocal_shift: float | None = None
     reciprocal_scale: float | None = None
 
@@ -163,8 +138,7 @@ class BsdeSolution:
 
     ``Y`` has shape (P, N+1, n) and ``Z`` (P, N, n, d).  Coefficient lists
     hold, per step i < N, the fit of the realized Y_i (``y_coeffs``, this is
-    the costate surface), of the conditional expectation E[Y_{i+1}|X_i]
-    (``y_cond_coeffs``), and of Z_i (``z_coeffs``, columns flattened).
+    the costate surface) and of Z_i (``z_coeffs``, columns flattened).
     """
 
     grid: TimeGrid
@@ -173,7 +147,6 @@ class BsdeSolution:
     basis: RegressionBasis
     transforms: list
     y_coeffs: list
-    y_cond_coeffs: list
     z_coeffs: list
     condition_numbers: Array
     ridge_steps: list
@@ -209,7 +182,6 @@ class BsdeSolution:
             basis=self.basis,
             transforms=self.transforms,
             y_coeffs=self.y_coeffs,
-            y_cond_coeffs=self.y_cond_coeffs,
             z_coeffs=self.z_coeffs,
             condition_numbers=self.condition_numbers,
             ridge_steps=self.ridge_steps,
@@ -232,12 +204,15 @@ def solve_bsde_lsmc(
     ``terminal`` gives per-path terminal values (P, n); omitted means zero.
     ``driver_state_cap`` replaces the state by min(X, cap) inside the driver
     only, the truncation used by the growth-controlled variant for problems
-    on the positive half-line.
+    on the positive half-line; the forward states and the diffusion term are
+    untouched.  It must be positive.
 
     Exploded paths are excluded from every regression.  Non-finite targets
     beyond ``max_bad_fraction`` of paths abort with
     :class:`RegressionError`; isolated ones are masked out.
     """
+    if driver_state_cap is not None and not (driver_state_cap > 0):
+        raise ValueError("driver_state_cap must be positive")
     grid = ensemble.grid
     P, N = ensemble.n_paths, grid.steps
     n, d = problem.state_dim, problem.noise_dim
@@ -257,7 +232,6 @@ def solve_bsde_lsmc(
 
     transforms: list = [None] * N
     y_coeffs: list = [None] * N
-    y_cond_coeffs: list = [None] * N
     z_coeffs: list = [None] * N
     conds = np.empty(N)
     ridge_steps: list[int] = []
@@ -301,7 +275,6 @@ def solve_bsde_lsmc(
         Z[:, i, :, :] = z_i
         transforms[i] = transform
         y_coeffs[i] = coef_y
-        y_cond_coeffs[i] = coef_cond
         z_coeffs[i] = coef_z
         conds[i] = cond
         if (ridged or ridged_z) and not transform.degenerate:
@@ -322,31 +295,11 @@ def solve_bsde_lsmc(
         basis=basis,
         transforms=transforms,
         y_coeffs=y_coeffs,
-        y_cond_coeffs=y_cond_coeffs,
         z_coeffs=z_coeffs,
         condition_numbers=conds,
         ridge_steps=sorted(ridge_steps),
         terminal_kind=terminal_kind,
         driver_state_cap=driver_state_cap,
-    )
-
-
-def solve_truncated_driver(
-    problem: DiscountedProblem,
-    ensemble: PathEnsemble,
-    basis: RegressionBasis,
-    level: float,
-    terminal: Array | None = None,
-) -> BsdeSolution:
-    """Backward solve with the state capped at ``level`` inside the driver.
-
-    Identical to :func:`solve_bsde_lsmc` otherwise; the forward states and
-    the diffusion term are untouched.
-    """
-    if not (level > 0):
-        raise ValueError("truncation level must be positive")
-    return solve_bsde_lsmc(
-        problem, ensemble, basis, terminal=terminal, driver_state_cap=level
     )
 
 
@@ -372,7 +325,6 @@ def exp_transform(solution: BsdeSolution, beta: float, direction: str = "forward
         basis=solution.basis,
         transforms=solution.transforms,
         y_coeffs=[c * s for c, s in zip(solution.y_coeffs, scale)],
-        y_cond_coeffs=[c * s for c, s in zip(solution.y_cond_coeffs, scale)],
         z_coeffs=[c * s for c, s in zip(solution.z_coeffs, scale)],
         condition_numbers=solution.condition_numbers,
         ridge_steps=solution.ridge_steps,
@@ -456,76 +408,6 @@ def terminal_stability_gap(
     )
 
 
-@dataclass
-class HorizonSweepRow:
-    horizon: float
-    steps: int
-    y0: float
-    diff_from_previous: float | None
-    y0_standard_error: float
-
-
-@dataclass
-class HorizonSweepResult:
-    rows: list
-    converged: bool
-
-    def diffs(self) -> list:
-        return [r.diff_from_previous for r in self.rows[1:]]
-
-
-def horizon_truncation_sweep(
-    problem: DiscountedProblem,
-    law: ControlLaw,
-    horizons,
-    dt: float,
-    n_paths: int,
-    seed: int,
-    basis: RegressionBasis,
-    abs_tol: float = 1e-3,
-) -> HorizonSweepResult:
-    """Re-solve at increasing horizons and track the costate at time zero.
-
-    Horizons share their noise prefix (keyed generation), so successive
-    differences are common-random-number estimates of the pure truncation
-    effect.  Converged once the last difference is below
-    max(abs_tol, 3 * SE(Y0)).  Scalar-state problems only.
-    """
-    if problem.state_dim != 1:
-        raise ValueError("sweep assumes a scalar state")
-    horizons = sorted(float(h) for h in horizons)
-    rows: list[HorizonSweepRow] = []
-    prev_y0 = None
-    for T in horizons:
-        steps = max(1, int(round(T / dt)))
-        grid = TimeGrid(horizon=steps * dt, steps=steps)
-        ens = simulate_forward(problem, law, grid, n_paths, seed)
-        sol = solve_bsde_lsmc(problem, ens, basis)
-        y0 = float(sol.y0()[0])
-        # spread of the step-0 regression target, a proxy for SE of Y0
-        g = grad_x_hamiltonian(
-            ens.states[:, 0, :], ens.controls[:, 0, :], sol.Y[:, 1, :], sol.Z[:, 0, :, :], problem
-        )
-        target0 = sol.Y[:, 1, 0] + g[:, 0] * grid.dt
-        se = float(target0.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-        diff = None if prev_y0 is None else y0 - prev_y0
-        rows.append(
-            HorizonSweepRow(
-                horizon=grid.horizon,
-                steps=steps,
-                y0=y0,
-                diff_from_previous=diff,
-                y0_standard_error=se,
-            )
-        )
-        prev_y0 = y0
-    converged = False
-    if len(rows) >= 2:
-        last = rows[-1]
-        converged = abs(last.diff_from_previous) <= max(abs_tol, 3.0 * last.y0_standard_error)
-    return HorizonSweepResult(rows=rows, converged=converged)
-
-
 def cylinder_consistency_check(
     problem: DiscountedProblem,
     ensemble: PathEnsemble,
@@ -556,8 +438,8 @@ def cylinder_consistency_check(
             notes=f"no path stayed inside the cylinder of radius {cylinder:g}",
         )
     sub = ensemble.take_paths(mask)
-    sol_m = solve_truncated_driver(problem, sub, basis, truncation_m)
-    sol_p = solve_truncated_driver(problem, sub, basis, truncation_p)
+    sol_m = solve_bsde_lsmc(problem, sub, basis, driver_state_cap=truncation_m)
+    sol_p = solve_bsde_lsmc(problem, sub, basis, driver_state_cap=truncation_p)
     diff_y = float(np.abs(sol_m.Y - sol_p.Y).max())
     diff_z = float(np.abs(sol_m.Z - sol_p.Z).max())
     status = PASS if diff_y <= tol else FAIL

@@ -19,6 +19,7 @@ some check is inconclusive.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -29,9 +30,11 @@ EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 EXIT_INCONCLUSIVE = 3
 
-_RUN_KEYS = {"paths", "seed", "basis_degree", "checks"}
-_GRID_KEYS = {"horizon", "steps"}
-_OUTPUT_KEYS = {"dir"}
+_SECTION_KEYS = {
+    "grid": {"horizon", "steps"},
+    "run": {"paths", "seed", "basis_degree", "checks"},
+    "output": {"dir"},
+}
 
 # accepted spellings for a few checks whose internal names differ
 _CHECK_ALIASES = {"cost_compare": "costs", "consistency": "cylinder"}
@@ -93,18 +96,10 @@ def _validate_config(config: dict, experiment_names) -> None:
         if section == "experiment":
             if not isinstance(value, str):
                 raise ConfigError("experiment must be a string")
-        elif section == "grid":
-            bad = set(value) - _GRID_KEYS
+        elif section in _SECTION_KEYS:
+            bad = set(value) - _SECTION_KEYS[section]
             if bad:
-                raise ConfigError(f"unknown grid keys: {sorted(bad)}")
-        elif section == "run":
-            bad = set(value) - _RUN_KEYS
-            if bad:
-                raise ConfigError(f"unknown run keys: {sorted(bad)}")
-        elif section == "output":
-            bad = set(value) - _OUTPUT_KEYS
-            if bad:
-                raise ConfigError(f"unknown output keys: {sorted(bad)}")
+                raise ConfigError(f"unknown {section} keys: {sorted(bad)}")
         elif section in experiment_names:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {section!r} must be a table of parameters")
@@ -181,7 +176,7 @@ def _command_list() -> int:
 def _command_run(args) -> int:
     from . import experiments
     from .forward import SimulationError, TimeGrid
-    from .bsde import RegressionBasis, RegressionError
+    from .bsde import RegressionError
     from .experiments import PicardError, get_experiment, run_experiment
     from .io import (
         save_costates,
@@ -234,22 +229,17 @@ def _command_run(args) -> int:
         print(f"error: bad parameters for {name!r}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    grid = None
-    if steps is not None or horizon is not None:
-        steps = int(steps) if steps is not None else definition.default_steps
-        if horizon is None:
-            beta = params.resolved_beta() if name == "consumption" else params.beta
-            grid = TimeGrid.auto(beta, steps)
-        else:
-            grid = TimeGrid(horizon=float(horizon), steps=steps)
-
-    basis = definition.basis
-    if degree is not None:
-        basis = RegressionBasis(
-            family=basis.family, degree=int(degree), reciprocal=basis.reciprocal
-        )
-
     try:
+        grid = None
+        if steps is not None or horizon is not None:
+            steps = int(steps) if steps is not None else definition.default_steps
+            if horizon is None:
+                grid = TimeGrid.auto(definition.problem(params).beta, steps)
+            else:
+                grid = TimeGrid(horizon=float(horizon), steps=steps)
+        basis = definition.basis
+        if degree is not None:
+            basis = dataclasses.replace(basis, degree=int(degree))
         result = run_experiment(
             name,
             params=params,

@@ -111,28 +111,6 @@ class NoiseBatch:
             path_offset=path_offset,
         )
 
-    def coarsen(self, factor: int) -> "NoiseBatch":
-        """Sum consecutive groups of ``factor`` increments.
-
-        The result is the batch a grid coarsened by ``factor`` would see if
-        both grids shared the same underlying Brownian path; used for step
-        refinement studies with common noise.
-        """
-        if factor < 1 or self.n_steps % factor != 0:
-            raise ValueError("factor must divide n_steps")
-        inc = self.increments.reshape(
-            self.n_paths, self.n_steps // factor, factor, self.noise_dim
-        ).sum(axis=2)
-        return NoiseBatch(
-            seed=self.seed,
-            n_paths=self.n_paths,
-            n_steps=self.n_steps // factor,
-            noise_dim=self.noise_dim,
-            dt=self.dt * factor,
-            increments=inc,
-            path_offset=self.path_offset,
-        )
-
     def take_paths(self, index: Array) -> "NoiseBatch":
         inc = self.increments[index]
         return NoiseBatch(
@@ -545,22 +523,12 @@ def positivity_check(ensemble: PathEnsemble) -> VerificationReport:
     positivity-preserving step stayed positive), paths clipped at the floor,
     and paths that hit the explosion guard.
     """
-    crossings = int(ensemble.euler_crossed.sum())
-    clips = int(ensemble.floor_clipped.sum())
-    explosions = int(ensemble.exploded.sum())
-    status = PASS if crossings == 0 and clips == 0 and explosions == 0 else FAIL
-    return VerificationReport(
-        check="positivity",
-        status=status,
-        statistic=float(crossings + clips),
-        tolerance=0.0,
-        n_samples=ensemble.n_paths,
-        details={
-            "euler_crossings": crossings,
-            "floor_clips": clips,
-            "explosions": explosions,
-        },
-        notes="paths with any nonpositive Euler candidate / floor clip / explosion",
+    return _positivity_report(
+        int(ensemble.euler_crossed.sum()),
+        int(ensemble.floor_clipped.sum()),
+        int(ensemble.exploded.sum()),
+        ensemble.n_paths,
+        "paths with any nonpositive Euler candidate / floor clip / explosion",
     )
 
 
@@ -589,19 +557,25 @@ def positivity_scan(
         clips += int(ens.floor_clipped.sum())
         explosions += int(ens.exploded.sum())
         done += size
+    return _positivity_report(crossings, clips, explosions, n_paths, "streamed scan over path chunks")
+
+
+def _positivity_report(
+    crossings: int, clips: int, explosions: int, n_samples: int, notes: str
+) -> VerificationReport:
     status = PASS if crossings == 0 and clips == 0 and explosions == 0 else FAIL
     return VerificationReport(
         check="positivity",
         status=status,
         statistic=float(crossings + clips),
         tolerance=0.0,
-        n_samples=n_paths,
+        n_samples=n_samples,
         details={
             "euler_crossings": crossings,
             "floor_clips": clips,
             "explosions": explosions,
         },
-        notes="streamed scan over path chunks",
+        notes=notes,
     )
 
 

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
 
-from .bsde import BasisTransform, BsdeSolution, RegressionBasis
+from .bsde import BsdeSolution
 from .forward import PathEnsemble
 from .reports import VerificationReport
 
@@ -149,82 +148,3 @@ def write_results_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(jsonable(payload), fh, sort_keys=True, indent=2, allow_nan=True)
         fh.write("\n")
-
-
-def _transform_to_dict(t: BasisTransform) -> dict:
-    return {
-        "shift": np.asarray(t.shift).tolist(),
-        "scale": np.asarray(t.scale).tolist(),
-        "degenerate": bool(t.degenerate),
-        "laguerre_loc": t.laguerre_loc,
-        "reciprocal_shift": t.reciprocal_shift,
-        "reciprocal_scale": t.reciprocal_scale,
-    }
-
-
-def _transform_from_dict(d: dict) -> BasisTransform:
-    return BasisTransform(
-        shift=np.asarray(d["shift"], dtype=float),
-        scale=np.asarray(d["scale"], dtype=float),
-        degenerate=bool(d["degenerate"]),
-        laguerre_loc=d.get("laguerre_loc"),
-        reciprocal_shift=d.get("reciprocal_shift"),
-        reciprocal_scale=d.get("reciprocal_scale"),
-    )
-
-
-def write_coefficients_json(path, solution: BsdeSolution) -> None:
-    """Persist the fitted costate surfaces (not the per-path values)."""
-    payload = {
-        "basis": {
-            "family": solution.basis.family,
-            "degree": solution.basis.degree,
-            "reciprocal": solution.basis.reciprocal,
-        },
-        "grid": {"horizon": solution.grid.horizon, "steps": solution.grid.steps},
-        "state_dim": solution.state_dim,
-        "terminal_kind": solution.terminal_kind,
-        "condition_numbers": [float(c) for c in solution.condition_numbers],
-        "ridge_steps": list(solution.ridge_steps),
-        "steps": [
-            {
-                "transform": _transform_to_dict(solution.transforms[i]),
-                "y": np.asarray(solution.y_coeffs[i]).tolist(),
-                "y_cond": np.asarray(solution.y_cond_coeffs[i]).tolist(),
-                "z": np.asarray(solution.z_coeffs[i]).tolist(),
-            }
-            for i in range(solution.grid.steps)
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-@dataclass
-class CostateSurface:
-    """Reloaded costate surfaces, evaluable without the original paths."""
-
-    basis: RegressionBasis
-    transforms: list
-    y_coeffs: list
-    state_dim: int
-
-    def y_at(self, step: int, x) -> Array:
-        x = np.asarray(x, dtype=float)
-        design = self.basis.design(x, self.transforms[step])
-        return design @ self.y_coeffs[step]
-
-
-def load_costate_surface(path) -> CostateSurface:
-    with open(path) as fh:
-        payload = json.load(fh)
-    basis = RegressionBasis(**payload["basis"])
-    transforms = [_transform_from_dict(s["transform"]) for s in payload["steps"]]
-    y_coeffs = [np.asarray(s["y"], dtype=float) for s in payload["steps"]]
-    return CostateSurface(
-        basis=basis,
-        transforms=transforms,
-        y_coeffs=y_coeffs,
-        state_dim=int(payload["state_dim"]),
-    )

@@ -279,20 +279,29 @@ def grad_x_hamiltonian(x, u, y, z, problem: DiscountedProblem) -> Array:
     return term_b + term_s + term_f - problem.beta * y
 
 
+def _central_difference(fn, x: Array, j: int, rel_step: float) -> Array:
+    """(fn(x + h e_j) - fn(x - h e_j)) / 2h with h = rel_step (1 + |x_j|).
+
+    ``fn`` maps states (..., n) to values (...) or (..., m); h broadcasts
+    over any trailing value axes.
+    """
+    h = rel_step * (1.0 + np.abs(x[..., j]))
+    xp = x.copy()
+    xm = x.copy()
+    xp[..., j] = x[..., j] + h
+    xm[..., j] = x[..., j] - h
+    fp = np.asarray(fn(xp), dtype=float)
+    fm = np.asarray(fn(xm), dtype=float)
+    return (fp - fm) / (2.0 * h.reshape(h.shape + (1,) * (fp.ndim - h.ndim)))
+
+
 def finite_diff_grad_x(x, u, y, z, problem: DiscountedProblem, rel_step: float = 1e-5) -> Array:
     """Central finite difference of the generalized Hamiltonian in x."""
     x, u, y, z = _prep(problem, x, u, y, z)
-    n = problem.state_dim
-    grads = []
-    for j in range(n):
-        h = rel_step * (1.0 + np.abs(x[..., j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[..., j] = x[..., j] + h
-        xm[..., j] = x[..., j] - h
-        hp = hamiltonian(xp, u, y, z, problem)
-        hm = hamiltonian(xm, u, y, z, problem)
-        grads.append((hp - hm) / (2.0 * h))
+    grads = [
+        _central_difference(lambda xs: hamiltonian(xs, u, y, z, problem), x, j, rel_step)
+        for j in range(problem.state_dim)
+    ]
     return np.stack(grads, axis=-1)
 
 
@@ -509,19 +518,8 @@ def validate_assumptions(
     gb = np.asarray(c.grad_drift(probe, probe_u), dtype=float)
     gf = np.asarray(c.grad_cost(probe, probe_u), dtype=float)
     for j in range(n):
-        h = 1e-6 * (1.0 + np.abs(probe[:, j]))
-        xp = probe.copy()
-        xm = probe.copy()
-        xp[:, j] += h
-        xm[:, j] -= h
-        fd_b = (
-            np.asarray(c.drift(xp, probe_u), dtype=float)
-            - np.asarray(c.drift(xm, probe_u), dtype=float)
-        ) / (2.0 * h[:, None])
-        fd_f = (
-            np.asarray(c.running_cost(xp, probe_u), dtype=float)
-            - np.asarray(c.running_cost(xm, probe_u), dtype=float)
-        ) / (2.0 * h)
+        fd_b = _central_difference(lambda xs: c.drift(xs, probe_u), probe, j, 1e-6)
+        fd_f = _central_difference(lambda xs: c.running_cost(xs, probe_u), probe, j, 1e-6)
         scale_b = 1.0 + np.abs(gb[:, :, j])
         fd_err = max(fd_err, float(np.max(np.abs(fd_b - gb[:, :, j]) / scale_b)))
         fd_err = max(fd_err, float(np.max(np.abs(fd_f - gf[:, j]) / (1.0 + np.abs(gf[:, j])))))

@@ -11,11 +11,9 @@ from smpsolve import (
     bsde_weighted_norm,
     cylinder_consistency_check,
     exp_transform,
-    horizon_truncation_sweep,
     martingale_residual_report,
     simulate_forward,
     solve_bsde_lsmc,
-    solve_truncated_driver,
     terminal_stability_gap,
 )
 from smpsolve.problems import (
@@ -77,8 +75,6 @@ def _zero_driver_problem() -> DiscountedProblem:
 class TestRegressionBasis:
     def test_family_and_degree_validation(self):
         with pytest.raises(ValueError):
-            RegressionBasis(family="fourier")
-        with pytest.raises(ValueError):
             RegressionBasis(degree=0)
 
     def test_polynomial_design_has_intercept(self):
@@ -135,8 +131,8 @@ class TestSolveInvariances:
         params, problem, ens = _consumption_setup(n_paths=1000)
         sup = float(np.abs(ens.states).max())
         plain = solve_bsde_lsmc(problem, ens, CONS_BASIS)
-        capped_a = solve_truncated_driver(problem, ens, CONS_BASIS, level=2.0 * sup)
-        capped_b = solve_truncated_driver(problem, ens, CONS_BASIS, level=4.0 * sup)
+        capped_a = solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=2.0 * sup)
+        capped_b = solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=4.0 * sup)
         assert np.array_equal(capped_a.Y, plain.Y)
         assert np.array_equal(capped_a.Z, plain.Z)
         assert np.array_equal(capped_a.Y, capped_b.Y)
@@ -144,13 +140,13 @@ class TestSolveInvariances:
     def test_active_truncation_moves_the_solution(self):
         params, problem, ens = _consumption_setup(n_paths=1000)
         plain = solve_bsde_lsmc(problem, ens, CONS_BASIS)
-        tight = solve_truncated_driver(problem, ens, CONS_BASIS, level=0.8)
+        tight = solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=0.8)
         assert float(np.abs(tight.Y - plain.Y).max()) > 0.0
 
     def test_truncation_level_must_be_positive(self):
         params, problem, ens = _consumption_setup(steps=10, n_paths=50)
         with pytest.raises(ValueError):
-            solve_truncated_driver(problem, ens, CONS_BASIS, level=0.0)
+            solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=0.0)
 
     def test_weighted_norm_stable_under_horizon_doubling(self):
         # bounded costate case: the discounted norm must settle once the
@@ -229,30 +225,6 @@ class TestTerminalStability:
         params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=100)
         with pytest.raises(ValueError):
             terminal_stability_gap(problem, ens, PROD_BASIS, np.ones(7))
-
-
-class TestHorizonSweep:
-    def test_consumption_sweep_converges(self):
-        params = ConsumptionParams()
-        problem = consumption_problem(params)
-        result = horizon_truncation_sweep(
-            problem,
-            consumption_optimal_law(params),
-            horizons=[4.0, 8.0, 12.0],
-            dt=0.05,
-            n_paths=2000,
-            seed=2,
-            basis=CONS_BASIS,
-            abs_tol=0.02,
-        )
-        assert result.converged
-        assert [r.horizon for r in result.rows] == [4.0, 8.0, 12.0]
-        assert result.rows[0].diff_from_previous is None
-        assert all(r.diff_from_previous is not None for r in result.rows[1:])
-        # exact truncated costate: y0(T) = (1 - e^{-beta T}) / beta at x0 = 1
-        for row in result.rows:
-            want = (1.0 - math.exp(-params.resolved_beta() * row.horizon)) / params.resolved_beta()
-            assert row.y0 == pytest.approx(want, rel=0.02)
 
 
 class TestCylinderConsistency:

@@ -1,9 +1,15 @@
 """Command line behavior: exit codes, config handling, artifacts."""
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from smpsolve.cli import main
+from smpsolve.cli import _build_parser, main
+from smpsolve.experiments import _GENERIC_CHECKS, list_experiments
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _strip_metadata(path):
@@ -80,6 +86,20 @@ class TestExitCodes:
         )
         assert code == 1
         assert "volatility" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad",
+        [("--set", "grid.steps=abc"), ("--horizon", "-1"), ("--set", "run.basis_degree=0")],
+    )
+    def test_bad_grid_or_basis_exits_one(self, bad, tmp_path, capsys):
+        code = _run("run", "-e", "consumption", "--check", "assumptions", *bad, "--out", str(tmp_path))
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_empty_check_list_exits_one(self, tmp_path, capsys):
+        code = _run("run", "-e", "consumption", "--set", "run.checks=", "--out", str(tmp_path))
+        assert code == 1
+        assert "no checks selected" in capsys.readouterr().err
 
     def test_bad_parameter_exits_one(self, tmp_path, capsys):
         code = _run(
@@ -219,6 +239,47 @@ class TestCheckAliases:
         )
         assert code == 1
         assert "cylinder" in capsys.readouterr().err
+
+
+class TestUniqueness:
+    def test_logistic_restarts_agree(self, tmp_path):
+        code = _run(
+            "run", "-e", "logistic",
+            "--check", "uniqueness",
+            "--paths", "400", "--steps", "40", "--horizon", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "results.json").read_text())
+        assert [(r["check"], r["status"]) for r in payload["reports"]] == [("local_uniqueness", "pass")]
+
+    def test_not_a_consumption_check(self, tmp_path, capsys):
+        code = _run("run", "-e", "consumption", "--check", "uniqueness", "--out", str(tmp_path))
+        assert code == 1
+        assert "uniqueness" in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        blocks = re.findall(r"```[^\n]*\n(.*?)```", README.read_text(), re.S)
+        lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("smpsolve ")]
+        assert lines
+        names = {d.name for d in list_experiments()}
+        for line in lines:
+            try:
+                args = _build_parser().parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+            if args.command == "run":
+                assert args.experiment in names, line
+
+    def test_check_lists_match_the_registry(self):
+        text = README.read_text()
+        generic = re.search(r"generic checks \(([^)]*)\)", text).group(1)
+        assert set(re.findall(r"`(\w+)`", generic)) == set(_GENERIC_CHECKS)
+        for definition in list_experiments():
+            line = re.search(rf"^- `{definition.name}`: (`\w+`(?:, `\w+`)*)$", text, re.M).group(1)
+            assert set(re.findall(r"`(\w+)`", line)) == set(definition.checks), definition.name
 
 
 class TestArtifacts:

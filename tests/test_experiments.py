@@ -1,4 +1,6 @@
 """Built-in models: oracles, registry, pipelines."""
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 
 from smpsolve import (
     TimeGrid,
+    VerificationReport,
+    experiments,
     get_experiment,
     list_experiments,
     logistic_picard_solve,
@@ -25,6 +29,8 @@ from smpsolve.experiments import (
     production_sigma_zero_cost,
     production_value,
 )
+from smpsolve.cli import main
+from smpsolve.reports import FAIL, PASS
 
 
 class TestParamsValidation:
@@ -67,6 +73,60 @@ class TestRegistry:
         existing = get_experiment("consumption")
         with pytest.raises(ValueError):
             register_experiment(existing)
+
+    def test_default_check_outside_the_table_rejected(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_REGISTRY", dict(experiments._REGISTRY))
+        bad = dataclasses.replace(
+            get_experiment("production"), name="bad", default_checks=("assumptions", "uniqueness")
+        )
+        with pytest.raises(ValueError, match="uniqueness"):
+            register_experiment(bad)
+        assert "bad" not in experiments._REGISTRY
+
+    def test_unknown_tvc_competitor_rejected(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_REGISTRY", dict(experiments._REGISTRY))
+        bad = dataclasses.replace(
+            get_experiment("production"), name="bad", tvc_competitor="constant_quarter"
+        )
+        with pytest.raises(ValueError, match="constant_quarter"):
+            register_experiment(bad)
+        assert "bad" not in experiments._REGISTRY
+
+
+def steady_state(run):
+    """The optimal inventory reverts to the target x1 (u1 = eta makes x1 its mean)."""
+    ens = run.candidate.ensemble
+    gap = abs(float(ens.states[:, -1, 0].mean()) - run.params.x1)
+    return [
+        VerificationReport(
+            check="steady_state",
+            status=PASS if gap <= 0.1 else FAIL,
+            statistic=gap,
+            tolerance=0.1,
+            n_samples=ens.n_paths,
+        )
+    ]
+
+
+class TestAddingAnExperiment:
+    def test_registered_toy_runs_through_the_cli(self, monkeypatch, tmp_path):
+        # a copy, so the toy is gone again after the test
+        monkeypatch.setattr(experiments, "_REGISTRY", dict(experiments._REGISTRY))
+        register_experiment(
+            dataclasses.replace(
+                get_experiment("production"),
+                name="toy",
+                summary="production planning with a steady-state check",
+                default_checks=("assumptions", "steady_state"),
+                checks={"steady_state": steady_state},
+            )
+        )
+        code = main(["run", "-e", "toy", "--paths", "500", "--steps", "100", "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "results.json").read_text())
+        assert payload["experiment"] == "toy"
+        statuses = {r["check"]: r["status"] for r in payload["reports"]}
+        assert statuses == {"assumptions": "pass", "steady_state": "pass"}
 
 
 class TestRiccatiOracle:

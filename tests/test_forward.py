@@ -108,19 +108,6 @@ class TestNoiseBatch:
         shifted = NoiseBatch.generate(3, 5, 12, 1, 0.05, path_offset=10)
         assert np.array_equal(shifted.increments, big.increments[10:15])
 
-    def test_coarsen_sums_increments(self):
-        fine = NoiseBatch.generate(1, 8, 20, 2, 0.01)
-        coarse = fine.coarsen(4)
-        assert coarse.n_steps == 5
-        assert coarse.dt == pytest.approx(0.04)
-        assert np.allclose(
-            coarse.increments, fine.increments.reshape(8, 5, 4, 2).sum(axis=2)
-        )
-
-    def test_coarsen_requires_divisible_steps(self):
-        with pytest.raises(ValueError):
-            NoiseBatch.generate(1, 4, 10, 1, 0.01).coarsen(3)
-
     def test_increment_scale(self):
         batch = NoiseBatch.generate(11, 200, 50, 1, 0.04)
         scaled = batch.increments / math.sqrt(0.04)

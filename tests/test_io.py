@@ -1,4 +1,4 @@
-"""Artifact formats: binary arrays, CSV tables, surface JSON."""
+"""Artifact formats: binary arrays, CSV tables, results JSON."""
 import csv
 import json
 
@@ -20,12 +20,10 @@ from smpsolve.io import (
     KIND_Z,
     MAGIC,
     jsonable,
-    load_costate_surface,
     read_array,
     save_costates,
     save_ensemble,
     write_array,
-    write_coefficients_json,
     write_curves_csv,
     write_paths_csv,
     write_reports_csv,
@@ -140,12 +138,3 @@ class TestJson:
         assert text.endswith("\n")
         assert text.index('"alpha"') < text.index('"zeta"')
         assert json.loads(text) == {"zeta": 1, "alpha": 2.0}
-
-    def test_costate_surface_matches_solution(self, tmp_path):
-        ens, sol = _small_run(n_paths=200)
-        f = tmp_path / "coeffs.json"
-        write_coefficients_json(f, sol)
-        surface = load_costate_surface(f)
-        x = np.linspace(0.6, 1.8, 11)[:, None]
-        for step in (0, 7, 19):
-            assert np.allclose(surface.y_at(step, x), sol.y_at(step, x), atol=1e-12)
