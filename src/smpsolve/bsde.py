@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -32,6 +32,7 @@ Array = np.ndarray
 
 COND_LIMIT = 1e12
 RIDGE_LAMBDA = 1e-8
+MAX_BAD_FRACTION = 0.01
 
 
 class RegressionError(RuntimeError):
@@ -114,31 +115,35 @@ class BasisTransform:
     reciprocal_scale: float | None = None
 
 
-def _fit_columns(design: Array, targets: Array, valid: Array | None):
-    """Least squares with QR, ridge fallback on ill-conditioned designs.
+def _least_squares(design: Array, valid: Array | None):
+    """Factor the rows ``valid`` of ``design`` once for all fits on it.
 
-    Returns (coefficients, condition_number, used_ridge).
+    QR, with a ridge fallback on ill-conditioned designs.  Returns
+    (fit, condition_number, used_ridge), where ``fit(targets)`` gives the
+    coefficients for targets indexed like the rows of ``design``.
     """
     a = design if valid is None else design[valid]
-    b = targets if valid is None else targets[valid]
     q, r = np.linalg.qr(a)
     sv = np.linalg.svd(r, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    if cond <= COND_LIMIT:
-        coef = np.linalg.solve(r, q.T @ b)
-        return coef, cond, False
-    ata = a.T @ a + RIDGE_LAMBDA * np.eye(a.shape[1])
-    coef = np.linalg.solve(ata, a.T @ b)
-    return coef, cond, True
+    ridged = cond > COND_LIMIT
+    if ridged:
+        # normal equations: solve (a'a + lambda I) coef = a' b
+        q, r = a, a.T @ a + RIDGE_LAMBDA * np.eye(a.shape[1])
+
+    def fit(targets: Array) -> Array:
+        b = targets if valid is None else targets[valid]
+        return np.linalg.solve(r, q.T @ b)
+
+    return fit, cond, ridged
 
 
 @dataclass
 class BsdeSolution:
     """Backward solve output: node values, surfaces, and fit diagnostics.
 
-    ``Y`` has shape (P, N+1, n) and ``Z`` (P, N, n, d).  Coefficient lists
-    hold, per step i < N, the fit of the realized Y_i (``y_coeffs``, this is
-    the costate surface) and of Z_i (``z_coeffs``, columns flattened).
+    ``Y`` has shape (P, N+1, n) and ``Z`` (P, N, n, d).  ``y_coeffs`` holds,
+    per step i < N, the fit of the realized Y_i: the costate surface.
     """
 
     grid: TimeGrid
@@ -147,11 +152,9 @@ class BsdeSolution:
     basis: RegressionBasis
     transforms: list
     y_coeffs: list
-    z_coeffs: list
     condition_numbers: Array
     ridge_steps: list
     terminal_kind: str = "zero"
-    driver_state_cap: float | None = None
 
     @property
     def n_paths(self) -> int:
@@ -174,21 +177,6 @@ class BsdeSolution:
         design = self.basis.design(np.asarray(x, dtype=float), self.transforms[step])
         return design @ self.y_coeffs[step]
 
-    def take_paths(self, index: Array) -> "BsdeSolution":
-        return BsdeSolution(
-            grid=self.grid,
-            Y=self.Y[index],
-            Z=self.Z[index],
-            basis=self.basis,
-            transforms=self.transforms,
-            y_coeffs=self.y_coeffs,
-            z_coeffs=self.z_coeffs,
-            condition_numbers=self.condition_numbers,
-            ridge_steps=self.ridge_steps,
-            terminal_kind=self.terminal_kind,
-            driver_state_cap=self.driver_state_cap,
-        )
-
 
 def solve_bsde_lsmc(
     problem: DiscountedProblem,
@@ -196,8 +184,6 @@ def solve_bsde_lsmc(
     basis: RegressionBasis,
     terminal: Array | None = None,
     driver_state_cap: float | None = None,
-    max_bad_fraction: float = 0.01,
-    warn_on_ridge: bool = True,
 ) -> BsdeSolution:
     """Solve the adjoint backward equation along a simulated ensemble.
 
@@ -207,9 +193,11 @@ def solve_bsde_lsmc(
     on the positive half-line; the forward states and the diffusion term are
     untouched.  It must be positive.
 
-    Exploded paths are excluded from every regression.  Non-finite targets
-    beyond ``max_bad_fraction`` of paths abort with
-    :class:`RegressionError`; isolated ones are masked out.
+    Each step factors its design once; the fits of E[Y_{i+1}|X_i], of Z_i
+    and of the Y_i surface share that factorization.  Exploded paths are
+    excluded from every regression.  Non-finite targets beyond
+    ``MAX_BAD_FRACTION`` of paths abort with :class:`RegressionError`;
+    isolated ones are masked out.  A ridge fallback is warned about.
     """
     if driver_state_cap is not None and not (driver_state_cap > 0):
         raise ValueError("driver_state_cap must be positive")
@@ -232,7 +220,6 @@ def solve_bsde_lsmc(
 
     transforms: list = [None] * N
     y_coeffs: list = [None] * N
-    z_coeffs: list = [None] * N
     conds = np.empty(N)
     ridge_steps: list[int] = []
     base_valid = ~ensemble.exploded
@@ -246,7 +233,7 @@ def solve_bsde_lsmc(
         finite = np.isfinite(target_y).all(axis=1)
         valid = base_valid & finite
         bad_fraction = 1.0 - float(finite[base_valid].mean()) if base_valid.any() else 1.0
-        if bad_fraction > max_bad_fraction:
+        if bad_fraction > MAX_BAD_FRACTION:
             raise RegressionError(
                 f"step {i}: {bad_fraction:.1%} of regression targets are non-finite"
             )
@@ -255,13 +242,12 @@ def solve_bsde_lsmc(
         mask = None if valid.all() else valid
 
         design, transform = basis.fit(x_i, valid=mask)
-        coef_cond, cond, ridged = _fit_columns(design, target_y, mask)
-        y_pred = design @ coef_cond
+        fit, cond, ridged = _least_squares(design, mask)
+        y_pred = design @ fit(target_y)
 
         resid = np.where(valid[:, None], target_y - y_pred, 0.0)
         target_z = (resid[:, :, None] * dW[:, None, :]).reshape(P, n * d) / dt
-        coef_z, _, ridged_z = _fit_columns(design, target_z, mask)
-        z_i = (design @ coef_z).reshape(P, n, d)
+        z_i = (design @ fit(target_z)).reshape(P, n, d)
 
         x_eff = np.minimum(x_i, driver_state_cap) if driver_state_cap is not None else x_i
         g = grad_x_hamiltonian(x_eff, u_i, y_pred, z_i, problem)
@@ -269,18 +255,15 @@ def solve_bsde_lsmc(
         g = grad_x_hamiltonian(x_eff, u_i, y_half, z_i, problem)
         y_i = y_pred + g * dt
 
-        coef_y, _, _ = _fit_columns(design, np.where(valid[:, None], y_i, 0.0), mask)
-
         Y[:, i, :] = y_i
         Z[:, i, :, :] = z_i
         transforms[i] = transform
-        y_coeffs[i] = coef_y
-        z_coeffs[i] = coef_z
+        y_coeffs[i] = fit(y_i)
         conds[i] = cond
-        if (ridged or ridged_z) and not transform.degenerate:
+        if ridged and not transform.degenerate:
             ridge_steps.append(i)
 
-    if ridge_steps and warn_on_ridge:
+    if ridge_steps:
         warnings.warn(
             f"ridge fallback used at {len(ridge_steps)} regression steps "
             f"(worst condition {conds.max():.3g})",
@@ -295,11 +278,9 @@ def solve_bsde_lsmc(
         basis=basis,
         transforms=transforms,
         y_coeffs=y_coeffs,
-        z_coeffs=z_coeffs,
         condition_numbers=conds,
         ridge_steps=sorted(ridge_steps),
         terminal_kind=terminal_kind,
-        driver_state_cap=driver_state_cap,
     )
 
 
@@ -313,23 +294,12 @@ def exp_transform(solution: BsdeSolution, beta: float, direction: str = "forward
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
     sign = -1.0 if direction == "forward" else 1.0
-    times = solution.grid.times()
-    wy = np.exp(sign * beta * times)
-    Y = solution.Y * wy[None, :, None]
-    Z = solution.Z * wy[None, :-1, None, None]
-    scale = wy[:-1]
-    return BsdeSolution(
-        grid=solution.grid,
-        Y=Y,
-        Z=Z,
-        basis=solution.basis,
-        transforms=solution.transforms,
-        y_coeffs=[c * s for c, s in zip(solution.y_coeffs, scale)],
-        z_coeffs=[c * s for c, s in zip(solution.z_coeffs, scale)],
-        condition_numbers=solution.condition_numbers,
-        ridge_steps=solution.ridge_steps,
-        terminal_kind=solution.terminal_kind,
-        driver_state_cap=solution.driver_state_cap,
+    wy = np.exp(sign * beta * solution.grid.times())
+    return replace(
+        solution,
+        Y=solution.Y * wy[None, :, None],
+        Z=solution.Z * wy[None, :-1, None, None],
+        y_coeffs=[c * s for c, s in zip(solution.y_coeffs, wy[:-1])],
     )
 
 
@@ -373,9 +343,9 @@ def terminal_stability_gap(
 
     x_T = ensemble.states[:, -1, :]
     valid = None if not ensemble.exploded.any() else ~ensemble.exploded
-    design, transform = basis.fit(x_T, valid=valid)
-    coef, _, _ = _fit_columns(design, xi, valid)
-    xi_proj = design @ coef
+    design, _ = basis.fit(x_T, valid=valid)
+    fit, _, _ = _least_squares(design, valid)
+    xi_proj = design @ fit(xi)
 
     sol_zero = solve_bsde_lsmc(problem, ensemble, basis, terminal=None)
     sol_xi = solve_bsde_lsmc(problem, ensemble, basis, terminal=xi_proj)

@@ -97,6 +97,8 @@ def _validate_config(config: dict, experiment_names) -> None:
             if not isinstance(value, str):
                 raise ConfigError("experiment must be a string")
         elif section in _SECTION_KEYS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"section {section!r} must be a table")
             bad = set(value) - _SECTION_KEYS[section]
             if bad:
                 raise ConfigError(f"unknown {section} keys: {sorted(bad)}")
@@ -217,10 +219,19 @@ def _command_run(args) -> int:
     horizon = args.horizon if args.horizon is not None else grid_cfg.get("horizon")
     n_paths = args.paths if args.paths is not None else run_cfg.get("paths")
     seed = args.seed if args.seed is not None else run_cfg.get("seed", 0)
-    checks = _canonical_checks(
-        args.checks if args.checks is not None else run_cfg.get("checks")
-    )
+    checks = args.checks if args.checks is not None else run_cfg.get("checks")
     degree = run_cfg.get("basis_degree")
+    try:
+        steps = None if steps is None else int(steps)
+        horizon = None if horizon is None else float(horizon)
+        n_paths = None if n_paths is None else int(n_paths)
+        seed = int(seed)
+        degree = None if degree is None else int(degree)
+        checks = _canonical_checks(checks)
+        out = Path(out_dir)
+    except (TypeError, ValueError) as exc:
+        print(f"error: bad config value: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     params_cfg = config.get(name, {})
     try:
@@ -232,20 +243,20 @@ def _command_run(args) -> int:
     try:
         grid = None
         if steps is not None or horizon is not None:
-            steps = int(steps) if steps is not None else definition.default_steps
+            steps = steps if steps is not None else definition.default_steps
             if horizon is None:
                 grid = TimeGrid.auto(definition.problem(params).beta, steps)
             else:
-                grid = TimeGrid(horizon=float(horizon), steps=steps)
+                grid = TimeGrid(horizon=horizon, steps=steps)
         basis = definition.basis
         if degree is not None:
-            basis = dataclasses.replace(basis, degree=int(degree))
+            basis = dataclasses.replace(basis, degree=degree)
         result = run_experiment(
             name,
             params=params,
             grid=grid,
-            n_paths=int(n_paths) if n_paths is not None else None,
-            seed=int(seed),
+            n_paths=n_paths,
+            seed=seed,
             basis=basis,
             checks=checks,
         )
@@ -256,7 +267,6 @@ def _command_run(args) -> int:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": 1,

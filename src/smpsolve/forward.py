@@ -335,19 +335,14 @@ def simulate_forward(
                 res = np.asarray(mult.residual(x, u), dtype=float).reshape(n_paths)
                 core = core + res * dt
             x_new = core[:, None]
+        else:
+            x_new = euler
+        if positive:
             crossed |= euler[:, 0] <= 0.0
             low = x_new[:, 0] <= positivity_floor
             if low.any():
                 clipped |= low
                 x_new[low, 0] = positivity_floor
-        else:
-            x_new = euler
-            if positive:
-                crossed |= euler[:, 0] <= 0.0
-                low = x_new[:, 0] <= positivity_floor
-                if low.any():
-                    clipped |= low
-                    x_new[low, 0] = positivity_floor
 
         bad = ~np.isfinite(x_new).all(axis=1) | (
             np.abs(x_new).max(axis=1) > explosion_guard

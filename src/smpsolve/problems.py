@@ -88,12 +88,10 @@ class CoefficientField:
     """Coefficient callables of a controlled SDE plus their x-gradients.
 
     ``grad_diffusion`` may be omitted when the diffusion does not depend on
-    the state (its gradient is then taken to be zero).  ``dsigma_z`` may be
-    supplied directly as the map (x, u, z) -> gradient in x of
-    Tr(sigma(x,u)' z) at fixed z; otherwise it is assembled from
-    ``grad_diffusion``.  Analytic information about u-derivatives enters
-    through ``DiscountedProblem.stationary_control`` rather than through
-    extra fields here.
+    the state (its gradient is then taken to be zero); the gradient in x of
+    Tr(sigma(x,u)' z) at fixed z is assembled from it.  Analytic information
+    about u-derivatives enters through ``DiscountedProblem.stationary_control``
+    rather than through extra fields here.
     """
 
     state_dim: int
@@ -105,7 +103,6 @@ class CoefficientField:
     grad_drift: Callable[[Array, Array], Array]
     grad_cost: Callable[[Array, Array], Array]
     grad_diffusion: Callable[[Array, Array], Array] | None = None
-    dsigma_z: Callable[[Array, Array, Array], Array] | None = None
 
     def __post_init__(self) -> None:
         for name in ("state_dim", "noise_dim", "control_dim"):
@@ -114,8 +111,6 @@ class CoefficientField:
 
     def dsigma_dot_z(self, x: Array, u: Array, z: Array) -> Array:
         """Gradient in x of Tr(sigma(x,u)' z) at fixed z, shape (..., n)."""
-        if self.dsigma_z is not None:
-            return np.asarray(self.dsigma_z(x, u, z), dtype=float)
         if self.grad_diffusion is None:
             shape = np.broadcast_shapes(np.shape(x), z.shape[:-2] + (self.state_dim,))
             return np.zeros(shape)
@@ -534,23 +529,10 @@ def validate_assumptions(
     record("drift_gradient_form", worst, consts.mu2, worst <= consts.mu2 + slack)
 
     # summed diffusion-column gradient norms <= M
-    if c.grad_diffusion is None and c.dsigma_z is None:
+    if c.grad_diffusion is None:
         record("diffusion_gradient_bound", 0.0, consts.M, 0.0 <= consts.M + slack)
     else:
-        if c.grad_diffusion is not None:
-            gs = np.asarray(c.grad_diffusion(x1k, uk), dtype=float)
-        else:
-            # recover columns of the gradient action via unit z matrices
-            cols = []
-            for ci in range(problem.noise_dim):
-                for ii in range(n):
-                    zunit = np.zeros((x1k.shape[0], n, problem.noise_dim))
-                    zunit[:, ii, ci] = 1.0
-                    cols.append(c.dsigma_dot_z(x1k, uk, zunit))
-            gs = np.stack(cols, axis=1).reshape(
-                x1k.shape[0], problem.noise_dim, n, n
-            )
-            gs = np.moveaxis(gs, 1, 2)  # (..., i, c, j)
+        gs = np.asarray(c.grad_diffusion(x1k, uk), dtype=float)
         norms = np.sqrt(np.einsum("...icj,...icj->...c", gs, gs))
         worst = float(np.max(norms.sum(axis=-1)))
         record("diffusion_gradient_bound", worst, consts.M, worst <= consts.M + slack)

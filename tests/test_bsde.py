@@ -181,14 +181,38 @@ class TestSolutionSurface:
         rel = np.abs(fitted - realized) / (1.0 + np.abs(realized))
         assert float(np.median(rel)) < 0.05
 
-    def test_take_paths_slices_nodes_but_keeps_surfaces(self):
+
+class TestFactorization:
+    def test_one_factorization_per_step(self, monkeypatch):
         params, problem, ens = _consumption_setup(steps=20, n_paths=400)
-        sol = solve_bsde_lsmc(problem, ens, CONS_BASIS)
-        sub = sol.take_paths(np.arange(100))
-        assert sub.n_paths == 100
-        assert np.array_equal(sub.Y, sol.Y[:100])
-        x = np.ones((3, 1))
-        assert np.array_equal(sub.y_at(5, x), sol.y_at(5, x))
+        qr = np.linalg.qr
+        calls = []
+
+        def counting_qr(a, *args, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        solve_bsde_lsmc(problem, ens, CONS_BASIS)
+        assert len(calls) == ens.grid.steps
+
+    def test_ridge_fallback_on_a_rank_deficient_design(self):
+        # without noise the paths from two starting points take two values
+        # per step, so a degree-4 design is singular at every step
+        params = ProductionPlanningParams(sigma=0.0)
+        problem = production_problem(params)
+        grid = TimeGrid(2.0, 20)
+        x0 = np.where(np.arange(400) % 2 == 0, 0.5, 1.5)[:, None]
+        ens = simulate_forward(problem, production_optimal_law(params), grid, 400, 0, x0=x0)
+        with pytest.warns(RuntimeWarning, match="ridge fallback used at 20 regression steps"):
+            sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
+        assert sol.ridge_steps == list(range(20))
+        assert np.isfinite(sol.Y).all()
+        fit_error = max(
+            float(np.abs(sol.y_at(i, ens.states[:, i, :]) - sol.Y[:, i, :]).max())
+            for i in range(grid.steps)
+        )
+        assert fit_error <= 1e-8
 
 
 class TestMartingaleResidual:

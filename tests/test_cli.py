@@ -89,10 +89,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "bad",
-        [("--set", "grid.steps=abc"), ("--horizon", "-1"), ("--set", "run.basis_degree=0")],
+        [
+            ("--set", "grid.steps=abc"),
+            ("--horizon", "-1"),
+            ("--set", "run.basis_degree=0"),
+            ("--set", "grid=5"),
+            ("--set", "run=3"),
+            ("--set", "output=1"),
+            ("--set", "grid.steps=[1]"),
+            ("--set", "grid.horizon=[3]"),
+            ("--set", "run.paths=[2]"),
+            ("--set", "run.basis_degree=[4]"),
+            ("--set", "run.checks=5"),
+        ],
     )
     def test_bad_grid_or_basis_exits_one(self, bad, tmp_path, capsys):
-        code = _run("run", "-e", "consumption", "--check", "assumptions", *bad, "--out", str(tmp_path))
+        # a --check flag would override run.checks, so that case runs without one
+        checks = () if bad[1].startswith("run.checks") else ("--check", "assumptions")
+        code = _run("run", "-e", "consumption", *checks, *bad, "--out", str(tmp_path))
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
