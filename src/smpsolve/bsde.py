@@ -330,6 +330,8 @@ def terminal_stability_gap(
 
     and the reference bound is e^{-beta T} * mean(|xi|^2).  Pass when
     gap <= bound * (1 + slack) + 3 SE.  Requires beta >= 2 mu2 + 2 M^2.
+    The scheme is affine in (Y, Z) with ``grad_cost`` its only free term, so
+    Y^xi - Y^0 is one solve with ``grad_cost`` zero and terminal xi.
     """
     c = problem.constants
     if problem.beta < 2.0 * c.mu2 + 2.0 * c.M**2:
@@ -347,10 +349,8 @@ def terminal_stability_gap(
     fit, _, _ = _least_squares(design, valid)
     xi_proj = design @ fit(xi)
 
-    sol_zero = solve_bsde_lsmc(problem, ensemble, basis, terminal=None)
-    sol_xi = solve_bsde_lsmc(problem, ensemble, basis, terminal=xi_proj)
-
-    diff = sol_zero.Y - sol_xi.Y
+    no_cost = replace(problem.coefficients, grad_cost=lambda x, u: np.zeros_like(x))
+    diff = solve_bsde_lsmc(replace(problem, coefficients=no_cost), ensemble, basis, terminal=xi_proj).Y
     sq = np.einsum("pin,pin->pi", diff, diff)
     weighted = sq * np.exp(-problem.beta * ensemble.grid.times())
     node_means = weighted.mean(axis=0)

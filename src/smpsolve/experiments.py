@@ -69,8 +69,9 @@ from .verify import (
     check_identities,
     check_pointwise_max,
     check_tvc,
-    compare_costs,
+    cost_dominance,
     cost_functional_mc,
+    path_costs,
 )
 
 Array = np.ndarray
@@ -365,11 +366,8 @@ def production_riccati_constants(params: ProductionPlanningParams):
 
 @dataclass
 class RiccatiOracle:
-    """Backward Riccati integration with its stationary limit."""
+    """Backward Riccati integration and its agreement with the stationary limit."""
 
-    phi_inf: float
-    psi_inf: float
-    offset: float
     phi_agreement: float
     psi_agreement: float
     stationary_residual: float
@@ -413,13 +411,10 @@ def riccati_oracle(params: ProductionPlanningParams, span: float | None = None) 
     )
     if not sol.success:
         raise RuntimeError(f"riccati integration failed: {sol.message}")
-    phi, psi, offset = production_riccati_constants(params)
+    phi, psi, _ = production_riccati_constants(params)
     phi_end, psi_end = sol.y[0, -1], sol.y[1, -1]
     residual = abs(phi * phi - 2.0 * c * beta * phi - 4.0 * c * h)
     return RiccatiOracle(
-        phi_inf=phi,
-        psi_inf=psi,
-        offset=offset,
         phi_agreement=abs(phi_end - phi),
         psi_agreement=abs(psi_end - psi),
         stationary_residual=residual,
@@ -889,7 +884,7 @@ class ClosedFormCandidate:
     """A candidate given by a known law; its paths and costate are computed on first use."""
 
     def __init__(self, run: "ExperimentRun", law: ControlLaw) -> None:
-        # no reference to the run: a cycle would keep its competitor ensembles alive
+        # no reference to the run: a cycle would keep its tvc rival alive past the run
         self.law = law
         self.problem, self.grid, self.basis = run.problem, run.grid, run.basis
         self.n_paths, self.seed = run.n_paths, run.seed
@@ -907,9 +902,9 @@ class ClosedFormCandidate:
 class ExperimentRun:
     """One run of an experiment, passed to the callables of its definition.
 
-    ``candidate`` and ``competitor_ensembles`` are computed on first use and
-    shared by every check; entries added to ``scalars``, ``curves`` and
-    ``costs`` end up in the :class:`ExperimentResult`.
+    ``candidate`` and ``tvc_rival`` are computed on first use and shared by
+    every check; entries added to ``scalars``, ``curves`` and ``costs`` end
+    up in the :class:`ExperimentResult`.
     """
 
     definition: "ExperimentDefinition"
@@ -929,13 +924,15 @@ class ExperimentRun:
         return self.definition.candidate(self)
 
     @cached_property
-    def competitor_ensembles(self) -> Dict[str, PathEnsemble]:
-        """Every competitor simulated on the candidate's noise (common random numbers)."""
+    def tvc_rival(self) -> PathEnsemble:
+        """The ``tvc_competitor`` law, simulated like every competitor."""
+        law = self.definition.competitors(self.params)[self.definition.tvc_competitor]
+        return self.simulate_competitor(law)
+
+    def simulate_competitor(self, law: ControlLaw) -> PathEnsemble:
+        """``law`` simulated on the candidate's noise (common random numbers)."""
         noise = self.candidate.ensemble.noise
-        return {
-            name: simulate_forward(self.problem, law, self.grid, self.n_paths, self.seed, noise=noise)
-            for name, law in self.definition.competitors(self.params).items()
-        }
+        return simulate_forward(self.problem, law, self.grid, self.n_paths, self.seed, noise=noise)
 
     def computed(self, attr: str):
         """The candidate's ``attr`` if it has been computed already, else None."""
@@ -987,7 +984,7 @@ class ExperimentDefinition:
     def check_table(self) -> Dict[str, Callable[[ExperimentRun], list]]:
         """Every check this experiment runs, by name, in run order: its own
         checks, then the generic ones it does not redefine (last, because tvc
-        and costs keep every competitor ensemble alive until the run ends)."""
+        and costs keep the tvc rival alive until the run ends)."""
         table = dict(self.checks)
         for name, check in _GENERIC_CHECKS.items():
             table.setdefault(name, check)
@@ -1027,16 +1024,18 @@ def _stability(run: ExperimentRun) -> List[VerificationReport]:
 
 def _tvc(run: ExperimentRun) -> List[VerificationReport]:
     c = run.candidate
-    rival = run.competitor_ensembles[run.definition.tvc_competitor]
-    return [check_tvc(run.problem, c.ensemble, c.solution, rival)]
+    return [check_tvc(run.problem, c.ensemble, c.solution, run.tvc_rival)]
 
 
 def _costs(run: ExperimentRun) -> List[VerificationReport]:
-    ens, rivals = run.candidate.ensemble, run.competitor_ensembles
-    run.costs["candidate"] = cost_functional_mc(run.problem, ens, label="candidate")
-    for name, rival in rivals.items():
-        run.costs[name] = cost_functional_mc(run.problem, rival, label=name)
-    return [compare_costs(run.problem, ens, rivals)]
+    # one path-cost pass per ensemble; only the tvc rival outlives its pass
+    tvc = run.definition.tvc_competitor
+    costs = {"candidate": path_costs(run.problem, run.candidate.ensemble)}
+    for name, law in run.definition.competitors(run.params).items():
+        costs[name] = path_costs(run.problem, run.tvc_rival if name == tvc else run.simulate_competitor(law))
+    for name, j in costs.items():
+        run.costs[name] = CostEstimate.from_path_costs(j, run.grid.horizon, label=name)
+    return [cost_dominance(costs.pop("candidate"), costs)]
 
 
 # checks every experiment runs; each is called only when selected, and the

@@ -154,9 +154,8 @@ class OpenLoopControl(ControlLaw):
 class FeedbackControl(ControlLaw):
     """Markov feedback u = fn(t, x) with fn vectorized over paths."""
 
-    def __init__(self, fn: Callable[[float, Array], Array], control_dim: int = 1) -> None:
+    def __init__(self, fn: Callable[[float, Array], Array]) -> None:
         self.fn = fn
-        self.control_dim = control_dim
 
     def control_at(self, step: int, t: float, x: Array) -> Array:
         u = np.asarray(self.fn(t, x), dtype=float)
@@ -227,7 +226,6 @@ class PathEnsemble:
     floor_clipped: Array
     exploded: Array
     x0: Array
-    label: str = ""
 
     @property
     def n_paths(self) -> int:
@@ -247,7 +245,6 @@ class PathEnsemble:
             floor_clipped=self.floor_clipped[index],
             exploded=self.exploded[index],
             x0=self.x0,
-            label=self.label,
         )
 
     def open_loop(self) -> OpenLoopControl:

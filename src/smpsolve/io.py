@@ -39,21 +39,24 @@ def write_array(path, arr: Array, kind: int = KIND_GENERIC) -> None:
 
 
 def read_array(path):
-    """Read one array file; returns (kind, array)."""
+    """Read one array file; returns (kind, array).  Bad files raise IOError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
+        if fh.read(4) != MAGIC:
             raise IOError(f"{path}: not an SMP1 array file")
-        head = np.frombuffer(fh.read(12), dtype="<u4")
-        version, kind, ndim = (int(v) for v in head)
+        version, kind, ndim = (int(v) for v in _read_exactly(fh, 3, "<u4", path))
         if version != FORMAT_VERSION:
             raise IOError(f"{path}: unsupported format version {version}")
-        shape = tuple(int(v) for v in np.frombuffer(fh.read(4 * ndim), dtype="<u4"))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        if data.size != count:
-            raise IOError(f"{path}: truncated payload")
+        shape = tuple(int(v) for v in _read_exactly(fh, ndim, "<u4", path))
+        data = _read_exactly(fh, int(np.prod(shape)), "<f8", path)
     return kind, data.reshape(shape).copy()
+
+
+def _read_exactly(fh, count: int, dtype: str, path) -> Array:
+    size = count * np.dtype(dtype).itemsize
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise IOError(f"{path}: file ends inside its header or payload")
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def save_ensemble(prefix, ensemble: PathEnsemble) -> List[Path]:

@@ -73,11 +73,6 @@ class ControlDomain:
     def clip(self, u: Array) -> Array:
         return np.clip(u, self.lower, self.upper)
 
-    def contains(self, u: Array, tol: float = 0.0) -> Array:
-        u = np.asarray(u, dtype=float)
-        ok = (u >= self.lower - tol) & (u <= self.upper + tol)
-        return ok.all(axis=-1)
-
     def sample(self, rng: np.random.Generator, size: int) -> Array:
         w = rng.random((size, self.dim))
         return self.lower + w * (self.upper - self.lower)

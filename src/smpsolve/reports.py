@@ -6,6 +6,7 @@ Carlo cost figures travel as :class:`CostEstimate`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -53,10 +54,6 @@ class VerificationReport:
         if self.status not in _STATUSES:
             raise ValueError(f"status must be one of {_STATUSES}, got {self.status!r}")
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
     def to_dict(self) -> dict:
         return {
             "check": self.check,
@@ -99,14 +96,19 @@ class CostEstimate:
     label: str = ""
 
     def __post_init__(self) -> None:
-        import math
-
         if not math.isfinite(self.value):
             raise ValueError("cost estimate is not finite")
         if not math.isfinite(self.standard_error) or self.standard_error < 0:
             raise ValueError("standard error must be finite and >= 0")
         if self.n_paths <= 0:
             raise ValueError("n_paths must be positive")
+
+    @classmethod
+    def from_path_costs(cls, costs, horizon: float, tail_bound=None, label: str = "") -> "CostEstimate":
+        """Mean and standard error of per-path discounted costs."""
+        P = costs.size
+        se = float(costs.std(ddof=1) / math.sqrt(P)) if P > 1 else 0.0
+        return cls(float(costs.mean()), se, P, horizon, tail_bound, label)
 
     def to_dict(self) -> dict:
         return {

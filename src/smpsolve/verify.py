@@ -51,16 +51,8 @@ def cost_functional_mc(
     label: str = "",
 ) -> CostEstimate:
     """Monte Carlo estimate of the discounted gain on the truncated horizon."""
-    j = path_costs(problem, ensemble)
-    P = ensemble.n_paths
-    se = float(j.std(ddof=1) / math.sqrt(P)) if P > 1 else 0.0
-    return CostEstimate(
-        value=float(j.mean()),
-        standard_error=se,
-        n_paths=P,
-        horizon=ensemble.grid.horizon,
-        tail_bound=tail_bound,
-        label=label,
+    return CostEstimate.from_path_costs(
+        path_costs(problem, ensemble), ensemble.grid.horizon, tail_bound=tail_bound, label=label
     )
 
 
@@ -230,21 +222,31 @@ def compare_costs(
     competitors: Dict[str, PathEnsemble],
     se_slack: float = 2.0,
 ) -> VerificationReport:
+    """:func:`cost_dominance` of the ensembles' path costs."""
+    rivals = {name: path_costs(problem, ens) for name, ens in competitors.items()}
+    return cost_dominance(path_costs(problem, candidate), rivals, se_slack)
+
+
+def cost_dominance(
+    candidate_costs: Array,
+    competitor_costs: Dict[str, Array],
+    se_slack: float = 2.0,
+) -> VerificationReport:
     """Paired cost comparison of the candidate against each competitor.
 
-    All ensembles are expected to share the driving noise, so per-path
-    differences are low-variance.  A competitor is dominated when
+    The arguments are per-path discounted costs (:func:`path_costs`) of
+    ensembles that share the driving noise, so per-path differences are
+    low-variance.  A competitor is dominated when
     mean(J_candidate - J_competitor) >= -se_slack * SE(diff); the check
     passes when every competitor is dominated.
     """
-    j_cand = path_costs(problem, candidate)
     rows = {}
     all_ok = True
     worst = math.inf
-    for name, ens in competitors.items():
-        if ens.n_paths != candidate.n_paths:
+    for name, j in competitor_costs.items():
+        if j.shape != candidate_costs.shape:
             raise ValueError(f"competitor {name!r} has a different path count")
-        d = j_cand - path_costs(problem, ens)
+        d = candidate_costs - j
         se = float(d.std(ddof=1) / math.sqrt(d.size)) if d.size > 1 else 0.0
         mean = float(d.mean())
         ok = mean >= -se_slack * se
@@ -256,8 +258,8 @@ def compare_costs(
         status=PASS if all_ok else FAIL,
         statistic=None if not rows else worst,
         tolerance=0.0,
-        n_samples=candidate.n_paths,
-        details={"competitors": rows, "candidate_cost": float(j_cand.mean())},
+        n_samples=candidate_costs.size,
+        details={"competitors": rows, "candidate_cost": float(candidate_costs.mean())},
         notes=f"candidate gain vs {len(rows)} competitors, paired by common noise",
     )
 

@@ -232,6 +232,21 @@ class TestMartingaleResidual:
         assert report.details["worst_step"] < 40
 
 
+def _record_solves(monkeypatch) -> list:
+    """Route ``bsde.solve_bsde_lsmc`` through a wrapper that keeps each solution."""
+    import smpsolve.bsde
+
+    solved = []
+    solve = smpsolve.bsde.solve_bsde_lsmc
+
+    def recording(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(smpsolve.bsde, "solve_bsde_lsmc", recording)
+    return solved
+
+
 class TestTerminalStability:
     def test_requires_dissipative_discount(self):
         params, problem, ens = _consumption_setup(steps=10, n_paths=50, beta=0.1)
@@ -244,6 +259,45 @@ class TestTerminalStability:
         assert result.report.status == "pass"
         assert 0.0 < result.gap <= result.report.tolerance
         assert result.bound == pytest.approx(math.exp(-problem.beta * 8.0))
+
+    def test_one_solve_of_the_difference_equation(self, monkeypatch):
+        solved = _record_solves(monkeypatch)
+        params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=300)
+        terminal_stability_gap(problem, ens, PROD_BASIS, ens.states[:, -1, :])
+        assert len(solved) == 1
+
+    @pytest.mark.parametrize("setup", ["production", "consumption"])
+    def test_matches_the_two_solve_reference(self, setup, monkeypatch):
+        if setup == "production":
+            params, problem, ens = _production_setup(horizon=8.0, steps=80, n_paths=1500)
+            basis = PROD_BASIS
+        else:
+            params, problem, ens = _consumption_setup(horizon=6.0, steps=60, n_paths=1500)
+            basis = CONS_BASIS
+        xi = ens.states[:, -1, :].copy()
+        solved = _record_solves(monkeypatch)
+        result = terminal_stability_gap(problem, ens, basis, xi)
+        monkeypatch.undo()
+
+        # reference: both terminals solved in full, xi projected as the check does
+        design, _ = basis.fit(ens.states[:, -1, :])
+        xi_proj = design @ np.linalg.lstsq(design, xi, rcond=None)[0]
+        diff = (
+            solve_bsde_lsmc(problem, ens, basis).Y
+            - solve_bsde_lsmc(problem, ens, basis, terminal=xi_proj).Y
+        )
+        weighted = np.einsum("pin,pin->pi", diff, diff) * np.exp(-problem.beta * ens.grid.times())
+        node_means = weighted.mean(axis=0)
+        i_star = int(np.argmax(node_means))
+        assert result.argmax_node == i_star
+        assert result.gap == pytest.approx(node_means[i_star], rel=1e-12)
+        se = weighted[:, i_star].std(ddof=1) / math.sqrt(ens.n_paths)
+        assert result.standard_error == pytest.approx(se, rel=1e-12)
+        # every node, not only the argmax (which sits at the terminal node);
+        # the reference loses digits to cancellation where the gap is small
+        (single,) = solved
+        got = np.einsum("pin,pin->pi", single.Y, single.Y) * np.exp(-problem.beta * ens.grid.times())
+        np.testing.assert_allclose(got.mean(axis=0), node_means, rtol=1e-8)
 
     def test_xi_shape_is_validated(self):
         params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=100)

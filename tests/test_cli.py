@@ -1,4 +1,6 @@
 """Command line behavior: exit codes, config handling, artifacts."""
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -286,6 +288,15 @@ class TestReadme:
                 pytest.fail(f"README command does not parse: {line}")
             if args.command == "run":
                 assert args.experiment in names, line
+
+    def test_library_example_certifies_the_optimal_candidate(self):
+        code = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(code, str(README), "exec"), {})
+        y0, status = out.getvalue().splitlines()
+        assert float(y0.strip("[]")) > 0
+        assert status == "pass"
 
     def test_check_lists_match_the_registry(self):
         text = README.read_text()

@@ -264,3 +264,45 @@ class TestRunExperiment:
             "costs",
             "all_passed",
         }
+
+
+class TestSharedWork:
+    """The cost and tvc checks read each ensemble once and keep few alive."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        import weakref
+
+        from smpsolve import verify
+
+        alive, seen = [], []
+        simulate, costs = experiments.simulate_forward, verify.path_costs
+
+        def simulate_spy(*args, **kwargs):
+            ens = simulate(*args, **kwargs)
+            alive.append(weakref.ref(ens))
+            return ens
+
+        def costs_spy(*args, **kwargs):
+            seen.append(sum(ref() is not None for ref in alive))
+            return costs(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_forward", simulate_spy)
+        monkeypatch.setattr(verify, "path_costs", costs_spy)
+        monkeypatch.setattr(experiments, "path_costs", costs_spy, raising=False)
+        result = run_experiment(
+            "consumption", grid=TimeGrid(horizon=8.0, steps=80), n_paths=500, checks=["tvc", "costs"]
+        )
+        return result, alive, seen
+
+    def test_one_path_cost_pass_per_ensemble(self, monkeypatch):
+        result, alive, seen = self._watch(monkeypatch)
+        assert len(alive) == 8
+        assert len(seen) == 8
+        assert set(result.costs) == {"candidate", *experiments.consumption_competitors(result.params)}
+        assert result.report_by_name("cost_dominance").status == PASS
+
+    def test_at_most_three_ensembles_alive(self, monkeypatch):
+        _, _, seen = self._watch(monkeypatch)
+        # the candidate, the tvc rival and the competitor being costed
+        assert max(seen) <= 3

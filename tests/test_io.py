@@ -74,6 +74,16 @@ class TestArrayFormat:
         with pytest.raises(IOError):
             read_array(f)
 
+    # a (2, 3) file: magic to byte 4, version/kind/ndim to 16, shape to 24,
+    # payload to 72; every cut must raise the documented IOError
+    @pytest.mark.parametrize("keep", [4, 6, 10, 15, 20, 27, 29, 64])
+    def test_cut_file_rejected(self, tmp_path, keep):
+        f = tmp_path / "e.smp"
+        write_array(f, np.ones((2, 3)))
+        f.write_bytes(f.read_bytes()[:keep])
+        with pytest.raises(IOError):
+            read_array(f)
+
 
 class TestEnsembleDump:
     def test_save_ensemble_and_costates(self, tmp_path):
