@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
-from .forward import PathEnsemble, TimeGrid
+from .forward import PathEnsemble, TimeGrid, time_major
 from .problems import DiscountedProblem, grad_x_hamiltonian
 from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
@@ -81,27 +83,33 @@ class RegressionBasis:
         return self.design(x, transform), transform
 
     def design(self, x: Array, transform: "BasisTransform") -> Array:
+        """Columns 1, the monomials by degree, then the reciprocal column.
+
+        Monomials of one degree follow ``combinations_with_replacement``;
+        each is its prefix monomial times one standardized coordinate.
+        """
         x = np.asarray(x, dtype=float)
         P = x.shape[0]
         if transform.degenerate:
             return np.ones((P, 1))
         s = (x - transform.shift) / transform.scale
-        cols = [np.ones(P)]
-        if x.shape[1] == 1:
-            v = s[:, 0]
-            for j in range(1, self.degree + 1):
-                cols.append(v**j)
-        else:
-            for deg in range(1, self.degree + 1):
-                for combo in combinations_with_replacement(range(x.shape[1]), deg):
-                    col = np.ones(P)
-                    for idx in combo:
-                        col = col * s[:, idx]
-                    cols.append(col)
+        monomials = [()]
+        for deg in range(1, self.degree + 1):
+            monomials += combinations_with_replacement(range(x.shape[1]), deg)
+        # column-major, so that each column is written in one contiguous pass
+        out = np.empty((P, len(monomials) + self.reciprocal), order="F")
+        out[:, 0] = 1.0
+        column = {(): 0}
+        for j, combo in enumerate(monomials[1:], start=1):
+            column[combo] = j
+            np.multiply(out[:, column[combo[:-1]]], s[:, combo[-1]], out=out[:, j])
         if self.reciprocal:
-            rec = (1.0 / np.maximum(x[:, 0], 1e-300) - transform.reciprocal_shift)
-            cols.append(rec / transform.reciprocal_scale)
-        return np.stack(cols, axis=1)
+            rec = out[:, -1]
+            np.maximum(x[:, 0], 1e-300, out=rec)
+            np.divide(1.0, rec, out=rec)
+            rec -= transform.reciprocal_shift
+            rec /= transform.reciprocal_scale
+        return out
 
 
 @dataclass(frozen=True)
@@ -118,22 +126,33 @@ class BasisTransform:
 def _least_squares(design: Array, valid: Array | None):
     """Factor the rows ``valid`` of ``design`` once for all fits on it.
 
-    QR, with a ridge fallback on ill-conditioned designs.  Returns
-    (fit, condition_number, used_ridge), where ``fit(targets)`` gives the
-    coefficients for targets indexed like the rows of ``design``.
+    Cholesky of the Gram matrix A'A when cond(A) <= sqrt(COND_LIMIT): the
+    normal equations square the condition number, which then stays within
+    COND_LIMIT.  Worse-conditioned designs take QR, with a ridge fallback
+    above COND_LIMIT.  Returns (fit, condition_number, used_ridge), where
+    ``fit(targets)`` gives the coefficients for targets indexed like the
+    rows of ``design``.
     """
     a = design if valid is None else design[valid]
-    q, r = np.linalg.qr(a)
-    sv = np.linalg.svd(r, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    ridged = cond > COND_LIMIT
-    if ridged:
-        # normal equations: solve (a'a + lambda I) coef = a' b
-        q, r = a, a.T @ a + RIDGE_LAMBDA * np.eye(a.shape[1])
+    gram = a.T @ a
+    cond = math.sqrt(np.linalg.cond(gram))
+    ridged = False
+    if cond <= math.sqrt(COND_LIMIT):
+        factor = cho_factor(gram, check_finite=False)
+        q, solve = a, partial(cho_solve, factor, check_finite=False)
+    else:
+        q, r = np.linalg.qr(a)
+        sv = np.linalg.svd(r, compute_uv=False)
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+        ridged = cond > COND_LIMIT
+        if ridged:
+            # normal equations: solve (a'a + lambda I) coef = a' b
+            q, r = a, gram + RIDGE_LAMBDA * np.eye(a.shape[1])
+        solve = partial(np.linalg.solve, r)
 
     def fit(targets: Array) -> Array:
         b = targets if valid is None else targets[valid]
-        return np.linalg.solve(r, q.T @ b)
+        return solve(q.T @ b)
 
     return fit, cond, ridged
 
@@ -142,7 +161,8 @@ def _least_squares(design: Array, valid: Array | None):
 class BsdeSolution:
     """Backward solve output: node values, surfaces, and fit diagnostics.
 
-    ``Y`` has shape (P, N+1, n) and ``Z`` (P, N, n, d).  ``y_coeffs`` holds,
+    ``Y`` has shape (P, N+1, n) and ``Z`` (P, N, n, d), both stored
+    time-major (see :func:`smpsolve.forward.time_major`).  ``y_coeffs`` holds,
     per step i < N, the fit of the realized Y_i: the costate surface.
     """
 
@@ -206,8 +226,8 @@ def solve_bsde_lsmc(
     n, d = problem.state_dim, problem.noise_dim
     dt = grid.dt
 
-    Y = np.empty((P, N + 1, n))
-    Z = np.empty((P, N, n, d))
+    Y = time_major(P, N + 1, n)
+    Z = time_major(P, N, n, d)
     if terminal is None:
         Y[:, N, :] = 0.0
         terminal_kind = "zero"

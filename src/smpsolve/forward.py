@@ -11,6 +11,11 @@ Noise is counter-based: increment block of path p is a pure function of
 (seed, path index), with the (step, component) layout fixed inside the block.
 Splitting a run into path chunks therefore reproduces the unsplit run
 bit-for-bit, which the scanning helpers rely on.
+
+Per-step arrays (states, controls, noise increments, costates) have the
+logical shape (paths, steps, ...) but are stored time-major by
+:func:`time_major`, so the slice ``a[:, i]`` that every step reads and writes
+is contiguous.
 """
 from __future__ import annotations
 
@@ -27,10 +32,30 @@ Array = np.ndarray
 
 EXPLOSION_GUARD = 1e8
 POSITIVITY_FLOOR = 1e-12
+# paths per noise draw buffer: 256 paths x 250 steps is 0.5 MB
+NOISE_BLOCK = 256
 
 
 class SimulationError(RuntimeError):
     """Raised when an ensemble is too degenerate to be useful."""
+
+
+def time_major(n_paths: int, steps: int, *tail: int) -> Array:
+    """Uninitialized array of logical shape (n_paths, steps, *tail).
+
+    It is stored as (steps, n_paths, *tail) and returned transposed, so that
+    ``a[:, i]`` is contiguous.  Callers that need path-major memory use
+    ``np.ascontiguousarray``.
+    """
+    return np.empty((steps, n_paths, *tail)).swapaxes(0, 1)
+
+
+def _take_paths(a: Array, index: Array) -> Array:
+    """``a[index]`` for a path mask or path indices, stored time-major."""
+    index = np.asarray(index)
+    if index.dtype == bool:
+        index = np.flatnonzero(index)
+    return np.take(a.swapaxes(0, 1), index, axis=1).swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -71,7 +96,8 @@ class NoiseBatch:
     i for path p, distributed N(0, dt).  Generation is keyed by
     (seed, path_offset + p); given the key, position (i, c) inside the block
     is fixed, so identical seeds give bit-identical batches and path chunks
-    generated separately agree with the full batch.
+    generated separately agree with the full batch.  ``increments`` is stored
+    time-major (see :func:`time_major`).
     """
 
     seed: int
@@ -96,23 +122,37 @@ class NoiseBatch:
             raise ValueError("n_paths, n_steps and noise_dim must be >= 1")
         if dt <= 0:
             raise ValueError("dt must be positive")
-        out = np.empty((n_paths, n_steps * noise_dim))
-        for p in range(n_paths):
-            gen = np.random.Generator(np.random.Philox(key=[seed, path_offset + p]))
-            out[p] = gen.standard_normal(n_steps * noise_dim)
-        out *= math.sqrt(dt)
+        increments = time_major(n_paths, n_steps, noise_dim)
+        # draws need contiguous rows, so each block of paths is drawn path by
+        # path into a small buffer and then copied over time-major
+        block = np.empty((min(n_paths, NOISE_BLOCK), n_steps * noise_dim))
+        # one generator, re-keyed per path: the same stream as a fresh
+        # Generator(Philox(key=[seed, path_offset + p])) for every path
+        gen = np.random.Generator(np.random.Philox(key=[seed, path_offset]))
+        fresh = gen.bit_generator.state
+        for start in range(0, n_paths, NOISE_BLOCK):
+            rows = block[: n_paths - start]
+            for r, row in enumerate(rows):
+                fresh["state"]["key"][1] = path_offset + start + r
+                gen.bit_generator.state = fresh
+                gen.standard_normal(out=row)
+            np.multiply(
+                rows.reshape(len(rows), n_steps, noise_dim),
+                math.sqrt(dt),
+                out=increments[start : start + len(rows)],
+            )
         return cls(
             seed=seed,
             n_paths=n_paths,
             n_steps=n_steps,
             noise_dim=noise_dim,
             dt=dt,
-            increments=out.reshape(n_paths, n_steps, noise_dim),
+            increments=increments,
             path_offset=path_offset,
         )
 
     def take_paths(self, index: Array) -> "NoiseBatch":
-        inc = self.increments[index]
+        inc = _take_paths(self.increments, index)
         return NoiseBatch(
             seed=self.seed,
             n_paths=inc.shape[0],
@@ -210,7 +250,8 @@ class BlendedControl(ControlLaw):
 class PathEnsemble:
     """Simulated ensemble: states, applied controls, noise, exit flags.
 
-    ``states`` has shape (P, N+1, n), ``controls`` (P, N, k).  Flags are per
+    ``states`` has shape (P, N+1, n), ``controls`` (P, N, k), both stored
+    time-major (see :func:`time_major`).  Flags are per
     path: ``euler_crossed`` marks paths whose raw Euler candidate went
     nonpositive at some step (diagnostic, the actual scheme may have stayed
     positive), ``floor_clipped`` marks paths clipped at the positivity floor,
@@ -238,8 +279,8 @@ class PathEnsemble:
     def take_paths(self, index: Array) -> "PathEnsemble":
         return PathEnsemble(
             grid=self.grid,
-            states=self.states[index],
-            controls=self.controls[index],
+            states=_take_paths(self.states, index),
+            controls=_take_paths(self.controls, index),
             noise=self.noise.take_paths(index),
             euler_crossed=self.euler_crossed[index],
             floor_clipped=self.floor_clipped[index],
@@ -303,8 +344,8 @@ def simulate_forward(
     if positive and np.any(x <= 0):
         raise ValueError("initial states must be positive on the half-line")
 
-    states = np.empty((n_paths, grid.steps + 1, n))
-    controls = np.empty((n_paths, grid.steps, k))
+    states = time_major(n_paths, grid.steps + 1, n)
+    controls = time_major(n_paths, grid.steps, k)
     states[:, 0, :] = x
     crossed = np.zeros(n_paths, dtype=bool)
     clipped = np.zeros(n_paths, dtype=bool)

@@ -30,7 +30,8 @@ KIND_Z = 4
 
 
 def write_array(path, arr: Array, kind: int = KIND_GENERIC) -> None:
-    arr = np.ascontiguousarray(np.asarray(arr, dtype=float), dtype="<f8")
+    # asarray keeps a 0-d shape; tobytes() writes C order whatever the layout
+    arr = np.asarray(arr, dtype="<f8")
     header = np.array([FORMAT_VERSION, kind, arr.ndim, *arr.shape], dtype="<u4")
     with open(path, "wb") as fh:
         fh.write(MAGIC)

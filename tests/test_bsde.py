@@ -1,9 +1,11 @@
 """Backward solver: regression bases, invariances, diagnostics."""
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
+from smpsolve import bsde
 from smpsolve import (
     ConstantControl,
     RegressionBasis,
@@ -92,6 +94,28 @@ class TestRegressionBasis:
         rich, _ = RegressionBasis(degree=3, reciprocal=True).fit(x)
         assert rich.shape[1] == plain.shape[1] + 1
 
+    @pytest.mark.parametrize(
+        "basis, n",
+        [
+            (RegressionBasis(degree=4), 1),
+            (RegressionBasis(degree=3), 2),
+            (RegressionBasis(degree=4, reciprocal=True), 1),
+            (RegressionBasis(degree=3, reciprocal=True), 2),
+        ],
+    )
+    def test_design_matches_a_power_reference(self, basis, n):
+        x = np.exp(np.random.default_rng(4).standard_normal((300, n)))
+        design, transform = basis.fit(x)
+        s = (x - transform.shift) / transform.scale
+        cols = [np.ones(len(x))]
+        for deg in range(1, basis.degree + 1):
+            for combo in combinations_with_replacement(range(n), deg):
+                cols.append(np.prod(s ** np.bincount(combo, minlength=n), axis=1))
+        if basis.reciprocal:
+            rec = 1.0 / x[:, 0]
+            cols.append((rec - transform.reciprocal_shift) / transform.reciprocal_scale)
+        np.testing.assert_allclose(design, np.stack(cols, axis=1), rtol=1e-12, atol=0.0)
+
 
 class TestSolveInvariances:
     def test_zero_driver_zero_terminal_is_exactly_zero(self):
@@ -164,6 +188,16 @@ class TestSolveInvariances:
             solve_bsde_lsmc(problem, ens, CONS_BASIS, terminal=np.zeros((7, 1)))
 
 
+class TestTimeMajorLayout:
+    def test_costate_steps_are_contiguous(self):
+        params, problem, ens = _consumption_setup(steps=8, n_paths=300)
+        sol = solve_bsde_lsmc(problem, ens.take_paths(np.arange(300) < 200), CONS_BASIS)
+        for i in range(8):
+            assert sol.Y[:, i, :].flags.c_contiguous
+            assert sol.Z[:, i].flags.c_contiguous
+        assert sol.Y[:, 8, :].flags.c_contiguous
+
+
 class TestSolutionSurface:
     def test_y_at_terminal_is_zero_for_zero_terminal(self):
         params, problem, ens = _consumption_setup(steps=20, n_paths=200)
@@ -184,17 +218,51 @@ class TestSolutionSurface:
 
 class TestFactorization:
     def test_one_factorization_per_step(self, monkeypatch):
+        # every step of this well-conditioned setup takes the Cholesky route
         params, problem, ens = _consumption_setup(steps=20, n_paths=400)
-        qr = np.linalg.qr
-        calls = []
-
-        def counting_qr(a, *args, **kwargs):
-            calls.append(a.shape)
-            return qr(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        calls = self._count_factorizations(monkeypatch)
         solve_bsde_lsmc(problem, ens, CONS_BASIS)
-        assert len(calls) == ens.grid.steps
+        assert calls == {"cholesky": ens.grid.steps, "qr": 0}
+
+    @staticmethod
+    def _count_factorizations(monkeypatch) -> dict:
+        calls = {"cholesky": 0, "qr": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(bsde, "cho_factor", counting("cholesky", bsde.cho_factor))
+        monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
+        return calls
+
+    def test_cholesky_route_matches_lstsq(self, monkeypatch):
+        x = np.exp(0.4 * np.random.default_rng(5).standard_normal((2000, 1)))
+        valid = np.arange(2000) % 7 != 0
+        design, _ = CONS_BASIS.fit(x, valid=valid)
+        targets = np.stack([np.sin(3.0 * x[:, 0]), np.sqrt(x[:, 0])], axis=1)
+        calls = self._count_factorizations(monkeypatch)
+        fit, cond, ridged = bsde._least_squares(design, valid)
+        assert calls == {"cholesky": 1, "qr": 0}
+        assert 1.0 < cond <= 1e6 and not ridged
+        expected = np.linalg.lstsq(design[valid], targets[valid], rcond=None)[0]
+        assert np.abs(fit(targets) - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_ill_conditioned_design_takes_the_qr_route(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        design = np.column_stack(
+            [np.ones(500), rng.standard_normal(500), 1e-8 * rng.standard_normal(500)]
+        )
+        targets = rng.standard_normal((500, 2))
+        calls = self._count_factorizations(monkeypatch)
+        fit, cond, ridged = bsde._least_squares(design, None)
+        assert calls == {"cholesky": 0, "qr": 1}
+        assert 1e6 < cond < 1e12 and not ridged
+        expected = np.linalg.lstsq(design, targets, rcond=None)[0]
+        assert np.abs(fit(targets) - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_ridge_fallback_on_a_rank_deficient_design(self):
         # without noise the paths from two starting points take two values

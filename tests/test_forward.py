@@ -113,6 +113,36 @@ class TestNoiseBatch:
         scaled = batch.increments / math.sqrt(0.04)
         assert abs(scaled.std() - 1.0) < 0.02
 
+    def test_matches_a_fresh_generator_per_path(self):
+        # 300 paths span more than one draw block
+        batch = NoiseBatch.generate(5, 300, 9, 2, 0.25, path_offset=1000)
+        for p in range(300):
+            gen = np.random.Generator(np.random.Philox(key=[5, 1000 + p]))
+            expected = (gen.standard_normal(9 * 2) * math.sqrt(0.25)).reshape(9, 2)
+            assert np.array_equal(batch.increments[p], expected)
+
+
+class TestTimeMajorLayout:
+    """Every per-step slice ``a[:, i]`` is one contiguous block."""
+
+    @staticmethod
+    def _assert_steps_contiguous(a):
+        for i in range(a.shape[1]):
+            assert a[:, i].flags.c_contiguous
+
+    def test_ensemble_and_noise(self):
+        problem = consumption_problem(ConsumptionParams())
+        grid = TimeGrid(horizon=1.0, steps=6)
+        ens = simulate_forward(problem, ConstantControl([0.3]), grid, 40, seed=2)
+        sub = ens.take_paths(np.arange(40) % 3 == 0)
+        for e in (ens, sub):
+            self._assert_steps_contiguous(e.states)
+            self._assert_steps_contiguous(e.controls)
+            self._assert_steps_contiguous(e.noise.increments)
+        assert np.array_equal(sub.states, ens.states[::3])
+        assert np.array_equal(sub.noise.increments, ens.noise.increments[::3])
+        self._assert_steps_contiguous(NoiseBatch.generate(1, 30, 5, 2, 0.1).increments)
+
 
 class TestControlLaws:
     def test_constant_broadcasts(self):

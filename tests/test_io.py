@@ -53,6 +53,13 @@ class TestArrayFormat:
         assert back.shape == arr.shape
         assert np.array_equal(back, arr)
 
+    def test_zero_dimensional_round_trip(self, tmp_path):
+        f = tmp_path / "s.smp"
+        write_array(f, np.float64(3.0))
+        kind, back = read_array(f)
+        assert back.shape == ()
+        assert back == 3.0
+
     def test_header_layout(self, tmp_path):
         f = tmp_path / "b.smp"
         write_array(f, np.zeros((2, 3)), KIND_STATES)
@@ -98,6 +105,15 @@ class TestEnsembleDump:
         assert np.array_equal(kinds[KIND_CONTROLS], ens.controls)
         assert np.array_equal(kinds[KIND_COSTATE], sol.Y)
         assert np.array_equal(kinds[KIND_Z], sol.Z)
+
+    def test_time_major_dump_is_path_major_on_disk(self, tmp_path):
+        ens, _ = _small_run()
+        assert not ens.states.flags.c_contiguous
+        states, controls = save_ensemble(tmp_path / "run", ens)
+        write_array(tmp_path / "ref.smp", np.ascontiguousarray(ens.states), KIND_STATES)
+        assert states.read_bytes() == (tmp_path / "ref.smp").read_bytes()
+        write_array(tmp_path / "ref.smp", np.ascontiguousarray(ens.controls), KIND_CONTROLS)
+        assert controls.read_bytes() == (tmp_path / "ref.smp").read_bytes()
 
     def test_paths_csv_shape(self, tmp_path):
         ens, _ = _small_run(n_paths=7, steps=4)
