@@ -35,6 +35,7 @@ Array = np.ndarray
 COND_LIMIT = 1e12
 RIDGE_LAMBDA = 1e-8
 MAX_BAD_FRACTION = 0.01
+CYLINDER_TOL = 1e-8
 
 
 class RegressionError(RuntimeError):
@@ -174,26 +175,15 @@ class BsdeSolution:
     y_coeffs: list
     condition_numbers: Array
     ridge_steps: list
-    terminal_kind: str = "zero"
-
-    @property
-    def n_paths(self) -> int:
-        return self.Y.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.Y.shape[2]
 
     def y0(self) -> Array:
         """Costate at time zero, averaged over paths."""
         return self.Y[:, 0, :].mean(axis=0)
 
     def y_at(self, step: int, x: Array) -> Array:
-        """Evaluate the fitted costate surface of step ``step`` at states x."""
-        if step >= self.grid.steps:
-            if self.terminal_kind == "zero":
-                return np.zeros((np.asarray(x).shape[0], self.state_dim))
-            raise ValueError("no surface is stored at the terminal step")
+        """Evaluate the fitted costate surface of step ``step``, 0 <= step < N, at states x."""
+        if not 0 <= step < self.grid.steps:
+            raise ValueError(f"no costate surface at step {step} of a {self.grid.steps}-step grid")
         design = self.basis.design(np.asarray(x, dtype=float), self.transforms[step])
         return design @ self.y_coeffs[step]
 
@@ -230,13 +220,11 @@ def solve_bsde_lsmc(
     Z = time_major(P, N, n, d)
     if terminal is None:
         Y[:, N, :] = 0.0
-        terminal_kind = "zero"
     else:
         term = np.asarray(terminal, dtype=float)
         if term.shape != (P, n):
             raise ValueError("terminal must have shape (n_paths, state_dim)")
         Y[:, N, :] = term
-        terminal_kind = "values"
 
     transforms: list = [None] * N
     y_coeffs: list = [None] * N
@@ -300,7 +288,6 @@ def solve_bsde_lsmc(
         y_coeffs=y_coeffs,
         condition_numbers=conds,
         ridge_steps=sorted(ridge_steps),
-        terminal_kind=terminal_kind,
     )
 
 
@@ -339,7 +326,6 @@ def terminal_stability_gap(
     ensemble: PathEnsemble,
     basis: RegressionBasis,
     xi_values: Array,
-    slack: float = 0.25,
 ) -> StabilityGapResult:
     """Compare zero-terminal and xi-terminal solves on one ensemble.
 
@@ -349,7 +335,7 @@ def terminal_stability_gap(
         max_i  mean( e^{-beta t_i} |Y^0_i - Y^xi_i|^2 )
 
     and the reference bound is e^{-beta T} * mean(|xi|^2).  Pass when
-    gap <= bound * (1 + slack) + 3 SE.  Requires beta >= 2 mu2 + 2 M^2.
+    gap <= bound * (1 + 0.25) + 3 SE.  Requires beta >= 2 mu2 + 2 M^2.
     The scheme is affine in (Y, Z) with ``grad_cost`` its only free term, so
     Y^xi - Y^0 is one solve with ``grad_cost`` zero and terminal xi.
     """
@@ -382,7 +368,7 @@ def terminal_stability_gap(
         math.exp(-problem.beta * ensemble.grid.horizon)
         * np.einsum("pn,pn->p", xi, xi).mean()
     )
-    tol = bound * (1.0 + slack) + 3.0 * se
+    tol = bound * (1.0 + 0.25) + 3.0 * se
     report = VerificationReport(
         check="terminal_stability",
         status=PASS if gap <= tol else FAIL,
@@ -405,14 +391,13 @@ def cylinder_consistency_check(
     truncation_m: float,
     truncation_p: float,
     cylinder: float,
-    tol: float = 1e-8,
 ) -> VerificationReport:
     """Truncation consistency on paths that never leave a bounded cylinder.
 
     Restricts the ensemble to paths with sup_t |X_t| < cylinder, refits the
     backward solve on that subset under both truncation levels (both above
     the cylinder), and compares the solutions.  On the subset the two capped
-    drivers coincide pointwise, so the solves must agree to roundoff.
+    drivers coincide pointwise, so the solves must agree to roundoff, 1e-8.
     """
     if not (cylinder < truncation_m and cylinder < truncation_p):
         raise ValueError("truncation levels must exceed the cylinder radius")
@@ -432,12 +417,12 @@ def cylinder_consistency_check(
     sol_p = solve_bsde_lsmc(problem, sub, basis, driver_state_cap=truncation_p)
     diff_y = float(np.abs(sol_m.Y - sol_p.Y).max())
     diff_z = float(np.abs(sol_m.Z - sol_p.Z).max())
-    status = PASS if diff_y <= tol else FAIL
+    status = PASS if diff_y <= CYLINDER_TOL else FAIL
     return VerificationReport(
         check="cylinder_consistency",
         status=status,
         statistic=diff_y,
-        tolerance=tol,
+        tolerance=CYLINDER_TOL,
         n_samples=kept,
         details={"z_difference": diff_z, "kept_fraction": kept / ensemble.n_paths},
         notes=f"per-subset refit at truncations {truncation_m:g} and {truncation_p:g}",
@@ -448,7 +433,6 @@ def martingale_residual_report(
     problem: DiscountedProblem,
     ensemble: PathEnsemble,
     solution: BsdeSolution,
-    tolerance: float | None = None,
     max_time: float | None = None,
 ) -> VerificationReport:
     """Per-step mean of Y_{i+1} - Y_i + driver dt - Z dW, against SE of zero.
@@ -457,8 +441,8 @@ def martingale_residual_report(
     leaves only sampling noise.  The regression behind Y pins the fit
     residual's sample mean at zero, so the fluctuation of the step mean is
     carried by the Z dW term; the standard error must include it, not just
-    the spread of the combined residual.  The default tolerance widens with
-    the number of steps tested (the statistic is a maximum over steps).
+    the spread of the combined residual.  The tolerance max(3, sqrt(2 ln 40m))
+    widens with the number m of steps tested (the statistic is a maximum).
 
     The final backward step is always skipped: with a deterministic terminal
     value the conditional-mean fit there is exact and Z vanishes, so that
@@ -474,8 +458,7 @@ def martingale_residual_report(
     last = grid.steps - 1
     if max_time is not None:
         last = min(last, max(1, int(math.floor(max_time / dt))))
-    if tolerance is None:
-        tolerance = max(3.0, math.sqrt(2.0 * math.log(40.0 * last)))
+    tolerance = max(3.0, math.sqrt(2.0 * math.log(40.0 * last)))
     keep = ~ensemble.exploded
     P = int(keep.sum())
     worst = 0.0

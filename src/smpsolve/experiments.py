@@ -76,6 +76,10 @@ from .verify import (
 
 Array = np.ndarray
 
+PICARD_TOL = 1e-4
+PICARD_MAX_ITERATIONS = 20
+UNIQUENESS_TOL = 1e-3
+
 
 # ---------------------------------------------------------------------------
 # consumption of a geometric asset
@@ -177,7 +181,6 @@ def consumption_problem(params: ConsumptionParams) -> DiscountedProblem:
             linear_rate=lambda u: mu - u[:, 0],
         ),
         sandwich_controls=(np.array([params.cap]), np.array([params.eps_u])),
-        label="consumption",
     )
 
 
@@ -264,34 +267,26 @@ def consumption_concavity_specs(params: ConsumptionParams) -> List[ConcavitySpec
     return specs
 
 
-def consumption_integrability_check(
-    params: ConsumptionParams,
-    u_const: float | None = None,
-    horizon: float = 5.0,
-    steps: int = 500,
-    n_paths: int = 20_000,
-    seed: int = 11,
-) -> VerificationReport:
+def consumption_integrability_check(params: ConsumptionParams, seed: int = 11) -> VerificationReport:
     """Reciprocal second moment vs its closed form under a constant policy.
 
     For constant u the wealth is geometric and E[X_t^{-2}] equals
-    x0^{-2} exp((3 sigma^2 - 2 mu + 2u) t) exactly.  The Monte Carlo curve
-    must track it within three standard errors at every probe node.  The
-    default policy u = cap/2 makes the certified discount threshold tight.
+    x0^{-2} exp((3 sigma^2 - 2 mu + 2u) t) exactly.  The mean of 20,000 paths
+    (500 steps on [0, 5]) must track it within 3 SE at every 50th node.  The
+    policy u = cap/2 makes the certified discount threshold tight.
     """
-    u_val = 0.5 * params.cap if u_const is None else float(u_const)
-    u_val = min(max(u_val, params.eps_u), params.cap)
+    u_val = min(max(0.5 * params.cap, params.eps_u), params.cap)
     problem = consumption_problem(params)
-    grid = TimeGrid(horizon=horizon, steps=steps)
-    ens = simulate_forward(problem, ConstantControl([u_val]), grid, n_paths, seed)
+    grid = TimeGrid(horizon=5.0, steps=500)
+    ens = simulate_forward(problem, ConstantControl([u_val]), grid, 20_000, seed)
 
     exponent = 3.0 * params.sigma**2 - 2.0 * params.mu + 2.0 * u_val
     times = grid.times()
-    # node 0 is the deterministic start; the comparison is vacuous there
-    probe = np.unique(np.r_[np.arange(max(1, steps // 10), steps + 1, max(1, steps // 10)), steps])
+    # every 50th node; node 0 is the deterministic start, vacuous to compare
+    probe = np.arange(50, 501, 50)
     inv_sq = 1.0 / np.square(ens.states[:, probe, 0])
     mc = inv_sq.mean(axis=0)
-    se = inv_sq.std(axis=0, ddof=1) / math.sqrt(n_paths)
+    se = inv_sq.std(axis=0, ddof=1) / math.sqrt(ens.n_paths)
     exact = params.x0**-2 * np.exp(exponent * times[probe])
 
     rel_dev = np.abs(mc - exact) / exact
@@ -303,7 +298,7 @@ def consumption_integrability_check(
         status=PASS if ok else FAIL,
         statistic=float(rel_dev[worst]),
         tolerance=float(rel_tol[worst]),
-        n_samples=n_paths,
+        n_samples=ens.n_paths,
         standard_error=float(se[worst]),
         details={
             "exponent": exponent,
@@ -380,7 +375,7 @@ class RiccatiOracle:
         return self.solution.sol(np.asarray(s))[1]
 
 
-def riccati_oracle(params: ProductionPlanningParams, span: float | None = None) -> RiccatiOracle:
+def riccati_oracle(params: ProductionPlanningParams) -> RiccatiOracle:
     """Integrate the finite-horizon Riccati pair backward from zero data.
 
     In time-to-go s the pair solves
@@ -388,12 +383,10 @@ def riccati_oracle(params: ProductionPlanningParams, span: float | None = None) 
         phi' = phi^2/(2c) - beta phi - 2h,          phi(0) = 0,
         psi' = -beta psi + phi psi/(2c) + (u1 - eta) phi + 2 h x1,  psi(0) = 0,
 
-    and converges to the algebraic constants as s grows.  ``span`` defaults
-    to 40 / beta, far past the settling time.
+    and converges to the algebraic constants as s grows.  It is integrated
+    over s in [0, 40 / beta], far past the settling time.
     """
     c, h, beta = params.c, params.h, params.beta
-    if span is None:
-        span = 40.0 / beta
 
     def rhs(s, v):
         phi, psi = v
@@ -407,7 +400,7 @@ def riccati_oracle(params: ProductionPlanningParams, span: float | None = None) 
         return (dphi, dpsi)
 
     sol = solve_ivp(
-        rhs, (0.0, span), (0.0, 0.0), dense_output=True, rtol=1e-10, atol=1e-12
+        rhs, (0.0, 40.0 / beta), (0.0, 0.0), dense_output=True, rtol=1e-10, atol=1e-12
     )
     if not sol.success:
         raise RuntimeError(f"riccati integration failed: {sol.message}")
@@ -469,7 +462,7 @@ def production_problem(params: ProductionPlanningParams) -> DiscountedProblem:
         beta=params.beta,
         constants=AssumptionConstants(mu1=0.0, mu2=0.0, L=0.0, M=0.0),
         x0=np.array([params.x0]),
-        label="production",
+        stationary_control=stationary,
     )
 
 
@@ -483,9 +476,7 @@ def production_optimal_law(params: ProductionPlanningParams) -> ControlLaw:
     return FeedbackControl(fn)
 
 
-def production_sigma_zero_cost(
-    params: ProductionPlanningParams, steps: int = 20_000, tail: float = 1e-4
-):
+def production_sigma_zero_cost(params: ProductionPlanningParams, steps: int = 20_000):
     """Deterministic sanity point: the noise-free cost must hit the value.
 
     Runs one path of the sigma = 0 problem under the stationary policy and
@@ -493,7 +484,7 @@ def production_sigma_zero_cost(
     """
     frozen = dataclasses.replace(params, sigma=0.0)
     problem = production_problem(frozen)
-    grid = TimeGrid.auto(frozen.beta, steps, tail=tail)
+    grid = TimeGrid.auto(frozen.beta, steps)
     ens = simulate_forward(problem, production_optimal_law(frozen), grid, 1, seed=0)
     est = cost_functional_mc(problem, ens, label="sigma_zero")
     exact = float(production_value(frozen, frozen.x0))
@@ -641,7 +632,6 @@ def logistic_problem(params: LogisticParams) -> DiscountedProblem:
             residual=residual,
         ),
         sandwich_controls=(np.array([params.u1]), np.array([params.u2])),
-        label="logistic",
     )
 
 
@@ -658,25 +648,25 @@ def logistic_control_law(params: LogisticParams) -> Callable[[float, Array, Arra
     return rule
 
 
-def logistic_region_constants(params: LogisticParams, n_grid: int = 2001) -> RegionConstants:
+def logistic_region_constants(params: LogisticParams) -> RegionConstants:
     """Region split for the Lyapunov drift test of V = 1 + 1/x + x^2.
 
     r = 1/(2b) (drift pushes up below it even at zero harvest support),
     R = largest zero of a x (1 - b x) + gamma u2 (drift pushes down above it),
-    C = sampled sup of (L V)+ / V over the middle band and the control box
-    corners.
+    C = sampled sup of (L V)+ / V over 2001 points of the middle band and
+    the control box corners.
     """
     a, b = params.a, params.b
     r = 1.0 / (2.0 * b)
     R = (a + math.sqrt(a * a + 4.0 * a * b * params.gamma * params.u2)) / (2.0 * a * b)
     problem = logistic_problem(params)
-    xs = np.linspace(r, R, n_grid)[:, None]
+    xs = np.linspace(r, R, 2001)[:, None]
     vp = -1.0 / xs[:, 0] ** 2 + 2.0 * xs[:, 0]
     vpp = 2.0 / xs[:, 0] ** 3 + 2.0
     v = 1.0 + 1.0 / xs[:, 0] + xs[:, 0] ** 2
     worst = 0.0
     for u_val in (params.u1, params.u2):
-        u = np.full((n_grid, 1), u_val)
+        u = np.full((xs.shape[0], 1), u_val)
         bvals = problem.coefficients.drift(xs, u)[:, 0]
         svals = problem.coefficients.diffusion(xs, u)[:, 0, 0]
         gen = bvals * vp + 0.5 * svals**2 * vpp
@@ -708,9 +698,6 @@ def logistic_picard_solve(
     seed: int,
     basis: RegressionBasis | None = None,
     initial_law: ControlLaw | None = None,
-    max_iterations: int = 20,
-    tol: float = 1e-4,
-    damping: float = 0.5,
 ) -> PicardResult:
     """Damped Picard iteration on the control-costate fixed point.
 
@@ -718,8 +705,9 @@ def logistic_picard_solve(
     noise batch, solve the backward equation, and refresh the policy through
     the costate surface.  The residual is the sup over grid nodes and paths
     of the change in the costate surface, evaluated on the freshly simulated
-    states.  A residual increase blends the new policy into the old one with
-    weight ``damping``; three consecutive increases abort.
+    states; it converges at ``PICARD_TOL`` = 1e-4 within 20 passes.  A
+    residual increase blends the new policy into the old one with weight
+    0.5; three consecutive increases abort.
     """
     problem = logistic_problem(params)
     if basis is None:
@@ -731,13 +719,13 @@ def logistic_picard_solve(
 
     ens = simulate_forward(problem, initial_law, grid, n_paths, seed, noise=noise)
     sol = solve_bsde_lsmc(problem, ens, basis)
-    law: ControlLaw = AdjointFeedbackControl(sol.y_at, rule)
+    law: ControlLaw = AdjointFeedbackControl(sol, rule)
 
     residuals: List[float] = []
     converged = False
     increases = 0
     iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(PICARD_MAX_ITERATIONS):
         ens_new = simulate_forward(problem, law, grid, n_paths, seed, noise=noise)
         sol_new = solve_bsde_lsmc(problem, ens_new, basis)
         res = 0.0
@@ -746,19 +734,19 @@ def logistic_picard_solve(
             res = max(res, float(np.abs(sol_new.y_at(i, x_i) - sol.y_at(i, x_i)).max()))
         iterations += 1
         residuals.append(res)
-        fresh = AdjointFeedbackControl(sol_new.y_at, rule)
+        fresh = AdjointFeedbackControl(sol_new, rule)
         if len(residuals) >= 2 and res > residuals[-2]:
             increases += 1
             if increases >= 3:
                 raise PicardError(
                     f"residual increased {increases} times in a row: {residuals}"
                 )
-            law = BlendedControl([law, fresh], [1.0 - damping, damping])
+            law = BlendedControl([law, fresh], [0.5, 0.5])
         else:
             increases = 0
             law = fresh
         ens, sol = ens_new, sol_new
-        if res <= tol:
+        if res <= PICARD_TOL:
             converged = True
             break
 
@@ -766,11 +754,11 @@ def logistic_picard_solve(
         check="picard_fixed_point",
         status=PASS if converged else FAIL,
         statistic=residuals[-1] if residuals else math.inf,
-        tolerance=tol,
+        tolerance=PICARD_TOL,
         n_samples=n_paths,
         details={
             "iterations": iterations,
-            "max_iterations": max_iterations,
+            "max_iterations": PICARD_MAX_ITERATIONS,
             "residuals": [float(r) for r in residuals],
         },
         notes="sup-norm change of the costate surface per pass",
@@ -794,13 +782,12 @@ def logistic_local_uniqueness_probe(
     n_paths: int,
     seed: int,
     basis: RegressionBasis | None = None,
-    tol: float = 1e-3,
 ) -> VerificationReport:
     """Restart the fixed-point iteration from both box corners.
 
     All starts must converge to the same costate at time zero within
-    ``tol``; a split would indicate several local fixed points at this
-    resolution.
+    ``UNIQUENESS_TOL`` = 1e-3; a split would indicate several local fixed
+    points at this resolution.
     """
     y0_values = []
     for start in (params.u1, params.u2):
@@ -816,9 +803,9 @@ def logistic_local_uniqueness_probe(
     spread = max(y0_values) - min(y0_values)
     return VerificationReport(
         check="local_uniqueness",
-        status=PASS if spread <= tol else FAIL,
+        status=PASS if spread <= UNIQUENESS_TOL else FAIL,
         statistic=spread,
-        tolerance=tol,
+        tolerance=UNIQUENESS_TOL,
         n_samples=n_paths,
         details={"y0_by_start": y0_values},
         notes="costate at time zero across fixed-point restarts",

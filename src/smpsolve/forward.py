@@ -21,17 +21,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .problems import DiscountedProblem, StateRegion
 from .reports import FAIL, PASS, VerificationReport
 
+if TYPE_CHECKING:
+    from .bsde import BsdeSolution
+
 Array = np.ndarray
 
 EXPLOSION_GUARD = 1e8
 POSITIVITY_FLOOR = 1e-12
+SANDWICH_MARGIN = 1e-9
+SANDWICH_MAX_FRACTION = 1e-3
 # paths per noise draw buffer: 256 paths x 250 steps is 0.5 MB
 NOISE_BLOCK = 256
 
@@ -79,6 +84,12 @@ class TimeGrid:
         # i * T / N, evaluated directly so t_N == T exactly
         return np.arange(self.steps + 1) * (self.horizon / self.steps)
 
+    def step_at(self, t: float) -> int:
+        """Step i with t_i <= t < t_{i+1}: floor(t / dt + 1e-9), for 0 <= t < horizon."""
+        if not 0.0 <= t < self.horizon:
+            raise ValueError(f"time {t:g} is outside the grid [0, {self.horizon:g})")
+        return math.floor(t / self.dt + 1e-9)
+
     @classmethod
     def auto(cls, beta: float, steps: int, tail: float = 1e-4) -> "TimeGrid":
         """Horizon ceil(ln(1/tail)/beta), big enough that e^{-beta T} <= tail."""
@@ -93,20 +104,18 @@ class NoiseBatch:
     """Brownian increments for an ensemble, reproducible by construction.
 
     ``increments[p, i, c]`` is the c-th component of the increment over step
-    i for path p, distributed N(0, dt).  Generation is keyed by
+    i for path p, distributed N(0, dt).  :meth:`generate` keys path p by
     (seed, path_offset + p); given the key, position (i, c) inside the block
     is fixed, so identical seeds give bit-identical batches and path chunks
     generated separately agree with the full batch.  ``increments`` is stored
     time-major (see :func:`time_major`).
     """
 
-    seed: int
     n_paths: int
     n_steps: int
     noise_dim: int
     dt: float
     increments: Array
-    path_offset: int = 0
 
     @classmethod
     def generate(
@@ -142,32 +151,28 @@ class NoiseBatch:
                 out=increments[start : start + len(rows)],
             )
         return cls(
-            seed=seed,
             n_paths=n_paths,
             n_steps=n_steps,
             noise_dim=noise_dim,
             dt=dt,
             increments=increments,
-            path_offset=path_offset,
         )
 
     def take_paths(self, index: Array) -> "NoiseBatch":
         inc = _take_paths(self.increments, index)
         return NoiseBatch(
-            seed=self.seed,
             n_paths=inc.shape[0],
             n_steps=self.n_steps,
             noise_dim=self.noise_dim,
             dt=self.dt,
             increments=inc,
-            path_offset=self.path_offset,
         )
 
 
 class ControlLaw:
-    """Base class; subclasses produce control values per (step, t, states)."""
+    """Base class; subclasses produce control values u(t, x) per state row."""
 
-    def control_at(self, step: int, t: float, x: Array) -> Array:
+    def control_at(self, t: float, x: Array) -> Array:
         raise NotImplementedError
 
 
@@ -175,20 +180,23 @@ class ConstantControl(ControlLaw):
     def __init__(self, value) -> None:
         self.value = np.atleast_1d(np.asarray(value, dtype=float))
 
-    def control_at(self, step: int, t: float, x: Array) -> Array:
+    def control_at(self, t: float, x: Array) -> Array:
         return np.broadcast_to(self.value, (x.shape[0], self.value.shape[0]))
 
 
 class OpenLoopControl(ControlLaw):
-    """Control table of shape (n_paths, n_steps, k), indexed by step."""
+    """Control table (n_paths, grid.steps, k), read at the step of ``grid`` holding t."""
 
-    def __init__(self, table: Array) -> None:
+    def __init__(self, table: Array, grid: TimeGrid) -> None:
         self.table = np.asarray(table, dtype=float)
         if self.table.ndim != 3:
             raise ValueError("table must be (n_paths, n_steps, k)")
+        if self.table.shape[1] != grid.steps:
+            raise ValueError(f"table has {self.table.shape[1]} steps, the grid {grid.steps}")
+        self.grid = grid
 
-    def control_at(self, step: int, t: float, x: Array) -> Array:
-        return self.table[:, step, :]
+    def control_at(self, t: float, x: Array) -> Array:
+        return self.table[:, self.grid.step_at(t), :]
 
 
 class FeedbackControl(ControlLaw):
@@ -197,7 +205,7 @@ class FeedbackControl(ControlLaw):
     def __init__(self, fn: Callable[[float, Array], Array]) -> None:
         self.fn = fn
 
-    def control_at(self, step: int, t: float, x: Array) -> Array:
+    def control_at(self, t: float, x: Array) -> Array:
         u = np.asarray(self.fn(t, x), dtype=float)
         if u.ndim == 1:
             u = u[:, None]
@@ -205,22 +213,22 @@ class FeedbackControl(ControlLaw):
 
 
 class AdjointFeedbackControl(ControlLaw):
-    """Feedback through a costate source: u = law(t, x, y(step, x)).
+    """Feedback through a solved costate: u = law(t, x, y(t, x)).
 
-    ``y_source(step, x)`` evaluates the costate surface of a solved backward
-    equation at the given states.
+    y(t, x) is the costate surface of ``solution`` at the step of its own
+    grid that holds t; times outside that grid raise ``ValueError``.
     """
 
     def __init__(
         self,
-        y_source: Callable[[int, Array], Array],
+        solution: BsdeSolution,
         law: Callable[[float, Array, Array], Array],
     ) -> None:
-        self.y_source = y_source
+        self.solution = solution
         self.law = law
 
-    def control_at(self, step: int, t: float, x: Array) -> Array:
-        y = self.y_source(step, x)
+    def control_at(self, t: float, x: Array) -> Array:
+        y = self.solution.y_at(self.solution.grid.step_at(t), x)
         u = np.asarray(self.law(t, x, y), dtype=float)
         if u.ndim == 1:
             u = u[:, None]
@@ -238,10 +246,10 @@ class BlendedControl(ControlLaw):
         if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights < 0):
             raise ValueError("weights must be a convex combination")
 
-    def control_at(self, step: int, t: float, x: Array) -> Array:
+    def control_at(self, t: float, x: Array) -> Array:
         acc = None
         for w, law in zip(self.weights, self.laws):
-            u = law.control_at(step, t, x)
+            u = law.control_at(t, x)
             acc = w * u if acc is None else acc + w * u
         return acc
 
@@ -266,7 +274,6 @@ class PathEnsemble:
     euler_crossed: Array
     floor_clipped: Array
     exploded: Array
-    x0: Array
 
     @property
     def n_paths(self) -> int:
@@ -285,12 +292,11 @@ class PathEnsemble:
             euler_crossed=self.euler_crossed[index],
             floor_clipped=self.floor_clipped[index],
             exploded=self.exploded[index],
-            x0=self.x0,
         )
 
     def open_loop(self) -> OpenLoopControl:
-        """The realized controls replayed as an open-loop law."""
-        return OpenLoopControl(self.controls)
+        """The realized controls replayed as an open-loop law on this grid."""
+        return OpenLoopControl(self.controls, self.grid)
 
 
 def _resolve_x0(problem: DiscountedProblem, x0, n_paths: int) -> Array:
@@ -318,15 +324,15 @@ def simulate_forward(
     x0=None,
     path_offset: int = 0,
     explosion_guard: float = EXPLOSION_GUARD,
-    positivity_floor: float = POSITIVITY_FLOOR,
     max_explosion_fraction: float = 0.01,
 ) -> PathEnsemble:
     """Simulate the controlled SDE over ``grid`` and record the ensemble.
 
-    Controls produced by ``law`` are clipped to the problem's box before they
-    are applied and recorded.  Paths that leave the explosion guard or turn
-    non-finite are frozen at their last finite value and flagged; the run
-    errors out if more than ``max_explosion_fraction`` of paths explode.
+    Step i applies ``law.control_at(t_i, x)``, clipped to the problem's box.
+    On the half-line, states are clipped at ``POSITIVITY_FLOOR`` and flagged.
+    Paths that leave the explosion guard or turn non-finite are frozen at
+    their last finite value and flagged; the run errors out if more than
+    ``max_explosion_fraction`` of paths explode.
     """
     n, d, k = problem.state_dim, problem.noise_dim, problem.control_dim
     if noise is None:
@@ -356,7 +362,7 @@ def simulate_forward(
 
     for i in range(grid.steps):
         t = times[i]
-        u = np.asarray(law.control_at(i, t, x), dtype=float)
+        u = np.asarray(law.control_at(t, x), dtype=float)
         u = problem.domain.clip(u)
         controls[:, i, :] = u
         dW = noise.increments[:, i, :]
@@ -377,10 +383,10 @@ def simulate_forward(
             x_new = euler
         if positive:
             crossed |= euler[:, 0] <= 0.0
-            low = x_new[:, 0] <= positivity_floor
+            low = x_new[:, 0] <= POSITIVITY_FLOOR
             if low.any():
                 clipped |= low
-                x_new[low, 0] = positivity_floor
+                x_new[low, 0] = POSITIVITY_FLOOR
 
         bad = ~np.isfinite(x_new).all(axis=1) | (
             np.abs(x_new).max(axis=1) > explosion_guard
@@ -409,7 +415,6 @@ def simulate_forward(
         euler_crossed=crossed,
         floor_clipped=clipped,
         exploded=exploded,
-        x0=states[:, 0, :].copy(),
     )
 
 
@@ -434,7 +439,6 @@ def apriori_gap_check(
     x0_b,
     n_paths: int,
     seed: int,
-    slack: float = 0.05,
 ) -> VerificationReport:
     """Two-start stability estimate for the forward flow under one control.
 
@@ -446,7 +450,7 @@ def apriori_gap_check(
 
     where D is the path difference and b the discount rate.  The statistic
     is the largest left side over nodes; pass when it is at most
-    rhs * (1 + slack) + 3 SE.  The looser combination sup + full integral is
+    rhs * (1 + 0.05) + 3 SE.  The looser combination sup + full integral is
     reported in details for reference (it can exceed the right side even in
     exact cases).
     """
@@ -456,8 +460,6 @@ def apriori_gap_check(
     ens_b = simulate_forward(
         problem, ens_a.open_loop(), grid, n_paths, seed, noise=noise, x0=x0_b
     )
-    if ens_a.noise is not ens_b.noise:
-        raise RuntimeError("noise coupling broken: the two flows must share one batch")
 
     diff = ens_a.states - ens_b.states
     sq = np.einsum("pin,pin->pi", diff, diff)
@@ -480,7 +482,7 @@ def apriori_gap_check(
     se = float(per_path_stat[:, i_star].std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
 
     rhs = float(np.sum((np.atleast_1d(x0_a) - np.atleast_1d(x0_b)) ** 2))
-    tol = rhs * (1.0 + slack) + 3.0 * se
+    tol = rhs * (1.0 + 0.05) + 3.0 * se
     status = PASS if statistic <= tol else FAIL
     loose = float(mean_weighted.max() + margin * cum.mean(axis=0)[-1])
     return VerificationReport(
@@ -506,22 +508,16 @@ def comparison_check(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    lower_control=None,
-    upper_control=None,
-    tol: float = 1e-9,
-    max_violation_fraction: float = 1e-3,
 ) -> VerificationReport:
     """Sandwich check: envelope constant controls bracket the law's paths.
 
-    Simulates the law and the two envelope constants under shared noise and
-    reports the fraction of (path, step) nodes where the law's state escapes
-    [lower - tol, upper + tol].  Envelope defaults come from
-    ``problem.sandwich_controls``.
+    Simulates the law and the ``problem.sandwich_controls`` constants under
+    shared noise and reports the fraction of (path, step) nodes where the
+    law's state escapes [lower - 1e-9, upper + 1e-9]; pass at most 1e-3.
     """
-    if lower_control is None or upper_control is None:
-        if problem.sandwich_controls is None:
-            raise ValueError("problem declares no sandwich controls")
-        lower_control, upper_control = problem.sandwich_controls
+    if problem.sandwich_controls is None:
+        raise ValueError("problem declares no sandwich controls")
+    lower_control, upper_control = problem.sandwich_controls
     noise = NoiseBatch.generate(seed, n_paths, grid.steps, problem.noise_dim, grid.dt)
     ens = simulate_forward(problem, law, grid, n_paths, seed, noise=noise)
     ens_lo = simulate_forward(
@@ -530,16 +526,16 @@ def comparison_check(
     ens_hi = simulate_forward(
         problem, ConstantControl(upper_control), grid, n_paths, seed, noise=noise
     )
-    below = ens.states[:, :, 0] < ens_lo.states[:, :, 0] - tol
-    above = ens.states[:, :, 0] > ens_hi.states[:, :, 0] + tol
+    below = ens.states[:, :, 0] < ens_lo.states[:, :, 0] - SANDWICH_MARGIN
+    above = ens.states[:, :, 0] > ens_hi.states[:, :, 0] + SANDWICH_MARGIN
     bad = below | above
     frac = float(bad.mean())
-    status = PASS if frac <= max_violation_fraction else FAIL
+    status = PASS if frac <= SANDWICH_MAX_FRACTION else FAIL
     return VerificationReport(
         check="sandwich",
         status=status,
         statistic=frac,
-        tolerance=max_violation_fraction,
+        tolerance=SANDWICH_MAX_FRACTION,
         n_samples=int(bad.size),
         details={
             "below_fraction": float(below.mean()),
@@ -637,12 +633,11 @@ def lyapunov_generator_check(
     problem: DiscountedProblem,
     x_samples: Array,
     regions: RegionConstants,
-    controls=None,
 ) -> VerificationReport:
     """Generator drift test for V(x) = 1 + 1/x + x^2.
 
     Evaluates L V(x) = b(x,u) V'(x) + 0.5 sigma(x,u)^2 V''(x) at the sampled
-    states and a set of constant controls (box corners by default), and finds
+    states and the two corners of the control box, and finds
     the smallest K with L V <= K V per region.  The tail regions are compared
     with the reference constants
 
@@ -658,8 +653,6 @@ def lyapunov_generator_check(
     x = np.asarray(x_samples, dtype=float).reshape(-1)
     if np.any(x <= 0):
         raise ValueError("samples must be positive")
-    if controls is None:
-        controls = [problem.domain.lower, problem.domain.upper]
 
     xcol = x[:, None]
     v = lyapunov_value(x)
@@ -667,7 +660,7 @@ def lyapunov_generator_check(
     vpp = 2.0 / x**3 + 2.0
 
     worst_ratio = np.full(x.shape, -np.inf)
-    for u_const in controls:
+    for u_const in (problem.domain.lower, problem.domain.upper):
         u = np.broadcast_to(np.atleast_1d(u_const), (x.shape[0], problem.control_dim))
         b = np.asarray(problem.coefficients.drift(xcol, u), dtype=float)[:, 0]
         sig = np.asarray(problem.coefficients.diffusion(xcol, u), dtype=float)[:, 0, 0]

@@ -39,6 +39,9 @@ from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
 Array = np.ndarray
 
+AUDIT_SLACK = 1e-9
+CONCAVITY_TOL = 1e-9
+
 
 class StateRegion(Enum):
     """State region G of the controlled SDE."""
@@ -172,7 +175,6 @@ class DiscountedProblem:
     stationary_control: Callable[[Array, Array, Array], Array] | None = None
     multiplicative: MultiplicativeStructure | None = None
     sandwich_controls: tuple[Array, Array] | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not (self.beta > 0 and math.isfinite(self.beta)):
@@ -285,11 +287,11 @@ def _central_difference(fn, x: Array, j: int, rel_step: float) -> Array:
     return (fp - fm) / (2.0 * h.reshape(h.shape + (1,) * (fp.ndim - h.ndim)))
 
 
-def finite_diff_grad_x(x, u, y, z, problem: DiscountedProblem, rel_step: float = 1e-5) -> Array:
-    """Central finite difference of the generalized Hamiltonian in x."""
+def finite_diff_grad_x(x, u, y, z, problem: DiscountedProblem) -> Array:
+    """Central finite difference, relative step 1e-5, of the Hamiltonian in x."""
     x, u, y, z = _prep(problem, x, u, y, z)
     grads = [
-        _central_difference(lambda xs: hamiltonian(xs, u, y, z, problem), x, j, rel_step)
+        _central_difference(lambda xs: hamiltonian(xs, u, y, z, problem), x, j, 1e-5)
         for j in range(problem.state_dim)
     ]
     return np.stack(grads, axis=-1)
@@ -308,13 +310,13 @@ class HamiltonianMaxCertificate:
     concavity_warning: bool = False
 
 
-def _batch_golden_section(f, lo: Array, hi: Array, tol: float, max_iter: int = 200):
-    """Vectorized golden-section maximization of f over [lo, hi] per row."""
+def _batch_golden_section(f, lo: Array, hi: Array):
+    """Golden-section maximization of f over [lo, hi] per row, to 1e-10 in 200 steps."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a = lo.astype(float).copy()
     b = hi.astype(float).copy()
-    for _ in range(max_iter):
-        if np.all(b - a <= tol):
+    for _ in range(200):
+        if np.all(b - a <= 1e-10):
             break
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
@@ -329,8 +331,6 @@ def maximize_hamiltonian_in_u(
     y,
     z,
     problem: DiscountedProblem,
-    grid_points: int = 101,
-    tol: float = 1e-10,
 ):
     """Maximize u -> H(x, u, y, z) over the control box.
 
@@ -338,7 +338,7 @@ def maximize_hamiltonian_in_u(
     the problem provides one, otherwise golden-section search per control
     coordinate (coordinate ascent for k > 1).  Returns ``(u_star, cert)``
     where ``cert.gap`` compares H(u_star) against a reference grid of
-    ``grid_points`` values per coordinate and ``cert.concavity_warning``
+    101 values per coordinate and ``cert.concavity_warning``
     reports positive curvature sampled along the grid.
 
     Inputs broadcast over leading axes; u_star has shape (..., k).
@@ -379,7 +379,7 @@ def maximize_hamiltonian_in_u(
                     u_try[:, j] = v
                     return ham_at(u_try)
 
-                u_star[:, j] = _batch_golden_section(f_coord, lo, hi, tol)
+                u_star[:, j] = _batch_golden_section(f_coord, lo, hi)
 
     h_star = ham_at(u_star)
 
@@ -387,8 +387,8 @@ def maximize_hamiltonian_in_u(
     gap = np.full(P, np.inf)
     warn = False
     for j in range(k):
-        grid = np.linspace(dom.lower[j], dom.upper[j], grid_points)
-        vals = np.empty((grid_points, P))
+        grid = np.linspace(dom.lower[j], dom.upper[j], 101)
+        vals = np.empty((grid.size, P))
         for g_i, g in enumerate(grid):
             u_try = u_star.copy()
             u_try[:, j] = g
@@ -410,15 +410,14 @@ class SampleSpec:
     """Sampling plan over G x G x U for the assumption audit.
 
     Pairs (x1, x2) are drawn uniformly from [x_low, x_high]^n, controls
-    uniformly from the box.  Pairs closer than ``degenerate_tol`` are
-    discarded before ratios are formed.
+    uniformly from the box.  :func:`validate_assumptions` discards pairs
+    closer than 1e-12 before it forms ratios.
     """
 
     x_low: Array
     x_high: Array
     n_pairs: int = 2000
     seed: int = 0
-    degenerate_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         lo = np.atleast_1d(np.asarray(self.x_low, dtype=float))
@@ -438,12 +437,11 @@ class SampleSpec:
 def validate_assumptions(
     problem: DiscountedProblem,
     spec: SampleSpec,
-    slack: float = 1e-9,
 ) -> VerificationReport:
     """Audit the declared structural constants against sampled ratios.
 
     Per assumption the worst observed ratio is compared with the declared
-    constant (plus ``slack`` to absorb roundoff at equality cases):
+    constant (plus ``AUDIT_SLACK`` = 1e-9 against roundoff at equality):
 
     - finiteness of all coefficient fields at the samples,
     - drift monotonicity ratio vs mu1,
@@ -460,7 +458,7 @@ def validate_assumptions(
     x1 = spec.draw_states(rng, spec.n_pairs)
     x2 = spec.draw_states(rng, spec.n_pairs)
     u = problem.domain.sample(rng, spec.n_pairs)
-    keep = np.linalg.norm(x1 - x2, axis=-1) > spec.degenerate_tol
+    keep = np.linalg.norm(x1 - x2, axis=-1) > 1e-12
     x1k, x2k, uk = x1[keep], x2[keep], u[keep]
     dx = x1k - x2k
     dx2 = np.einsum("...i,...i->...", dx, dx)
@@ -491,7 +489,7 @@ def validate_assumptions(
     db = np.asarray(c.drift(x1k, uk), dtype=float) - np.asarray(c.drift(x2k, uk), dtype=float)
     ratios = np.einsum("...i,...i->...", dx, db) / dx2
     worst = float(np.max(ratios))
-    record("drift_monotonicity", worst, consts.mu1, worst <= consts.mu1 + slack)
+    record("drift_monotonicity", worst, consts.mu1, worst <= consts.mu1 + AUDIT_SLACK)
 
     # diffusion Lipschitz: ||sigma(x1,u)-sigma(x2,u)|| / |dx| <= L
     ds = np.asarray(c.diffusion(x1k, uk), dtype=float) - np.asarray(
@@ -499,7 +497,7 @@ def validate_assumptions(
     )
     ratios = np.sqrt(np.einsum("...ic,...ic->...", ds, ds) / dx2)
     worst = float(np.max(ratios))
-    record("diffusion_lipschitz", worst, consts.L, worst <= consts.L + slack)
+    record("diffusion_lipschitz", worst, consts.L, worst <= consts.L + AUDIT_SLACK)
 
     # gradient consistency against central differences
     probe = spec.draw_states(rng, min(200, x1k.shape[0]))
@@ -521,16 +519,16 @@ def validate_assumptions(
     gbk = np.asarray(c.grad_drift(x1k, uk), dtype=float)
     quad = np.einsum("...i,...ij,...j->...", v, gbk, v)
     worst = float(np.max(quad))
-    record("drift_gradient_form", worst, consts.mu2, worst <= consts.mu2 + slack)
+    record("drift_gradient_form", worst, consts.mu2, worst <= consts.mu2 + AUDIT_SLACK)
 
     # summed diffusion-column gradient norms <= M
     if c.grad_diffusion is None:
-        record("diffusion_gradient_bound", 0.0, consts.M, 0.0 <= consts.M + slack)
+        record("diffusion_gradient_bound", 0.0, consts.M, 0.0 <= consts.M + AUDIT_SLACK)
     else:
         gs = np.asarray(c.grad_diffusion(x1k, uk), dtype=float)
         norms = np.sqrt(np.einsum("...icj,...icj->...c", gs, gs))
         worst = float(np.max(norms.sum(axis=-1)))
-        record("diffusion_gradient_bound", worst, consts.M, worst <= consts.M + slack)
+        record("diffusion_gradient_bound", worst, consts.M, worst <= consts.M + AUDIT_SLACK)
 
     threshold = beta_threshold(problem)
     record(
@@ -552,7 +550,7 @@ def validate_assumptions(
         check="assumptions",
         status=PASS if ok_all else FAIL,
         statistic=float(margin),
-        tolerance=slack,
+        tolerance=AUDIT_SLACK,
         n_samples=int(x1k.shape[0]),
         details=details,
         notes="worst ratio minus declared constant, per assumption in details",
@@ -575,13 +573,12 @@ class ConcavitySpec:
     u_high: Array | None = None
     n_pairs: int = 500
     seed: int = 0
-    tol: float = 1e-9
 
 
 def concavity_probe(problem: DiscountedProblem, spec: ConcavitySpec) -> VerificationReport:
     """Midpoint test of joint concavity of (x, u) -> H(x, u, y, z).
 
-    For sampled pairs p, q checks H((p+q)/2) >= (H(p) + H(q))/2 - tol and
+    For sampled pairs p, q checks H((p+q)/2) >= (H(p) + H(q))/2 - 1e-9 and
     reports the count and worst magnitude of violations.  The probe is local
     to the supplied boxes; concavity outside them is not claimed.
     """
@@ -605,7 +602,7 @@ def concavity_probe(problem: DiscountedProblem, spec: ConcavitySpec) -> Verifica
         hq = hamiltonian(xq, uq, y, z, problem)
         hm = hamiltonian(0.5 * (xp + xq), 0.5 * (up + uq), y, z, problem)
         defect = 0.5 * (hp + hq) - hm
-        bad = defect > spec.tol
+        bad = defect > CONCAVITY_TOL
         violations += int(bad.sum())
         total += spec.n_pairs
         if bad.any():
@@ -616,7 +613,7 @@ def concavity_probe(problem: DiscountedProblem, spec: ConcavitySpec) -> Verifica
         check="concavity",
         status=status,
         statistic=float(worst),
-        tolerance=spec.tol,
+        tolerance=CONCAVITY_TOL,
         n_samples=total,
         details={"violations": violations, "yz_samples": len(spec.yz_samples)},
         notes="midpoint concavity over sampled boxes",

@@ -7,6 +7,7 @@ import pytest
 
 from smpsolve import bsde
 from smpsolve import (
+    AdjointFeedbackControl,
     ConstantControl,
     RegressionBasis,
     TimeGrid,
@@ -198,12 +199,41 @@ class TestTimeMajorLayout:
         assert sol.Y[:, 8, :].flags.c_contiguous
 
 
+def _consumption_rule(t, x, y):
+    """Consumption's Hamiltonian maximizer u = 1 / (x y), before clipping."""
+    return 1.0 / (x[:, 0] * y[:, 0])
+
+
+class TestCostateLaw:
+    def test_finer_grid_reads_the_surface_holding_t(self):
+        params, problem, ens = _consumption_setup(horizon=4.0, steps=20, n_paths=500)
+        sol = solve_bsde_lsmc(problem, ens, CONS_BASIS)
+        fine = TimeGrid(horizon=4.0, steps=80)
+        replay = simulate_forward(
+            problem, AdjointFeedbackControl(sol, _consumption_rule), fine, 300, seed=4
+        )
+        times = fine.times()
+        for j in range(fine.steps):
+            x = replay.states[:, j, :]
+            u = _consumption_rule(times[j], x, sol.y_at(j // 4, x))[:, None]
+            assert np.array_equal(replay.controls[:, j, :], problem.domain.clip(u))
+
+    def test_longer_horizon_raises(self):
+        params, problem, ens = _consumption_setup(horizon=4.0, steps=20, n_paths=500)
+        sol = solve_bsde_lsmc(problem, ens, CONS_BASIS)
+        law = AdjointFeedbackControl(sol, _consumption_rule)
+        with pytest.raises(ValueError):
+            simulate_forward(problem, law, TimeGrid(horizon=8.0, steps=40), 300, seed=4)
+
+
 class TestSolutionSurface:
-    def test_y_at_terminal_is_zero_for_zero_terminal(self):
+    def test_y_at_raises_outside_the_grid(self):
         params, problem, ens = _consumption_setup(steps=20, n_paths=200)
         sol = solve_bsde_lsmc(problem, ens, CONS_BASIS)
         x = np.ones((5, 1))
-        assert np.all(sol.y_at(ens.grid.steps, x) == 0.0)
+        for step in (ens.grid.steps, -1):
+            with pytest.raises(ValueError):
+                sol.y_at(step, x)
 
     def test_y_at_tracks_realized_costate(self):
         params, problem, ens = _consumption_setup(n_paths=3000)

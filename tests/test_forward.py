@@ -14,6 +14,7 @@ from smpsolve import (
     TimeGrid,
     apriori_gap_check,
     comparison_check,
+    get_experiment,
     lyapunov_generator_check,
     positivity_check,
     positivity_scan,
@@ -79,6 +80,23 @@ class TestTimeGrid:
         assert t.shape == (141,)
         assert t[0] == 0.0 and t[-1] == 7.0
         assert grid.dt == pytest.approx(0.05)
+
+    def test_step_at_recovers_every_node_index(self):
+        grids = [
+            TimeGrid.auto(d.problem(d.params_type()).beta, d.default_steps)
+            for d in map(get_experiment, ("consumption", "production", "logistic"))
+        ]
+        # the two horizons of the stability-decay acceptance criterion
+        grids += [TimeGrid(math.log(1e2) / 0.5, 184), TimeGrid(math.log(1e3) / 0.5, 276)]
+        for grid in grids:
+            times = grid.times()
+            assert [grid.step_at(t) for t in times[:-1]] == list(range(grid.steps))
+
+    def test_step_at_rejects_times_off_the_grid(self):
+        grid = TimeGrid(horizon=4.0, steps=20)
+        for t in (grid.horizon, 9.0, -1e-12):
+            with pytest.raises(ValueError):
+                grid.step_at(t)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -147,24 +165,33 @@ class TestTimeMajorLayout:
 class TestControlLaws:
     def test_constant_broadcasts(self):
         law = ConstantControl([0.3, 0.7])
-        u = law.control_at(0, 0.0, np.zeros((5, 1)))
+        u = law.control_at(0.0, np.zeros((5, 1)))
         assert u.shape == (5, 2)
         assert np.all(u == [0.3, 0.7])
 
     def test_open_loop_indexes_steps(self):
         table = np.arange(24, dtype=float).reshape(4, 6, 1)
-        law = OpenLoopControl(table)
-        u = law.control_at(2, 0.0, np.zeros((4, 1)))
+        grid = TimeGrid(horizon=3.0, steps=6)
+        law = OpenLoopControl(table, grid)
+        u = law.control_at(grid.times()[2], np.zeros((4, 1)))
         assert np.array_equal(u, table[:, 2, :])
+
+    def test_open_loop_rejects_a_table_of_another_grid(self):
+        table = np.zeros((4, 6, 1))
+        with pytest.raises(ValueError):
+            OpenLoopControl(table, TimeGrid(horizon=3.0, steps=12))
+        law = OpenLoopControl(table, TimeGrid(horizon=3.0, steps=6))
+        with pytest.raises(ValueError):
+            law.control_at(3.0, np.zeros((4, 1)))
 
     def test_feedback_uses_state(self):
         law = FeedbackControl(lambda t, x: 2.0 * x[:, 0:1])
-        u = law.control_at(0, 0.0, np.array([[1.0], [3.0]]))
+        u = law.control_at(0.0, np.array([[1.0], [3.0]]))
         assert np.allclose(u, [[2.0], [6.0]])
 
     def test_blended_mixes_laws(self):
         law = BlendedControl([ConstantControl([0.0]), ConstantControl([1.0])], [0.25, 0.75])
-        u = law.control_at(0, 0.0, np.zeros((3, 1)))
+        u = law.control_at(0.0, np.zeros((3, 1)))
         assert np.allclose(u, 0.75)
 
 
