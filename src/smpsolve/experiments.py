@@ -70,7 +70,6 @@ from .verify import (
     check_pointwise_max,
     check_tvc,
     cost_dominance,
-    cost_functional_mc,
     path_costs,
 )
 
@@ -486,7 +485,7 @@ def production_sigma_zero_cost(params: ProductionPlanningParams, steps: int = 20
     problem = production_problem(frozen)
     grid = TimeGrid.auto(frozen.beta, steps)
     ens = simulate_forward(problem, production_optimal_law(frozen), grid, 1, seed=0)
-    est = cost_functional_mc(problem, ens, label="sigma_zero")
+    est = CostEstimate.from_path_costs(path_costs(problem, ens), grid.horizon, label="sigma_zero")
     exact = float(production_value(frozen, frozen.x0))
     rel = abs(est.value - exact) / max(1e-12, abs(exact))
     return est, exact, rel
@@ -871,7 +870,8 @@ class ClosedFormCandidate:
     """A candidate given by a known law; its paths and costate are computed on first use."""
 
     def __init__(self, run: "ExperimentRun", law: ControlLaw) -> None:
-        # no reference to the run: a cycle would keep its tvc rival alive past the run
+        # no reference to the run: a cycle would keep the run, and a tvc rival
+        # that no costs check dropped, alive past the run
         self.law = law
         self.problem, self.grid, self.basis = run.problem, run.grid, run.basis
         self.n_paths, self.seed = run.n_paths, run.seed
@@ -890,8 +890,9 @@ class ExperimentRun:
     """One run of an experiment, passed to the callables of its definition.
 
     ``candidate`` and ``tvc_rival`` are computed on first use and shared by
-    every check; entries added to ``scalars``, ``curves`` and ``costs`` end
-    up in the :class:`ExperimentResult`.
+    every check; the ``costs`` check drops ``tvc_rival`` once it has costed
+    it.  Entries added to ``scalars``, ``curves`` and ``costs`` end up in
+    the :class:`ExperimentResult`.
     """
 
     definition: "ExperimentDefinition"
@@ -970,8 +971,8 @@ class ExperimentDefinition:
     @property
     def check_table(self) -> Dict[str, Callable[[ExperimentRun], list]]:
         """Every check this experiment runs, by name, in run order: its own
-        checks, then the generic ones it does not redefine (last, because tvc
-        and costs keep the tvc rival alive until the run ends)."""
+        checks, then the generic ones it does not redefine (last, because the
+        tvc rival that tvc simulates lives until costs drops it)."""
         table = dict(self.checks)
         for name, check in _GENERIC_CHECKS.items():
             table.setdefault(name, check)
@@ -996,7 +997,7 @@ def _stability(run: ExperimentRun) -> List[VerificationReport]:
     ens = run.candidate.ensemble
     xi = ens.states[:, -1, :].copy()
     try:
-        return [terminal_stability_gap(run.problem, ens, run.basis, xi).report]
+        return [terminal_stability_gap(run.problem, ens, run.basis, xi)]
     except ValueError as exc:
         return [
             VerificationReport(
@@ -1015,11 +1016,14 @@ def _tvc(run: ExperimentRun) -> List[VerificationReport]:
 
 
 def _costs(run: ExperimentRun) -> List[VerificationReport]:
-    # one path-cost pass per ensemble; only the tvc rival outlives its pass
-    tvc = run.definition.tvc_competitor
+    # one path-cost pass per ensemble: the tvc rival, if tvc simulated it, is
+    # costed and dropped first, so each pass holds the candidate and one competitor
+    rival = vars(run).pop("tvc_rival", None)
+    done = {} if rival is None else {run.definition.tvc_competitor: path_costs(run.problem, rival)}
+    del rival
     costs = {"candidate": path_costs(run.problem, run.candidate.ensemble)}
     for name, law in run.definition.competitors(run.params).items():
-        costs[name] = path_costs(run.problem, run.tvc_rival if name == tvc else run.simulate_competitor(law))
+        costs[name] = done[name] if name in done else path_costs(run.problem, run.simulate_competitor(law))
     for name, j in costs.items():
         run.costs[name] = CostEstimate.from_path_costs(j, run.grid.horizon, label=name)
     return [cost_dominance(costs.pop("candidate"), costs)]

@@ -90,6 +90,13 @@ class TimeGrid:
             raise ValueError(f"time {t:g} is outside the grid [0, {self.horizon:g})")
         return math.floor(t / self.dt + 1e-9)
 
+    def discounted_weights(self, beta: float) -> Array:
+        """Trapezoid weights dt * e^{-beta t_i}, halved at both ends: w @ v is the
+        discounted integral of the node values v over the grid."""
+        w = self.dt * np.exp(-beta * self.times())
+        w[[0, -1]] *= 0.5
+        return w
+
     @classmethod
     def auto(cls, beta: float, steps: int, tail: float = 1e-4) -> "TimeGrid":
         """Horizon ceil(ln(1/tail)/beta), big enough that e^{-beta T} <= tail."""
@@ -418,17 +425,10 @@ def simulate_forward(
     )
 
 
-def weighted_time_integral(times: Array, node_values: Array, beta: float) -> Array:
-    """Trapezoid of e^{-beta t} * v(t) over the grid, per leading row."""
-    w = np.exp(-beta * times)
-    return np.trapezoid(node_values * w, times, axis=-1)
-
-
 def weighted_l2_norm(ensemble: PathEnsemble, beta: float) -> float:
     """Estimate of E integral e^{-beta t} |X_t|^2 dt over the grid horizon."""
-    sq = np.einsum("pin,pin->pi", ensemble.states, ensemble.states)
-    per_path = weighted_time_integral(ensemble.grid.times(), sq, beta)
-    return float(per_path.mean())
+    X = ensemble.states
+    return float(np.einsum("pin,pin->pi", X, X).mean(axis=0) @ ensemble.grid.discounted_weights(beta))
 
 
 def apriori_gap_check(

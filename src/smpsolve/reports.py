@@ -104,11 +104,11 @@ class CostEstimate:
             raise ValueError("n_paths must be positive")
 
     @classmethod
-    def from_path_costs(cls, costs, horizon: float, tail_bound=None, label: str = "") -> "CostEstimate":
+    def from_path_costs(cls, costs, horizon: float, label: str = "") -> "CostEstimate":
         """Mean and standard error of per-path discounted costs."""
         P = costs.size
         se = float(costs.std(ddof=1) / math.sqrt(P)) if P > 1 else 0.0
-        return cls(float(costs.mean()), se, P, horizon, tail_bound, label)
+        return cls(float(costs.mean()), se, P, horizon, label=label)
 
     def to_dict(self) -> dict:
         return {

@@ -25,7 +25,7 @@ from .problems import (
     hamiltonian_plain,
     maximize_hamiltonian_in_u,
 )
-from .reports import FAIL, INCONCLUSIVE, PASS, CostEstimate, VerificationReport
+from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
 Array = np.ndarray
 
@@ -37,27 +37,14 @@ GRADIENT_TOL = 1e-6
 def path_costs(problem: DiscountedProblem, ensemble: PathEnsemble) -> Array:
     """Discounted running cost integral per path, trapezoid in time.
 
-    The control table has one entry per step; the terminal node reuses the
-    last step's control.
+    The step nodes pair with the control table's steps, and the terminal node
+    reuses the last step's control; both terms contract the running cost
+    against :meth:`TimeGrid.discounted_weights`.
     """
-    grid = ensemble.grid
-    times = grid.times()
-    u_full = np.concatenate([ensemble.controls, ensemble.controls[:, -1:, :]], axis=1)
-    f = problem.coefficients.running_cost(ensemble.states, u_full)
-    disc = np.exp(-problem.beta * times)
-    return np.trapezoid(f * disc, times, axis=-1)
-
-
-def cost_functional_mc(
-    problem: DiscountedProblem,
-    ensemble: PathEnsemble,
-    tail_bound: float | None = None,
-    label: str = "",
-) -> CostEstimate:
-    """Monte Carlo estimate of the discounted gain on the truncated horizon."""
-    return CostEstimate.from_path_costs(
-        path_costs(problem, ensemble), ensemble.grid.horizon, tail_bound=tail_bound, label=label
-    )
+    x, u = ensemble.states, ensemble.controls
+    w = ensemble.grid.discounted_weights(problem.beta)
+    cost = problem.coefficients.running_cost
+    return cost(x[:, :-1], u) @ w[:-1] + cost(x[:, -1], u[:, -1]) * w[-1]
 
 
 def check_pointwise_max(
@@ -219,16 +206,6 @@ def check_tvc(
     )
 
 
-def compare_costs(
-    problem: DiscountedProblem,
-    candidate: PathEnsemble,
-    competitors: Dict[str, PathEnsemble],
-) -> VerificationReport:
-    """:func:`cost_dominance` of the ensembles' path costs."""
-    rivals = {name: path_costs(problem, ens) for name, ens in competitors.items()}
-    return cost_dominance(path_costs(problem, candidate), rivals)
-
-
 def cost_dominance(
     candidate_costs: Array,
     competitor_costs: Dict[str, Array],
@@ -239,7 +216,8 @@ def cost_dominance(
     ensembles that share the driving noise, so per-path differences are
     low-variance.  A competitor is dominated when
     mean(J_candidate - J_competitor) >= -2 SE(diff) (``COST_SE_SLACK``);
-    the check passes when every competitor is dominated.
+    the check passes when every competitor is dominated, and is inconclusive
+    when there is none to compare against.
     """
     rows = {}
     all_ok = True
@@ -256,7 +234,7 @@ def cost_dominance(
         worst = min(worst, mean + COST_SE_SLACK * se)
     return VerificationReport(
         check="cost_dominance",
-        status=PASS if all_ok else FAIL,
+        status=INCONCLUSIVE if not rows else PASS if all_ok else FAIL,
         statistic=None if not rows else worst,
         tolerance=0.0,
         n_samples=candidate_costs.size,

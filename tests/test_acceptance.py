@@ -16,12 +16,13 @@ from smpsolve import (
     TimeGrid,
     check_identities,
     check_pointwise_max,
-    compare_costs,
+    cost_dominance,
     cylinder_consistency_check,
     exp_transform,
     get_experiment,
     logistic_picard_solve,
     maximize_hamiltonian_in_u,
+    path_costs,
     positivity_scan,
     riccati_oracle,
     run_experiment,
@@ -155,10 +156,10 @@ def test_criterion_4_stability_decay(capsys):
         steps = int(round(n / 0.05))
         grid = TimeGrid(horizon=n, steps=steps)
         ens = simulate_forward(problem, production_optimal_law(params), grid, 4000, seed=5)
-        res = terminal_stability_gap(problem, ens, basis, np.ones(4000))
-        limit = 1.25 * math.exp(-beta * n) + 3.0 * res.standard_error
-        bounded = bounded and res.gap <= limit and res.report.status == "pass"
-        gaps.append(res.gap)
+        report = terminal_stability_gap(problem, ens, basis, np.ones(4000))
+        limit = 1.25 * math.exp(-beta * n) + 3.0 * report.standard_error
+        bounded = bounded and report.statistic <= limit and report.status == "pass"
+        gaps.append(report.statistic)
 
     slope = (math.log(gaps[1]) - math.log(gaps[0])) / (horizons[1] - horizons[0])
     slope_ok = abs(slope - (-beta)) <= 0.2 * beta
@@ -230,7 +231,9 @@ def test_criterion_6_logistic_closed_loop(logistic_fixed_point, capsys):
         )
         for name, law in constants.items()
     }
-    dominance = compare_costs(problem, result.ensemble, rivals)
+    dominance = cost_dominance(
+        path_costs(problem, result.ensemble), {name: path_costs(problem, ens) for name, ens in rivals.items()}
+    )
     n_dom = sum(1 for r in dominance.details["competitors"].values() if r["dominated"])
 
     ok = (

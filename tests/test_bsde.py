@@ -353,10 +353,10 @@ class TestTerminalStability:
 
     def test_unit_terminal_gap_is_bounded(self):
         params, problem, ens = _production_setup(horizon=8.0, steps=160, n_paths=3000)
-        result = terminal_stability_gap(problem, ens, PROD_BASIS, np.ones(3000))
-        assert result.report.status == "pass"
-        assert 0.0 < result.gap <= result.report.tolerance
-        assert result.bound == pytest.approx(math.exp(-problem.beta * 8.0))
+        report = terminal_stability_gap(problem, ens, PROD_BASIS, np.ones(3000))
+        assert report.status == "pass"
+        assert 0.0 < report.statistic <= report.tolerance
+        assert report.details["bound"] == pytest.approx(math.exp(-problem.beta * 8.0))
 
     def test_one_solve_of_the_difference_equation(self, monkeypatch):
         solved = _record_solves(monkeypatch)
@@ -374,7 +374,7 @@ class TestTerminalStability:
             basis = CONS_BASIS
         xi = ens.states[:, -1, :].copy()
         solved = _record_solves(monkeypatch)
-        result = terminal_stability_gap(problem, ens, basis, xi)
+        report = terminal_stability_gap(problem, ens, basis, xi)
         monkeypatch.undo()
 
         # reference: both terminals solved in full, xi projected as the check does
@@ -387,10 +387,10 @@ class TestTerminalStability:
         weighted = np.einsum("pin,pin->pi", diff, diff) * np.exp(-problem.beta * ens.grid.times())
         node_means = weighted.mean(axis=0)
         i_star = int(np.argmax(node_means))
-        assert result.argmax_node == i_star
-        assert result.gap == pytest.approx(node_means[i_star], rel=1e-12)
+        assert report.details["argmax_node"] == i_star
+        assert report.statistic == pytest.approx(node_means[i_star], rel=1e-12)
         se = weighted[:, i_star].std(ddof=1) / math.sqrt(ens.n_paths)
-        assert result.standard_error == pytest.approx(se, rel=1e-12)
+        assert report.standard_error == pytest.approx(se, rel=1e-12)
         # every node, not only the argmax (which sits at the terminal node);
         # the reference loses digits to cancellation where the gap is small
         (single,) = solved

@@ -244,6 +244,15 @@ class TestRunExperiment:
         assert report.status == "pass"
         assert "y0_estimate" in result.scalars
 
+    def test_stability_check_reports_the_gap(self):
+        result = run_experiment(
+            "production", grid=TimeGrid(horizon=8.0, steps=80), n_paths=500, checks=("stability",)
+        )
+        report = result.report_by_name("terminal_stability")
+        assert report.status == "pass"
+        assert 0.0 < report.statistic <= report.tolerance
+        assert {"bound", "argmax_node"} <= set(report.details)
+
     def test_to_dict_is_json_ready(self):
         import json
 
@@ -270,7 +279,7 @@ class TestSharedWork:
     """The cost and tvc checks read each ensemble once and keep few alive."""
 
     @staticmethod
-    def _watch(monkeypatch):
+    def _watch(monkeypatch, name="consumption", checks=("tvc", "costs")):
         import weakref
 
         from smpsolve import verify
@@ -290,9 +299,7 @@ class TestSharedWork:
         monkeypatch.setattr(experiments, "simulate_forward", simulate_spy)
         monkeypatch.setattr(verify, "path_costs", costs_spy)
         monkeypatch.setattr(experiments, "path_costs", costs_spy, raising=False)
-        result = run_experiment(
-            "consumption", grid=TimeGrid(horizon=8.0, steps=80), n_paths=500, checks=["tvc", "costs"]
-        )
+        result = run_experiment(name, grid=TimeGrid(horizon=8.0, steps=80), n_paths=500, checks=list(checks))
         return result, alive, seen
 
     def test_one_path_cost_pass_per_ensemble(self, monkeypatch):
@@ -302,7 +309,9 @@ class TestSharedWork:
         assert set(result.costs) == {"candidate", *experiments.consumption_competitors(result.params)}
         assert result.report_by_name("cost_dominance").status == PASS
 
-    def test_at_most_three_ensembles_alive(self, monkeypatch):
-        _, _, seen = self._watch(monkeypatch)
-        # the candidate, the tvc rival and the competitor being costed
-        assert max(seen) <= 3
+    @pytest.mark.parametrize("checks", [("tvc", "costs"), ("costs",)], ids=["tvc+costs", "costs"])
+    @pytest.mark.parametrize("name", ["consumption", "production", "logistic"])
+    def test_at_most_two_ensembles_alive(self, monkeypatch, name, checks):
+        _, _, seen = self._watch(monkeypatch, name, checks)
+        # the candidate and the ensemble being costed: the tvc rival is costed first and dropped
+        assert max(seen) <= 2

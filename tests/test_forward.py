@@ -21,7 +21,7 @@ from smpsolve import (
     simulate_forward,
     weighted_l2_norm,
 )
-from smpsolve.forward import POSITIVITY_FLOOR, RegionConstants, weighted_time_integral
+from smpsolve.forward import POSITIVITY_FLOOR, RegionConstants
 from smpsolve.problems import (
     AssumptionConstants,
     CoefficientField,
@@ -291,10 +291,18 @@ class TestWeightedIntegrals:
         beta, a, horizon = 0.5, 0.3, 2.0
         grid = TimeGrid(horizon=horizon, steps=2000)
         t = grid.times()
-        values = np.exp(a * t)[None, :]
-        got = weighted_time_integral(t, values, beta)[0]
+        values = np.exp(a * t)
+        got = grid.discounted_weights(beta) @ values
         want = (1.0 - math.exp((a - beta) * horizon)) / (beta - a)
         assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("steps", [1, 7, 400])
+    def test_weights_are_the_discounted_trapezoid(self, steps):
+        beta, grid = 0.3, TimeGrid(horizon=5.0, steps=steps)
+        t = grid.times()
+        values = np.random.default_rng(steps).standard_normal((6, steps + 1))
+        want = np.trapezoid(values * np.exp(-beta * t), t, axis=-1)
+        np.testing.assert_allclose(values @ grid.discounted_weights(beta), want, rtol=1e-13)
 
     def test_weighted_norm_of_frozen_state(self):
         params = ProductionPlanningParams(sigma=0.0, x0=2.0)

@@ -7,13 +7,13 @@ import pytest
 
 from smpsolve import (
     ConstantControl,
+    CostEstimate,
     RegressionBasis,
     TimeGrid,
     check_identities,
     check_pointwise_max,
     check_tvc,
-    compare_costs,
-    cost_functional_mc,
+    cost_dominance,
     path_costs,
     simulate_forward,
     solve_bsde_lsmc,
@@ -32,6 +32,7 @@ from smpsolve.experiments import (
     production_problem,
     production_sample_spec,
 )
+from smpsolve.reports import INCONCLUSIVE
 
 CONS_BASIS = RegressionBasis(degree=4, reciprocal=True)
 PROD_BASIS = RegressionBasis(degree=4)
@@ -55,11 +56,29 @@ class TestPathCosts:
         grid = TimeGrid(horizon=2.0, steps=40)
         ens = simulate_forward(problem, consumption_optimal_law(params), grid, 300, seed=1)
         j = path_costs(problem, ens)
-        est = cost_functional_mc(problem, ens, label="candidate")
+        est = CostEstimate.from_path_costs(j, grid.horizon, label="candidate")
         assert est.value == pytest.approx(float(j.mean()))
         assert est.standard_error == pytest.approx(float(j.std(ddof=1) / math.sqrt(300)))
         assert est.n_paths == 300
         assert est.label == "candidate"
+
+    @pytest.mark.parametrize(
+        "name,steps,n_paths", [("production", 400, 500), ("consumption", 200, 500), ("sigma_zero", 20_000, 1)]
+    )
+    def test_matches_the_trapezoid_over_a_full_control_table(self, name, steps, n_paths):
+        if name == "consumption":
+            params = ConsumptionParams()
+            problem, law = consumption_problem(params), consumption_optimal_law(params)
+        else:
+            params = ProductionPlanningParams(sigma=0.0) if name == "sigma_zero" else ProductionPlanningParams()
+            problem, law = production_problem(params), production_optimal_law(params)
+        ens = simulate_forward(problem, law, TimeGrid.auto(problem.beta, steps), n_paths, seed=3)
+        # reference: the terminal node reuses the last control, integrated by np.trapezoid
+        t = ens.grid.times()
+        u_full = np.concatenate([ens.controls, ens.controls[:, -1:, :]], axis=1)
+        f = problem.coefficients.running_cost(ens.states, u_full)
+        want = np.trapezoid(f * np.exp(-problem.beta * t), t, axis=-1)
+        np.testing.assert_allclose(path_costs(problem, ens), want, rtol=1e-12)
 
 
 class TestPointwiseMax:
@@ -134,7 +153,9 @@ class TestCostComparison:
             name: simulate_forward(problem, law, grid, 3000, seed=5, noise=cand.noise)
             for name, law in consumption_competitors(params).items()
         }
-        report = compare_costs(problem, cand, rivals)
+        report = cost_dominance(
+            path_costs(problem, cand), {name: path_costs(problem, ens) for name, ens in rivals.items()}
+        )
         assert report.status == "pass"
         assert len(report.details["competitors"]) >= 7
         for row in report.details["competitors"].values():
@@ -149,7 +170,7 @@ class TestCostComparison:
         rival = simulate_forward(
             problem, consumption_optimal_law(params), grid, 2000, seed=6, noise=cand.noise
         )
-        report = compare_costs(problem, cand, {"optimal": rival})
+        report = cost_dominance(path_costs(problem, cand), {"optimal": path_costs(problem, rival)})
         assert report.status == "fail"
         assert not report.details["competitors"]["optimal"]["dominated"]
 
@@ -160,7 +181,12 @@ class TestCostComparison:
         cand = simulate_forward(problem, consumption_optimal_law(params), grid, 50, seed=0)
         rival = simulate_forward(problem, consumption_optimal_law(params), grid, 40, seed=0)
         with pytest.raises(ValueError):
-            compare_costs(problem, cand, {"short": rival})
+            cost_dominance(path_costs(problem, cand), {"short": path_costs(problem, rival)})
+
+    def test_no_competitors_is_inconclusive(self):
+        report = cost_dominance(np.zeros(5), {})
+        assert report.status == INCONCLUSIVE
+        assert report.statistic is None
 
 
 class TestIdentities:
