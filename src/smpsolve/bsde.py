@@ -478,16 +478,3 @@ def martingale_residual_report(
         details={"worst_step": worst_step, "steps_tested": last, "max_time": max_time},
         notes="largest |mean residual| / SE over steps",
     )
-
-
-def bsde_weighted_norm(solution: BsdeSolution, beta: float) -> float:
-    """Estimate of E integral e^{-beta t} (|Y|^2 + ||Z||^2) dt on the grid.
-
-    Trapezoid in the Y nodes, left rectangles in the Z steps (Z is defined
-    per step).
-    """
-    grid = solution.grid
-    y_part = np.einsum("pin,pin->pi", solution.Y, solution.Y).mean(axis=0) @ grid.discounted_weights(beta)
-    sqz = np.einsum("pind,pind->pi", solution.Z, solution.Z)
-    z_part = sqz.mean(axis=0) @ np.exp(-beta * grid.times()[:-1]) * grid.dt
-    return float(y_part + z_part)

@@ -48,6 +48,7 @@ from .forward import (
     apriori_gap_check,
     comparison_check,
     lyapunov_generator_check,
+    lyapunov_ratio,
     positivity_check,
     simulate_forward,
 )
@@ -658,19 +659,8 @@ def logistic_region_constants(params: LogisticParams) -> RegionConstants:
     a, b = params.a, params.b
     r = 1.0 / (2.0 * b)
     R = (a + math.sqrt(a * a + 4.0 * a * b * params.gamma * params.u2)) / (2.0 * a * b)
-    problem = logistic_problem(params)
-    xs = np.linspace(r, R, 2001)[:, None]
-    vp = -1.0 / xs[:, 0] ** 2 + 2.0 * xs[:, 0]
-    vpp = 2.0 / xs[:, 0] ** 3 + 2.0
-    v = 1.0 + 1.0 / xs[:, 0] + xs[:, 0] ** 2
-    worst = 0.0
-    for u_val in (params.u1, params.u2):
-        u = np.full((xs.shape[0], 1), u_val)
-        bvals = problem.coefficients.drift(xs, u)[:, 0]
-        svals = problem.coefficients.diffusion(xs, u)[:, 0, 0]
-        gen = bvals * vp + 0.5 * svals**2 * vpp
-        worst = max(worst, float(np.max(np.maximum(gen, 0.0) / v)))
-    return RegionConstants(r=r, R=R, C=worst)
+    ratio = lyapunov_ratio(logistic_problem(params), np.linspace(r, R, 2001))
+    return RegionConstants(r=r, R=R, C=max(0.0, float(ratio.max())))
 
 
 class PicardError(RuntimeError):

@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 Array = np.ndarray
 
 EXPLOSION_GUARD = 1e8
+DISCOUNT_TAIL = 1e-4
 POSITIVITY_FLOOR = 1e-12
 SANDWICH_MARGIN = 1e-9
 SANDWICH_MAX_FRACTION = 1e-3
@@ -98,11 +99,11 @@ class TimeGrid:
         return w
 
     @classmethod
-    def auto(cls, beta: float, steps: int, tail: float = 1e-4) -> "TimeGrid":
-        """Horizon ceil(ln(1/tail)/beta), big enough that e^{-beta T} <= tail."""
+    def auto(cls, beta: float, steps: int) -> "TimeGrid":
+        """Horizon ceil(ln(1/DISCOUNT_TAIL)/beta), so that e^{-beta T} <= DISCOUNT_TAIL."""
         if beta <= 0:
             raise ValueError("beta must be positive")
-        horizon = math.ceil(math.log(1.0 / tail) / beta)
+        horizon = math.ceil(math.log(1.0 / DISCOUNT_TAIL) / beta)
         return cls(horizon=float(max(horizon, 1)), steps=steps)
 
 
@@ -330,14 +331,13 @@ def simulate_forward(
     noise: NoiseBatch | None = None,
     x0=None,
     path_offset: int = 0,
-    explosion_guard: float = EXPLOSION_GUARD,
     max_explosion_fraction: float = 0.01,
 ) -> PathEnsemble:
     """Simulate the controlled SDE over ``grid`` and record the ensemble.
 
     Step i applies ``law.control_at(t_i, x)``, clipped to the problem's box.
     On the half-line, states are clipped at ``POSITIVITY_FLOOR`` and flagged.
-    Paths that leave the explosion guard or turn non-finite are frozen at
+    Paths that leave ``EXPLOSION_GUARD`` or turn non-finite are frozen at
     their last finite value and flagged; the run errors out if more than
     ``max_explosion_fraction`` of paths explode.
     """
@@ -396,7 +396,7 @@ def simulate_forward(
                 x_new[low, 0] = POSITIVITY_FLOOR
 
         bad = ~np.isfinite(x_new).all(axis=1) | (
-            np.abs(x_new).max(axis=1) > explosion_guard
+            np.abs(x_new).max(axis=1) > EXPLOSION_GUARD
         )
         newly = bad & ~exploded
         if newly.any():
@@ -410,7 +410,7 @@ def simulate_forward(
     frac = float(exploded.mean())
     if frac > max_explosion_fraction:
         raise SimulationError(
-            f"{frac:.1%} of paths exploded (guard {explosion_guard:g}); "
+            f"{frac:.1%} of paths exploded (guard {EXPLOSION_GUARD:g}); "
             "refine the grid or check the problem scaling"
         )
 
@@ -423,12 +423,6 @@ def simulate_forward(
         floor_clipped=clipped,
         exploded=exploded,
     )
-
-
-def weighted_l2_norm(ensemble: PathEnsemble, beta: float) -> float:
-    """Estimate of E integral e^{-beta t} |X_t|^2 dt over the grid horizon."""
-    X = ensemble.states
-    return float(np.einsum("pin,pin->pi", X, X).mean(axis=0) @ ensemble.grid.discounted_weights(beta))
 
 
 def apriori_gap_check(
@@ -608,10 +602,23 @@ def _positivity_report(
     )
 
 
-def lyapunov_value(x: Array) -> Array:
-    """Lyapunov function V(x) = 1 + 1/x + x^2 on the positive half-line."""
-    x = np.asarray(x, dtype=float)
-    return 1.0 + 1.0 / x + x * x
+def lyapunov_ratio(problem: DiscountedProblem, x: Array) -> Array:
+    """max over the control box corners of L V(x) / V(x), for V(x) = 1 + 1/x + x^2.
+
+    L V = b(x,u) V'(x) + 0.5 sigma(x,u)^2 V''(x) at each positive scalar
+    state of the 1-d array ``x``.
+    """
+    xcol = x[:, None]
+    v = 1.0 + 1.0 / x + x * x
+    vp = -1.0 / x**2 + 2.0 * x
+    vpp = 2.0 / x**3 + 2.0
+    worst = np.full(x.shape, -np.inf)
+    for u_const in (problem.domain.lower, problem.domain.upper):
+        u = np.broadcast_to(np.atleast_1d(u_const), (x.shape[0], problem.control_dim))
+        b = np.asarray(problem.coefficients.drift(xcol, u), dtype=float)[:, 0]
+        sig = np.asarray(problem.coefficients.diffusion(xcol, u), dtype=float)[:, 0, 0]
+        worst = np.maximum(worst, (b * vp + 0.5 * sig * sig * vpp) / v)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -654,19 +661,7 @@ def lyapunov_generator_check(
     if np.any(x <= 0):
         raise ValueError("samples must be positive")
 
-    xcol = x[:, None]
-    v = lyapunov_value(x)
-    vp = -1.0 / x**2 + 2.0 * x
-    vpp = 2.0 / x**3 + 2.0
-
-    worst_ratio = np.full(x.shape, -np.inf)
-    for u_const in (problem.domain.lower, problem.domain.upper):
-        u = np.broadcast_to(np.atleast_1d(u_const), (x.shape[0], problem.control_dim))
-        b = np.asarray(problem.coefficients.drift(xcol, u), dtype=float)[:, 0]
-        sig = np.asarray(problem.coefficients.diffusion(xcol, u), dtype=float)[:, 0, 0]
-        gen = b * vp + 0.5 * sig * sig * vpp
-        worst_ratio = np.maximum(worst_ratio, gen / v)
-
+    worst_ratio = lyapunov_ratio(problem, x)
     consts = problem.constants
     k_near_ref = max(consts.L**2 + regions.C, consts.L**2 + 2.0 * consts.mu1)
     k_far_ref = max(consts.L**2, 2.0 * regions.C + consts.L**2)

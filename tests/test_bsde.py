@@ -11,7 +11,6 @@ from smpsolve import (
     ConstantControl,
     RegressionBasis,
     TimeGrid,
-    bsde_weighted_norm,
     cylinder_consistency_check,
     exp_transform,
     martingale_residual_report,
@@ -172,16 +171,6 @@ class TestSolveInvariances:
         params, problem, ens = _consumption_setup(steps=10, n_paths=50)
         with pytest.raises(ValueError):
             solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=0.0)
-
-    def test_weighted_norm_stable_under_horizon_doubling(self):
-        # bounded costate case: the discounted norm must settle once the
-        # horizon covers the discount tail
-        params, problem, ens8 = _production_setup(horizon=8.0, steps=160)
-        _, _, ens16 = _production_setup(horizon=16.0, steps=320)
-        n8 = bsde_weighted_norm(solve_bsde_lsmc(problem, ens8, PROD_BASIS), problem.beta)
-        n16 = bsde_weighted_norm(solve_bsde_lsmc(problem, ens16, PROD_BASIS), problem.beta)
-        assert math.isfinite(n8) and math.isfinite(n16)
-        assert abs(n16 - n8) / n16 < 0.05
 
     def test_terminal_shape_is_validated(self):
         params, problem, ens = _consumption_setup(steps=10, n_paths=50)

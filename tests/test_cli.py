@@ -127,6 +127,18 @@ class TestExitCodes:
         assert code == 1
         assert "bad parameters" in capsys.readouterr().err
 
+    def test_solver_failure_exits_one(self, tmp_path, capsys):
+        # growth rate 50 drives every path past the explosion guard
+        code = _run(
+            "run", "-e", "consumption",
+            "--set", "consumption.mu=50",
+            "--check", "positivity",
+            "--paths", "200", "--steps", "20",
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert "solver failed" in capsys.readouterr().err
+
 
 class TestConfigFiles:
     def test_dotted_file_with_comments(self, tmp_path, capsys):

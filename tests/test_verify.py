@@ -1,6 +1,7 @@
 """Optimality certification checks."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,34 @@ class TestTransversality:
         assert report.status == "pass"
         assert report.details.get("route") == "integrability"
         assert report.details["tail_decay_rate"] < 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_costate_fails(self, bad):
+        # the implied-route setup passes on finite arrays; one bad path must fail it
+        params, problem, grid, ens, sol = self._setup()
+        quarter = 0.25 * params.resolved_beta()
+        rival = simulate_forward(
+            problem, ConstantControl([quarter]), grid, ens.n_paths, seed=4, noise=ens.noise
+        )
+        sol.Y[7] = bad
+        with np.errstate(invalid="ignore"):
+            report = check_tvc(problem, ens, sol, rival)
+        assert report.status == "fail"
+
+    def test_peak_memory_is_two_path_arrays(self):
+        # the statistic and one temporary of shape (paths, steps) at a time
+        n_paths, steps = 4000, 400
+        params, problem, grid, ens, sol = self._setup(n_paths=n_paths, steps=steps)
+        rival = simulate_forward(
+            problem, ConstantControl([params.cap]), grid, n_paths, seed=4, noise=ens.noise
+        )
+        tracemalloc.start()
+        try:
+            check_tvc(problem, ens, sol, rival)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n_paths * steps * 8
 
     def test_grid_mismatch_rejected(self):
         params, problem, grid, ens, sol = self._setup(n_paths=100, horizon=2.0, steps=20)
