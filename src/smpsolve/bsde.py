@@ -291,25 +291,6 @@ def solve_bsde_lsmc(
     )
 
 
-def exp_transform(solution: BsdeSolution, beta: float, direction: str = "forward") -> BsdeSolution:
-    """Reweight a solution by the discount: node i is scaled by e^{-+beta t_i}.
-
-    ``forward`` maps the costate pair to its discounted version, ``inverse``
-    undoes it.  Surfaces (coefficients) are scaled consistently, so
-    ``y_at`` remains valid on the result.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError("direction must be 'forward' or 'inverse'")
-    sign = -1.0 if direction == "forward" else 1.0
-    wy = np.exp(sign * beta * solution.grid.times())
-    return replace(
-        solution,
-        Y=solution.Y * wy[None, :, None],
-        Z=solution.Z * wy[None, :-1, None, None],
-        y_coeffs=[c * s for c, s in zip(solution.y_coeffs, wy[:-1])],
-    )
-
-
 def terminal_stability_gap(
     problem: DiscountedProblem,
     ensemble: PathEnsemble,

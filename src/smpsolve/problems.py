@@ -14,9 +14,7 @@ The generalized Hamiltonian used throughout is
 
     H(x, u, y, z) = <b(x,u), y> + Tr(sigma(x,u)' z) + f(x,u) - beta <x, y>,
 
-and the adjoint (costate) equation is driven by its x-gradient.  The plain
-Hamiltonian omits the discount coupling term; the two differ by exactly
-beta <x, y>, which is enforced by tests.
+and the adjoint (costate) equation is driven by its x-gradient.
 
 Shape conventions: callables are vectorized over leading batch axes.  States
 are (..., n), controls (..., k), costates y (..., n), and z matrices
@@ -238,14 +236,6 @@ def _prep(problem: DiscountedProblem, x, u, y, z):
 def hamiltonian(x, u, y, z, problem: DiscountedProblem) -> Array:
     """Generalized Hamiltonian <b,y> + Tr(sigma'z) + f - beta <x,y>."""
     x, u, y, z = _prep(problem, x, u, y, z)
-    return hamiltonian_plain(x, u, y, z, problem) - problem.beta * np.einsum(
-        "...i,...i->...", x, y
-    )
-
-
-def hamiltonian_plain(x, u, y, z, problem: DiscountedProblem) -> Array:
-    """Undiscounted Hamiltonian <b,y> + Tr(sigma'z) + f."""
-    x, u, y, z = _prep(problem, x, u, y, z)
     c = problem.coefficients
     b = np.asarray(c.drift(x, u), dtype=float)
     s = np.asarray(c.diffusion(x, u), dtype=float)
@@ -254,7 +244,7 @@ def hamiltonian_plain(x, u, y, z, problem: DiscountedProblem) -> Array:
         np.einsum("...i,...i->...", b, y)
         + np.einsum("...ic,...ic->...", s, z)
         + f
-    )
+    ) - problem.beta * np.einsum("...i,...i->...", x, y)
 
 
 def grad_x_hamiltonian(x, u, y, z, problem: DiscountedProblem) -> Array:
@@ -271,29 +261,20 @@ def grad_x_hamiltonian(x, u, y, z, problem: DiscountedProblem) -> Array:
     return term_b + term_s + term_f - problem.beta * y
 
 
-def _central_difference(fn, x: Array, j: int, rel_step: float) -> Array:
-    """(fn(x + h e_j) - fn(x - h e_j)) / 2h with h = rel_step (1 + |x_j|).
-
-    ``fn`` maps states (..., n) to values (...) or (..., m); h broadcasts
-    over any trailing value axes.
-    """
-    h = rel_step * (1.0 + np.abs(x[..., j]))
-    xp = x.copy()
-    xm = x.copy()
-    xp[..., j] = x[..., j] + h
-    xm[..., j] = x[..., j] - h
-    fp = np.asarray(fn(xp), dtype=float)
-    fm = np.asarray(fn(xm), dtype=float)
-    return (fp - fm) / (2.0 * h.reshape(h.shape + (1,) * (fp.ndim - h.ndim)))
-
-
 def finite_diff_grad_x(x, u, y, z, problem: DiscountedProblem) -> Array:
-    """Central finite difference, relative step 1e-5, of the Hamiltonian in x."""
+    """Central finite difference of the Hamiltonian in x.
+
+    Coordinate j moves by h = 1e-5 (1 + |x_j|) either way.
+    """
     x, u, y, z = _prep(problem, x, u, y, z)
-    grads = [
-        _central_difference(lambda xs: hamiltonian(xs, u, y, z, problem), x, j, 1e-5)
-        for j in range(problem.state_dim)
-    ]
+    grads = []
+    for j in range(problem.state_dim):
+        h = 1e-5 * (1.0 + np.abs(x[..., j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[..., j] = x[..., j] + h
+        xm[..., j] = x[..., j] - h
+        grads.append((hamiltonian(xp, u, y, z, problem) - hamiltonian(xm, u, y, z, problem)) / (2.0 * h))
     return np.stack(grads, axis=-1)
 
 
@@ -341,20 +322,12 @@ def maximize_hamiltonian_in_u(
     101 values per coordinate and ``cert.concavity_warning``
     reports positive curvature sampled along the grid.
 
-    Inputs broadcast over leading axes; u_star has shape (..., k).
+    Inputs are batches of P points, (P, n), (P, n) and (P, n, d); u_star
+    has shape (P, k).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    scalar_in = x.ndim == 1
-    if scalar_in:
-        x = x[None, :]
-        y = y[None, :]
-        z = z[None, :, :]
-    batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1], z.shape[:-2])
-    x = np.broadcast_to(x, batch + x.shape[-1:]).reshape(-1, x.shape[-1])
-    y = np.broadcast_to(y, batch + y.shape[-1:]).reshape(-1, y.shape[-1])
-    z = np.broadcast_to(z, batch + z.shape[-2:]).reshape(-1, *z.shape[-2:])
     P = x.shape[0]
     k = problem.control_dim
     dom = problem.domain
@@ -399,10 +372,7 @@ def maximize_hamiltonian_in_u(
         gap = np.minimum(gap, h_star - np.nanmax(vals, axis=0))
 
     cert = HamiltonianMaxCertificate(gap=float(np.min(gap)), concavity_warning=warn)
-    u_out = u_star.reshape(batch + (k,))
-    if scalar_in:
-        u_out = u_out[0]
-    return u_out, cert
+    return u_star, cert
 
 
 @dataclass(frozen=True)
@@ -446,7 +416,6 @@ def validate_assumptions(
     - finiteness of all coefficient fields at the samples,
     - drift monotonicity ratio vs mu1,
     - diffusion Lipschitz ratio vs L,
-    - gradient consistency of grad_drift / grad_cost vs finite differences,
     - drift-gradient quadratic form vs mu2,
     - summed diffusion-column gradient norms vs M,
     - strict discount margin: beta above max(2 mu1 + 2 L^2, 2 mu2 + 2 M^2).
@@ -498,20 +467,6 @@ def validate_assumptions(
     ratios = np.sqrt(np.einsum("...ic,...ic->...", ds, ds) / dx2)
     worst = float(np.max(ratios))
     record("diffusion_lipschitz", worst, consts.L, worst <= consts.L + AUDIT_SLACK)
-
-    # gradient consistency against central differences
-    probe = spec.draw_states(rng, min(200, x1k.shape[0]))
-    probe_u = problem.domain.sample(rng, probe.shape[0])
-    fd_err = 0.0
-    gb = np.asarray(c.grad_drift(probe, probe_u), dtype=float)
-    gf = np.asarray(c.grad_cost(probe, probe_u), dtype=float)
-    for j in range(n):
-        fd_b = _central_difference(lambda xs: c.drift(xs, probe_u), probe, j, 1e-6)
-        fd_f = _central_difference(lambda xs: c.running_cost(xs, probe_u), probe, j, 1e-6)
-        scale_b = 1.0 + np.abs(gb[:, :, j])
-        fd_err = max(fd_err, float(np.max(np.abs(fd_b - gb[:, :, j]) / scale_b)))
-        fd_err = max(fd_err, float(np.max(np.abs(fd_f - gf[:, j]) / (1.0 + np.abs(gf[:, j])))))
-    record("gradients_consistent", fd_err, 1e-5, fd_err <= 1e-5)
 
     # drift gradient quadratic form: <v, grad_b v> / |v|^2 <= mu2
     v = rng.standard_normal((x1k.shape[0], n))

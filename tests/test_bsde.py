@@ -12,7 +12,6 @@ from smpsolve import (
     RegressionBasis,
     TimeGrid,
     cylinder_consistency_check,
-    exp_transform,
     martingale_residual_report,
     simulate_forward,
     solve_bsde_lsmc,
@@ -125,31 +124,6 @@ class TestSolveInvariances:
         sol = solve_bsde_lsmc(problem, ens, RegressionBasis(degree=2))
         assert np.all(sol.Y == 0.0)
         assert np.all(sol.Z == 0.0)
-
-    def test_exp_transform_round_trip(self):
-        params, problem, ens = _consumption_setup()
-        sol = solve_bsde_lsmc(problem, ens, CONS_BASIS)
-        back = exp_transform(exp_transform(sol, problem.beta), problem.beta, "inverse")
-        scale = max(1.0, float(np.abs(sol.Y).max()))
-        assert float(np.abs(back.Y - sol.Y).max()) / scale <= 1e-12
-        assert float(np.abs(back.Z - sol.Z).max()) / scale <= 1e-12
-        for a, b in zip(back.y_coeffs, sol.y_coeffs):
-            assert float(np.abs(a - b).max()) <= 1e-12 * max(1.0, float(np.abs(b).max()))
-
-    def test_exp_transform_scales_surfaces(self):
-        params, problem, ens = _consumption_setup()
-        sol = solve_bsde_lsmc(problem, ens, CONS_BASIS)
-        fwd = exp_transform(sol, problem.beta)
-        step = ens.grid.steps // 2
-        t = ens.grid.times()[step]
-        x = np.linspace(0.5, 2.0, 9)[:, None]
-        assert np.allclose(fwd.y_at(step, x), math.exp(-problem.beta * t) * sol.y_at(step, x))
-
-    def test_exp_transform_rejects_unknown_direction(self):
-        params, problem, ens = _consumption_setup(steps=10, n_paths=50)
-        sol = solve_bsde_lsmc(problem, ens, CONS_BASIS)
-        with pytest.raises(ValueError):
-            exp_transform(sol, problem.beta, "sideways")
 
     def test_inactive_truncation_changes_nothing(self):
         params, problem, ens = _consumption_setup(n_paths=1000)

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,23 @@ class TestRiccatiOracle:
         est, exact, rel = production_sigma_zero_cost(ProductionPlanningParams(), steps=5000)
         assert exact == pytest.approx(float(production_value(ProductionPlanningParams(sigma=0.0), 1.0)))
         assert rel <= 5e-3
+
+    def test_oracle_check_reduces_one_time_node_at_a_time(self):
+        n_paths, steps = 4000, 400
+        definition = get_experiment("production")
+        params = definition.params_type()
+        problem = definition.problem(params)
+        grid = TimeGrid.auto(problem.beta, steps)
+        run = experiments.ExperimentRun(definition, params, problem, grid, n_paths, 3, definition.basis)
+        run.candidate.solution  # simulated and solved before tracing starts
+        tracemalloc.start()
+        try:
+            (report,) = definition.checks["oracle"](run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == PASS
+        assert peak <= 0.5 * n_paths * (steps + 1) * 8
 
 
 class TestConsumptionOracles:
