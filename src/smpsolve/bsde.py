@@ -426,6 +426,9 @@ def martingale_residual_report(
     last = grid.steps - 1
     if max_time is not None:
         last = min(last, max(1, int(math.floor(max_time / dt))))
+    if last < 1:
+        notes = "no step to test: the grid has only the skipped final step"
+        return VerificationReport(check="martingale_residual", status=INCONCLUSIVE, notes=notes)
     tolerance = max(3.0, math.sqrt(2.0 * math.log(40.0 * last)))
     keep = ~ensemble.exploded
     P = int(keep.sum())

@@ -41,7 +41,6 @@ from .forward import (
     ConstantControl,
     ControlLaw,
     FeedbackControl,
-    NoiseBatch,
     PathEnsemble,
     RegionConstants,
     TimeGrid,
@@ -704,9 +703,8 @@ def logistic_picard_solve(
     if initial_law is None:
         initial_law = ConstantControl([0.5 * (params.u1 + params.u2)])
     rule = logistic_control_law(params)
-    noise = NoiseBatch.generate(seed, n_paths, grid.steps, 1, grid.dt)
 
-    ens = simulate_forward(problem, initial_law, grid, n_paths, seed, noise=noise)
+    ens = simulate_forward(problem, initial_law, grid, n_paths, seed)
     sol = solve_bsde_lsmc(problem, ens, basis)
     law: ControlLaw = AdjointFeedbackControl(sol, rule)
 
@@ -715,7 +713,7 @@ def logistic_picard_solve(
     increases = 0
     iterations = 0
     for _ in range(PICARD_MAX_ITERATIONS):
-        ens_new = simulate_forward(problem, law, grid, n_paths, seed, noise=noise)
+        ens_new = simulate_forward(problem, law, grid, n_paths, seed, noise=ens.noise)
         sol_new = solve_bsde_lsmc(problem, ens_new, basis)
         res = 0.0
         for i in range(grid.steps):
@@ -1337,10 +1335,10 @@ def run_experiment(
 
     ``params`` may be a params instance or a mapping of field overrides.
     ``checks`` selects which reports to produce (default: the experiment's
-    registered list); an empty selection or a name outside the experiment's
-    check table is an error.  The forward simulation and the backward solve
-    only run when a selected check needs them, so problem-level audits stay
-    cheap; the returned ensemble / solution / law are then ``None``.
+    registered list); an empty selection, a name outside the experiment's
+    check table and ``n_paths`` below 2 are errors.  The forward simulation
+    and the backward solve only run when a selected check needs them, so
+    problem-level audits stay cheap; the ensemble / solution / law are None.
     """
     definition = get_experiment(name)
     if params is None:
@@ -1361,6 +1359,8 @@ def run_experiment(
     problem = definition.problem(params)
     grid = TimeGrid.auto(problem.beta, definition.default_steps) if grid is None else grid
     n_paths = definition.default_paths if n_paths is None else n_paths
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     basis = definition.basis if basis is None else basis
     run = ExperimentRun(definition, params, problem, grid, n_paths, seed, basis)
     reports: List[VerificationReport] = []

@@ -9,8 +9,8 @@ flagged, never silently.
 
 Noise is counter-based: increment block of path p is a pure function of
 (seed, path index), with the (step, component) layout fixed inside the block.
-Splitting a run into path chunks therefore reproduces the unsplit run
-bit-for-bit, which the scanning helpers rely on.
+:func:`simulate_forward` is the only place that draws it; ensembles that must
+share their Brownian motion pass the first ensemble's ``noise`` to the others.
 
 Per-step arrays (states, controls, noise increments, costates) have the
 logical shape (paths, steps, ...) but are stored time-major by
@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 Array = np.ndarray
 
 EXPLOSION_GUARD = 1e8
+MAX_EXPLODED_FRACTION = 0.01
 DISCOUNT_TAIL = 1e-4
 POSITIVITY_FLOOR = 1e-12
 SANDWICH_MARGIN = 1e-9
@@ -113,27 +114,29 @@ class NoiseBatch:
 
     ``increments[p, i, c]`` is the c-th component of the increment over step
     i for path p, distributed N(0, dt).  :meth:`generate` keys path p by
-    (seed, path_offset + p); given the key, position (i, c) inside the block
-    is fixed, so identical seeds give bit-identical batches and path chunks
-    generated separately agree with the full batch.  ``increments`` is stored
-    time-major (see :func:`time_major`).
+    (seed, p); given the key, position (i, c) inside the block is fixed, so
+    identical seeds give bit-identical batches and a larger batch extends a
+    smaller one.  ``increments`` is stored time-major (see :func:`time_major`).
     """
 
-    n_paths: int
-    n_steps: int
-    noise_dim: int
     dt: float
     increments: Array
 
+    @property
+    def n_paths(self) -> int:
+        return self.increments.shape[0]
+
+    @property
+    def n_steps(self) -> int:
+        return self.increments.shape[1]
+
+    @property
+    def noise_dim(self) -> int:
+        return self.increments.shape[2]
+
     @classmethod
     def generate(
-        cls,
-        seed: int,
-        n_paths: int,
-        n_steps: int,
-        noise_dim: int,
-        dt: float,
-        path_offset: int = 0,
+        cls, seed: int, n_paths: int, n_steps: int, noise_dim: int, dt: float
     ) -> "NoiseBatch":
         if n_paths < 1 or n_steps < 1 or noise_dim < 1:
             raise ValueError("n_paths, n_steps and noise_dim must be >= 1")
@@ -144,13 +147,13 @@ class NoiseBatch:
         # path into a small buffer and then copied over time-major
         block = np.empty((min(n_paths, NOISE_BLOCK), n_steps * noise_dim))
         # one generator, re-keyed per path: the same stream as a fresh
-        # Generator(Philox(key=[seed, path_offset + p])) for every path
-        gen = np.random.Generator(np.random.Philox(key=[seed, path_offset]))
+        # Generator(Philox(key=[seed, p])) for every path
+        gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
         fresh = gen.bit_generator.state
         for start in range(0, n_paths, NOISE_BLOCK):
             rows = block[: n_paths - start]
             for r, row in enumerate(rows):
-                fresh["state"]["key"][1] = path_offset + start + r
+                fresh["state"]["key"][1] = start + r
                 gen.bit_generator.state = fresh
                 gen.standard_normal(out=row)
             np.multiply(
@@ -158,23 +161,10 @@ class NoiseBatch:
                 math.sqrt(dt),
                 out=increments[start : start + len(rows)],
             )
-        return cls(
-            n_paths=n_paths,
-            n_steps=n_steps,
-            noise_dim=noise_dim,
-            dt=dt,
-            increments=increments,
-        )
+        return cls(dt=dt, increments=increments)
 
     def take_paths(self, index: Array) -> "NoiseBatch":
-        inc = _take_paths(self.increments, index)
-        return NoiseBatch(
-            n_paths=inc.shape[0],
-            n_steps=self.n_steps,
-            noise_dim=self.noise_dim,
-            dt=self.dt,
-            increments=inc,
-        )
+        return NoiseBatch(dt=self.dt, increments=_take_paths(self.increments, index))
 
 
 class ControlLaw:
@@ -330,8 +320,6 @@ def simulate_forward(
     seed: int,
     noise: NoiseBatch | None = None,
     x0=None,
-    path_offset: int = 0,
-    max_explosion_fraction: float = 0.01,
 ) -> PathEnsemble:
     """Simulate the controlled SDE over ``grid`` and record the ensemble.
 
@@ -339,11 +327,12 @@ def simulate_forward(
     On the half-line, states are clipped at ``POSITIVITY_FLOOR`` and flagged.
     Paths that leave ``EXPLOSION_GUARD`` or turn non-finite are frozen at
     their last finite value and flagged; the run errors out if more than
-    ``max_explosion_fraction`` of paths explode.
+    ``MAX_EXPLODED_FRACTION`` of paths explode.  Without ``noise`` the batch
+    is drawn from ``seed``.
     """
     n, d, k = problem.state_dim, problem.noise_dim, problem.control_dim
     if noise is None:
-        noise = NoiseBatch.generate(seed, n_paths, grid.steps, d, grid.dt, path_offset)
+        noise = NoiseBatch.generate(seed, n_paths, grid.steps, d, grid.dt)
     else:
         if noise.n_paths != n_paths or noise.n_steps != grid.steps or noise.noise_dim != d:
             raise ValueError("noise batch shape does not match the requested run")
@@ -408,7 +397,7 @@ def simulate_forward(
         states[:, i + 1, :] = x
 
     frac = float(exploded.mean())
-    if frac > max_explosion_fraction:
+    if frac > MAX_EXPLODED_FRACTION:
         raise SimulationError(
             f"{frac:.1%} of paths exploded (guard {EXPLOSION_GUARD:g}); "
             "refine the grid or check the problem scaling"
@@ -448,11 +437,10 @@ def apriori_gap_check(
     reported in details for reference (it can exceed the right side even in
     exact cases).
     """
-    noise = NoiseBatch.generate(seed, n_paths, grid.steps, problem.noise_dim, grid.dt)
-    ens_a = simulate_forward(problem, law, grid, n_paths, seed, noise=noise, x0=x0_a)
+    ens_a = simulate_forward(problem, law, grid, n_paths, seed, x0=x0_a)
     # replay realized controls so both flows see the same control process
     ens_b = simulate_forward(
-        problem, ens_a.open_loop(), grid, n_paths, seed, noise=noise, x0=x0_b
+        problem, ens_a.open_loop(), grid, n_paths, seed, noise=ens_a.noise, x0=x0_b
     )
 
     diff = ens_a.states - ens_b.states
@@ -512,13 +500,12 @@ def comparison_check(
     if problem.sandwich_controls is None:
         raise ValueError("problem declares no sandwich controls")
     lower_control, upper_control = problem.sandwich_controls
-    noise = NoiseBatch.generate(seed, n_paths, grid.steps, problem.noise_dim, grid.dt)
-    ens = simulate_forward(problem, law, grid, n_paths, seed, noise=noise)
+    ens = simulate_forward(problem, law, grid, n_paths, seed)
     ens_lo = simulate_forward(
-        problem, ConstantControl(lower_control), grid, n_paths, seed, noise=noise
+        problem, ConstantControl(lower_control), grid, n_paths, seed, noise=ens.noise
     )
     ens_hi = simulate_forward(
-        problem, ConstantControl(upper_control), grid, n_paths, seed, noise=noise
+        problem, ConstantControl(upper_control), grid, n_paths, seed, noise=ens.noise
     )
     below = ens.states[:, :, 0] < ens_lo.states[:, :, 0] - SANDWICH_MARGIN
     above = ens.states[:, :, 0] > ens_hi.states[:, :, 0] + SANDWICH_MARGIN
@@ -546,59 +533,22 @@ def positivity_check(ensemble: PathEnsemble) -> VerificationReport:
     positivity-preserving step stayed positive), paths clipped at the floor,
     and paths that hit the explosion guard.
     """
-    return _positivity_report(
-        int(ensemble.euler_crossed.sum()),
-        int(ensemble.floor_clipped.sum()),
-        int(ensemble.exploded.sum()),
-        ensemble.n_paths,
-        "paths with any nonpositive Euler candidate / floor clip / explosion",
-    )
-
-
-def positivity_scan(
-    problem: DiscountedProblem,
-    law: ControlLaw,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    chunk: int = 4000,
-) -> VerificationReport:
-    """Streaming positivity check for ensembles too large to hold in memory.
-
-    Identical counting to :func:`positivity_check` but simulates in path
-    chunks (reproducing the unchunked run exactly, thanks to the keyed noise)
-    and aggregates flags without storing trajectories.
-    """
-    crossings = clips = explosions = 0
-    done = 0
-    while done < n_paths:
-        size = min(chunk, n_paths - done)
-        ens = simulate_forward(
-            problem, law, grid, size, seed, path_offset=done, max_explosion_fraction=1.1
-        )
-        crossings += int(ens.euler_crossed.sum())
-        clips += int(ens.floor_clipped.sum())
-        explosions += int(ens.exploded.sum())
-        done += size
-    return _positivity_report(crossings, clips, explosions, n_paths, "streamed scan over path chunks")
-
-
-def _positivity_report(
-    crossings: int, clips: int, explosions: int, n_samples: int, notes: str
-) -> VerificationReport:
+    crossings = int(ensemble.euler_crossed.sum())
+    clips = int(ensemble.floor_clipped.sum())
+    explosions = int(ensemble.exploded.sum())
     status = PASS if crossings == 0 and clips == 0 and explosions == 0 else FAIL
     return VerificationReport(
         check="positivity",
         status=status,
         statistic=float(crossings + clips),
         tolerance=0.0,
-        n_samples=n_samples,
+        n_samples=ensemble.n_paths,
         details={
             "euler_crossings": crossings,
             "floor_clips": clips,
             "explosions": explosions,
         },
-        notes=notes,
+        notes="paths with any nonpositive Euler candidate / floor clip / explosion",
     )
 
 

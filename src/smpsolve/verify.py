@@ -126,8 +126,8 @@ def check_tvc(
 
     Tracks m(t) = E[e^{-beta t} <Y_t, X'_t - X_t>] on the shared grid.  The
     direct criterion holds when some tail node (the last 10% of nodes, at
-    least 2) satisfies m <= 3 SE (the limit inferior only needs a
-    subsequence).  When the tail is positive but
+    least 2 where the grid has them) satisfies m <= 3 SE (the limit inferior
+    only needs a subsequence).  When the tail is positive but
     provably transient, the fallback applies: strict discounting makes the
     weighted norms of state and costate finite, which forces m(t) -> 0 along
     a subsequence, so the condition is implied; the report then passes with
@@ -135,10 +135,15 @@ def check_tvc(
     A non-finite costate fails both routes through m(t) itself.
 
     The terminal node is excluded: Y vanishes there by the truncation's
-    terminal condition, which would satisfy the criterion vacuously.
+    terminal condition, which would satisfy the criterion vacuously.  So is
+    node 0, where both ensembles start at x0; a grid with no node in between
+    is inconclusive.
     """
     if competitor.n_paths != ensemble.n_paths or competitor.grid.steps != ensemble.grid.steps:
         raise ValueError("competitor must share the candidate's paths and grid")
+    if ensemble.grid.steps < 2:
+        notes = "no grid node between the start and the horizon"
+        return VerificationReport(check="transversality", status=INCONCLUSIVE, notes=notes)
     times = ensemble.grid.times()[:-1]
     weighted = np.einsum(
         "pin,pin->pi",
@@ -149,7 +154,7 @@ def check_tvc(
     m = weighted.mean(axis=0)
     se = weighted.std(axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
 
-    n_tail = max(2, int(math.ceil(0.1 * m.size)))
+    n_tail = min(m.size - 1, max(2, int(math.ceil(0.1 * m.size))))
     tail = slice(m.size - n_tail, m.size)
     score = m[tail] - 3.0 * se[tail]
     direct = bool((score <= 0.0).any())
@@ -164,7 +169,7 @@ def check_tvc(
 
     decay_rate = None
     tail_m = m[tail]
-    if (tail_m > 0).all():
+    if n_tail >= 2 and (tail_m > 0).all():
         fit = np.polyfit(times[tail], np.log(tail_m), 1)
         decay_rate = float(fit[0])
         details["tail_decay_rate"] = decay_rate

@@ -103,6 +103,8 @@ class TestExitCodes:
             ("--set", "run.paths=[2]"),
             ("--set", "run.basis_degree=[4]"),
             ("--set", "run.checks=5"),
+            ("--paths", "1"),
+            ("--paths", "0"),
         ],
     )
     def test_bad_grid_or_basis_exits_one(self, bad, tmp_path, capsys):

@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 from smpsolve import (
+    ConstantControl,
+    NoiseBatch,
     TimeGrid,
     VerificationReport,
+    apriori_gap_check,
+    comparison_check,
     experiments,
     get_experiment,
     list_experiments,
@@ -24,8 +28,11 @@ from smpsolve.experiments import (
     LogisticParams,
     ProductionPlanningParams,
     certified_consumption_threshold,
+    consumption_optimal_law,
+    consumption_problem,
     consumption_truncated_costate,
     logistic_region_constants,
+    production_problem,
     production_riccati_constants,
     production_sigma_zero_cost,
     production_value,
@@ -271,6 +278,14 @@ class TestRunExperiment:
         assert 0.0 < report.statistic <= report.tolerance
         assert {"bound", "argmax_node"} <= set(report.details)
 
+    @pytest.mark.parametrize("name", ["consumption", "production", "logistic"])
+    def test_one_step_grid_leaves_martingale_and_tvc_inconclusive(self, name):
+        # martingale skips the final step and tvc the start and terminal nodes
+        result = run_experiment(
+            name, grid=TimeGrid(4.0, 1), n_paths=300, checks=["martingale", "tvc"]
+        )
+        assert [r.status for r in result.reports] == ["inconclusive", "inconclusive"]
+
     def test_to_dict_is_json_ready(self):
         import json
 
@@ -333,3 +348,40 @@ class TestSharedWork:
         _, _, seen = self._watch(monkeypatch, name, checks)
         # the candidate and the ensemble being costed: the tvc rival is costed first and dropped
         assert max(seen) <= 2
+
+
+SMALL_GRID = TimeGrid(horizon=2.0, steps=20)
+_SHARED_NOISE_GROUPS = {
+    "comparison_check": lambda: comparison_check(
+        consumption_problem(ConsumptionParams()), consumption_optimal_law(ConsumptionParams()),
+        SMALL_GRID, n_paths=200, seed=1,
+    ),
+    "apriori_gap_check": lambda: apriori_gap_check(
+        production_problem(ProductionPlanningParams()), ConstantControl([1.5]), SMALL_GRID,
+        [1.0], [3.0], n_paths=200, seed=1,
+    ),
+    "logistic_picard_solve": lambda: logistic_picard_solve(
+        LogisticParams(), SMALL_GRID, n_paths=300, seed=1
+    ),
+    **{
+        f"run_experiment-{name}": (lambda name=name: run_experiment(
+            name, grid=TimeGrid(horizon=8.0, steps=80), n_paths=500, checks=["tvc", "costs"]
+        ))
+        for name in ("consumption", "production", "logistic")
+    },
+}
+
+
+@pytest.mark.parametrize("group", list(_SHARED_NOISE_GROUPS))
+def test_noise_is_drawn_once_per_shared_noise_group(monkeypatch, group):
+    # a redraw gives the identical batch, so only a count of the draws can see it
+    draws = []
+    generate = NoiseBatch.generate
+
+    def spy(cls, *args, **kwargs):
+        draws.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(NoiseBatch, "generate", classmethod(spy))
+    _SHARED_NOISE_GROUPS[group]()
+    assert len(draws) == 1

@@ -163,6 +163,16 @@ class TestTransversality:
             tracemalloc.stop()
         assert peak <= 2.5 * n_paths * steps * 8
 
+    def test_start_node_is_not_in_the_tail(self):
+        # both ensembles start at x0, so m(0) = 0 would pass vacuously
+        params, problem, grid, ens, sol = self._setup(n_paths=200, horizon=2.0, steps=2)
+        rival = simulate_forward(
+            problem, ConstantControl([params.cap]), grid, 200, seed=4, noise=ens.noise
+        )
+        report = check_tvc(problem, ens, sol, rival)
+        assert report.details["tail_nodes"] == 1
+        assert report.details["best_node"] == 1
+
     def test_grid_mismatch_rejected(self):
         params, problem, grid, ens, sol = self._setup(n_paths=100, horizon=2.0, steps=20)
         other = simulate_forward(
