@@ -349,34 +349,43 @@ def simulate_forward(
     states = time_major(n_paths, grid.steps + 1, n)
     controls = time_major(n_paths, grid.steps, k)
     states[:, 0, :] = x
+    x = states[:, 0]
     crossed = np.zeros(n_paths, dtype=bool)
     clipped = np.zeros(n_paths, dtype=bool)
     exploded = np.zeros(n_paths, dtype=bool)
 
     coeff = problem.coefficients
+    lower, upper = problem.domain.lower, problem.domain.upper
     mult = problem.multiplicative if positive else None
+    # on the multiplicative branch the Euler candidate only feeds the crossing
+    # flag, so it lives in one reused buffer; otherwise it is the new state
+    euler_buf = np.empty((n_paths, n)) if mult is not None else None
 
     for i in range(grid.steps):
-        t = times[i]
-        u = np.asarray(law.control_at(t, x), dtype=float)
-        u = problem.domain.clip(u)
-        controls[:, i, :] = u
+        u = controls[:, i]
+        np.clip(law.control_at(times[i], x), lower, upper, out=u)
         dW = noise.increments[:, i, :]
+        x_new = states[:, i + 1]
 
         b = np.asarray(coeff.drift(x, u), dtype=float)
         sig = np.asarray(coeff.diffusion(x, u), dtype=float)
-        euler = x + b * dt + np.einsum("pic,pc->pi", sig, dW)
+        euler = x_new if mult is None else euler_buf
+        np.multiply(b, dt, out=euler)
+        euler += x
+        euler += np.einsum("pic,pc->pi", sig, dW)
 
         if mult is not None:
+            core = x_new[:, 0]
             rate = np.asarray(mult.linear_rate(u), dtype=float).reshape(n_paths)
             vol = mult.volatility
-            core = x[:, 0] * np.exp((rate - 0.5 * vol * vol) * dt + vol * dW[:, 0])
+            np.subtract(rate, 0.5 * vol * vol, out=core)
+            core *= dt
+            core += vol * dW[:, 0]
+            np.exp(core, out=core)
+            core *= x[:, 0]
             if mult.residual is not None:
                 res = np.asarray(mult.residual(x, u), dtype=float).reshape(n_paths)
-                core = core + res * dt
-            x_new = core[:, None]
-        else:
-            x_new = euler
+                core += res * dt
         if positive:
             crossed |= euler[:, 0] <= 0.0
             low = x_new[:, 0] <= POSITIVITY_FLOOR
@@ -384,17 +393,11 @@ def simulate_forward(
                 clipped |= low
                 x_new[low, 0] = POSITIVITY_FLOOR
 
-        bad = ~np.isfinite(x_new).all(axis=1) | (
-            np.abs(x_new).max(axis=1) > EXPLOSION_GUARD
-        )
-        newly = bad & ~exploded
-        if newly.any():
-            exploded |= newly
+        # NaN and inf fail the comparison too
+        exploded |= ~(np.abs(x_new).max(axis=1) <= EXPLOSION_GUARD)
         if exploded.any():
             x_new[exploded] = x[exploded]
-
         x = x_new
-        states[:, i + 1, :] = x
 
     frac = float(exploded.mean())
     if frac > MAX_EXPLODED_FRACTION:

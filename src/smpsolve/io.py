@@ -99,25 +99,26 @@ def write_curves_csv(path, curves: Dict[str, Array]) -> None:
 
 def write_paths_csv(path, ensemble: PathEnsemble, max_paths: int = 100) -> None:
     """Long-format trajectory dump of the first ``max_paths`` paths."""
-    times = ensemble.grid.times()
     P = min(ensemble.n_paths, max_paths)
     n = ensemble.state_dim
     k = ensemble.controls.shape[2]
     header = ["path", "step", "time"]
     header += [f"x{j}" for j in range(n)]
     header += [f"u{j}" for j in range(k)]
+    # csv writes a float as its repr, so rows of Python floats keep every digit
+    times = ensemble.grid.times().tolist()
+    states = ensemble.states[:P].tolist()
+    controls = ensemble.controls[:P].tolist()
+    # the terminal node has no control
+    blank = [""] * k
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for p in range(P):
-            for i in range(times.shape[0]):
-                row = [p, i, repr(float(times[i]))]
-                row += [repr(float(v)) for v in ensemble.states[p, i]]
-                if i < ensemble.controls.shape[1]:
-                    row += [repr(float(v)) for v in ensemble.controls[p, i]]
-                else:
-                    row += [""] * k
-                writer.writerow(row)
+            writer.writerows(
+                [p, i, t, *x, *u]
+                for i, (t, x, u) in enumerate(zip(times, states[p], controls[p] + [blank]))
+            )
 
 
 def write_reports_csv(path, reports: List[VerificationReport]) -> None:

@@ -29,7 +29,12 @@ from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
 Array = np.ndarray
 
 COST_SE_SLACK = 2.0
+# a competitor whose cost difference has an SE at most this fraction of the
+# candidate's mean absolute cost differs from it deterministically
+DETERMINISTIC_SE = 1e-12
 GRADIENT_TOL = 1e-6
+# (path, step) nodes per running-cost evaluation in :func:`path_costs`
+PATH_COST_BLOCK = 1 << 16
 
 
 def path_costs(problem: DiscountedProblem, ensemble: PathEnsemble) -> Array:
@@ -37,12 +42,20 @@ def path_costs(problem: DiscountedProblem, ensemble: PathEnsemble) -> Array:
 
     The step nodes pair with the control table's steps, and the terminal node
     reuses the last step's control; both terms contract the running cost
-    against :meth:`TimeGrid.discounted_weights`.
+    against :meth:`TimeGrid.discounted_weights`.  The step nodes are costed
+    in blocks of about ``PATH_COST_BLOCK`` nodes (whole steps, at least one),
+    so the running cost must be elementwise over the (path, step) axes.
     """
     x, u = ensemble.states, ensemble.controls
     w = ensemble.grid.discounted_weights(problem.beta)
     cost = problem.coefficients.running_cost
-    return cost(x[:, :-1], u) @ w[:-1] + cost(x[:, -1], u[:, -1]) * w[-1]
+    n_paths, steps = u.shape[:2]
+    block = -(-PATH_COST_BLOCK // n_paths)
+    total = cost(x[:, -1], u[:, -1]) * w[-1]
+    for s in range(0, steps, block):
+        e = min(s + block, steps)
+        total += cost(x[:, s:e], u[:, s:e]) @ w[s:e]
+    return total
 
 
 def check_pointwise_max(
@@ -209,19 +222,31 @@ def cost_dominance(
     low-variance.  A competitor is dominated when
     mean(J_candidate - J_competitor) >= -2 SE(diff) (``COST_SE_SLACK``);
     the check passes when every competitor is dominated, and is inconclusive
-    when there is none to compare against.
+    when there is none to compare against.  A difference whose SE is at most
+    ``DETERMINISTIC_SE`` times the candidate's mean absolute cost is roundoff
+    around a deterministic value: its SE is reported as 0 and the verdict is
+    the sign of the mean.
     """
     rows = {}
     all_ok = True
     worst = math.inf
+    roundoff = DETERMINISTIC_SE * float(np.abs(candidate_costs).mean())
     for name, j in competitor_costs.items():
         if j.shape != candidate_costs.shape:
             raise ValueError(f"competitor {name!r} has a different path count")
         d = candidate_costs - j
         se = float(d.std(ddof=1) / math.sqrt(d.size)) if d.size > 1 else 0.0
+        deterministic = se <= roundoff
+        if deterministic:
+            se = 0.0
         mean = float(d.mean())
         ok = mean >= -COST_SE_SLACK * se
-        rows[name] = {"mean_gain": mean, "standard_error": se, "dominated": ok}
+        rows[name] = {
+            "mean_gain": mean,
+            "standard_error": se,
+            "deterministic": deterministic,
+            "dominated": ok,
+        }
         all_ok = all_ok and ok
         worst = min(worst, mean + COST_SE_SLACK * se)
     return VerificationReport(

@@ -255,6 +255,46 @@ class TestSimulateForward:
         frozen = ens.states[37, :, 0]
         assert frozen[-1] == frozen[-2] <= EXPLOSION_GUARD
 
+    def test_non_finite_drift_freezes_at_last_finite_state(self):
+        # unit drift, except NaN above 100.45 and +inf in (-99.55, -50)
+        def drift(x, u):
+            b = np.ones_like(x)
+            b[x > 100.45] = np.nan
+            b[(x > -99.55) & (x < -50.0)] = np.inf
+            return b
+
+        coeffs = CoefficientField(
+            state_dim=1,
+            noise_dim=1,
+            control_dim=1,
+            drift=drift,
+            diffusion=lambda x, u: np.zeros(x.shape[:-1] + (1, 1)),
+            running_cost=lambda x, u: np.zeros(x.shape[:-1]),
+            grad_drift=lambda x, u: np.zeros(x.shape[:-1] + (1, 1)),
+            grad_cost=lambda x, u: np.zeros_like(x),
+        )
+        problem = DiscountedProblem(
+            coefficients=coeffs,
+            domain=ControlDomain([0.0], [1.0]),
+            beta=1.0,
+            constants=AssumptionConstants(0.0, 0.0, 0.0, 0.0),
+            x0=np.array([0.0]),
+        )
+        grid = TimeGrid(horizon=1.0, steps=10)
+        # 2 of 200 paths explode, the 1% limit
+        x0 = np.zeros((200, 1))
+        x0[50], x0[150] = 100.0, -100.0
+        ens = simulate_forward(problem, ConstantControl([0.0]), grid, 200, seed=0, x0=x0)
+        assert np.flatnonzero(ens.exploded).tolist() == [50, 150]
+        assert np.isfinite(ens.states).all()
+        for p, sign in ((50, 1.0), (150, -1.0)):
+            path = ens.states[p, :, 0]
+            # five unit-drift steps of 0.1, then the next candidate is NaN or +inf
+            assert np.all(np.diff(path[:6]) > 0.0)
+            np.testing.assert_allclose(path[5], sign * 100.0 + 0.5)
+            assert (path[5:] == path[5]).all()
+        np.testing.assert_allclose(ens.states[0, :, 0], grid.times())
+
     def test_noise_shape_mismatch_rejected(self):
         problem = production_problem(ProductionPlanningParams())
         grid = TimeGrid(horizon=1.0, steps=10)

@@ -1,5 +1,6 @@
 """Artifact formats: binary arrays, CSV tables, results JSON."""
 import csv
+import io
 import json
 
 import numpy as np
@@ -125,6 +126,27 @@ class TestEnsembleDump:
         # terminal node has no control entry
         assert rows[5][4] == ""
         assert float(rows[1][3]) == ens.states[0, 0, 0]
+
+    @pytest.mark.parametrize("max_paths", [3, 100])
+    def test_paths_csv_matches_element_wise_rows(self, tmp_path, max_paths):
+        # reference: one repr per cell, the terminal node padded with blanks
+        ens, _ = _small_run(n_paths=7, steps=4)
+        f = tmp_path / "paths.csv"
+        write_paths_csv(f, ens, max_paths=max_paths)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["path", "step", "time", "x0", "u0"])
+        times = ens.grid.times()
+        for p in range(min(7, max_paths)):
+            for i in range(times.shape[0]):
+                row = [p, i, repr(float(times[i]))]
+                row += [repr(float(v)) for v in ens.states[p, i]]
+                if i < ens.controls.shape[1]:
+                    row += [repr(float(v)) for v in ens.controls[p, i]]
+                else:
+                    row += [""]
+                writer.writerow(row)
+        assert f.read_bytes() == buf.getvalue().encode()
 
 
 class TestCsvTables:

@@ -63,8 +63,15 @@ class TestPathCosts:
         assert est.n_paths == 300
         assert est.label == "candidate"
 
+    # 70,000 paths make every block a single step; the 1-path grid is one block
     @pytest.mark.parametrize(
-        "name,steps,n_paths", [("production", 400, 500), ("consumption", 200, 500), ("sigma_zero", 20_000, 1)]
+        "name,steps,n_paths",
+        [
+            ("production", 400, 500),
+            ("consumption", 200, 500),
+            ("sigma_zero", 20_000, 1),
+            ("production", 5, 70_000),
+        ],
     )
     def test_matches_the_trapezoid_over_a_full_control_table(self, name, steps, n_paths):
         if name == "consumption":
@@ -80,6 +87,21 @@ class TestPathCosts:
         f = problem.coefficients.running_cost(ens.states, u_full)
         want = np.trapezoid(f * np.exp(-problem.beta * t), t, axis=-1)
         np.testing.assert_allclose(path_costs(problem, ens), want, rtol=1e-12)
+
+    def test_path_costs_peak_memory_is_block_sized(self):
+        # the running cost is evaluated on step blocks, never on the whole (P, N) table
+        n_paths, steps = 4000, 400
+        params = ProductionPlanningParams()
+        problem = production_problem(params)
+        grid = TimeGrid.auto(problem.beta, steps)
+        ens = simulate_forward(problem, production_optimal_law(params), grid, n_paths, seed=3)
+        tracemalloc.start()
+        try:
+            path_costs(problem, ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * n_paths * steps * 8
 
 
 class TestPointwiseMax:
@@ -221,6 +243,38 @@ class TestCostComparison:
         rival = simulate_forward(problem, consumption_optimal_law(params), grid, 40, seed=0)
         with pytest.raises(ValueError):
             cost_dominance(path_costs(problem, cand), {"short": path_costs(problem, rival)})
+
+    def test_constant_rate_competitors_are_deterministic(self):
+        # log-wealth differences between constant-rate consumers do not depend
+        # on the noise, so only roundoff is left of their per-path spread
+        params = ConsumptionParams()
+        problem = consumption_problem(params)
+        grid = TimeGrid(horizon=8.0, steps=160)
+        cand = simulate_forward(problem, consumption_optimal_law(params), grid, 2000, seed=5)
+        competitors = consumption_competitors(params)
+        costs = {
+            name: path_costs(problem, simulate_forward(problem, law, grid, 2000, seed=5, noise=cand.noise))
+            for name, law in competitors.items()
+        }
+        rows = cost_dominance(path_costs(problem, cand), costs).details["competitors"]
+        deterministic = {name for name, row in rows.items() if row["deterministic"]}
+        assert {name for name in competitors if name.startswith("constant_")} <= deterministic
+        assert "proportional_state" not in deterministic
+        for name, row in rows.items():
+            assert (row["standard_error"] == 0.0) == (name in deterministic)
+        assert rows["proportional_state"]["standard_error"] > 1e-6
+
+    def test_deterministic_loss_fails_on_its_sign(self):
+        # a constant per-path gap of -1e-9 is below any multiple of its roundoff SE
+        rng = np.random.default_rng(0)
+        cand = rng.normal(-1.0, 0.1, 500)
+        report = cost_dominance(cand, {"better": cand + 1e-9, "same": cand.copy()})
+        rows = report.details["competitors"]
+        assert rows["better"]["deterministic"] and rows["same"]["deterministic"]
+        assert rows["better"]["standard_error"] == 0.0
+        assert not rows["better"]["dominated"]
+        assert rows["same"]["dominated"]
+        assert report.status == "fail"
 
     def test_no_competitors_is_inconclusive(self):
         report = cost_dominance(np.zeros(5), {})
