@@ -24,7 +24,6 @@ from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .forward import PathEnsemble, TimeGrid, time_major
 from .problems import DiscountedProblem, grad_x_hamiltonian
@@ -139,8 +138,10 @@ def _least_squares(design: Array, valid: Array | None):
     cond = math.sqrt(np.linalg.cond(gram))
     ridged = False
     if cond <= math.sqrt(COND_LIMIT):
-        factor = cho_factor(gram, check_finite=False)
-        q, solve = a, partial(cho_solve, factor, check_finite=False)
+        # G^{-1} b = L^{-T} (L^{-1} b) for G = L L'; the product L^{-T} L^{-1}
+        # formed once would lose digits to cancellation on the Gram's scale
+        l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+        q, solve = a, lambda b: l_inv.T @ (l_inv @ b)
     else:
         q, r = np.linalg.qr(a)
         sv = np.linalg.svd(r, compute_uv=False)

@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Callable, Dict, List, Mapping
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .bsde import (
     BsdeSolution,
@@ -358,60 +357,93 @@ def production_riccati_constants(params: ProductionPlanningParams):
     return phi, psi, offset
 
 
-@dataclass
-class RiccatiOracle:
-    """Backward Riccati integration and its agreement with the stationary limit."""
+# RK4 substeps per unit of k s, k the decay rate of phi's transient and the
+# fastest rate in either Riccati equation
+RICCATI_SUBSTEPS_PER_RATE = 100
 
-    phi_agreement: float
-    psi_agreement: float
-    stationary_residual: float
-    solution: object
+
+@dataclass(frozen=True)
+class RiccatiOracle:
+    """The finite-horizon Riccati pair in time-to-go s, from zero data.
+
+    phi' = phi^2/(2c) - beta phi - 2h has roots r1 = phi_inf <= 0 < r2, and
+    w = (phi - r1)/(phi - r2) solves w' = -k w with k = (r2 - r1)/(2c), so
+
+        phi(s) = r1 - r1 E (r2 - r1) / (r2 - r1 E),   E = e^{-k s}.
+
+    psi' = -beta psi + phi psi/(2c) + (u1 - eta) phi + 2 h x1 is linear and
+    is integrated by RK4 from psi(0) = 0, in substeps of at most
+    1/(RICCATI_SUBSTEPS_PER_RATE k) that end exactly on every requested s.
+    The agreements are the gaps to the algebraic constants at s = 40/beta,
+    far past the settling time.
+    """
+
+    params: ProductionPlanningParams
 
     def phi_at(self, s):
-        return self.solution.sol(np.asarray(s))[0]
+        r1, r2, k = _riccati_roots(self.params)
+        e = np.exp(-k * np.asarray(s, dtype=float))
+        return r1 - r1 * e * (r2 - r1) / (r2 - r1 * e)
 
     def psi_at(self, s):
-        return self.solution.sol(np.asarray(s))[1]
+        s = np.asarray(s, dtype=float)
+        p = self.params
+        nodes, where = np.unique(s, return_inverse=True)
+        knots = np.concatenate(([0.0], nodes))
+        gaps = np.diff(knots)
+        k = _riccati_roots(p)[2]
+        counts = np.maximum(np.ceil(np.abs(gaps) * k * RICCATI_SUBSTEPS_PER_RATE), 1).astype(int)
+        last = np.cumsum(counts) - 1
+        h = np.repeat(gaps / counts, counts)
+        # substep j of gap i starts at knots[i] + j h_i
+        j = np.arange(last[-1] + 1) - np.repeat(last + 1 - counts, counts)
+        start = np.repeat(knots[:-1], counts) + j * h
+        phis = [self.phi_at(t) for t in (start, start + 0.5 * h, start + h)]
+        a0, am, a1 = (phi / (2.0 * p.c) - p.beta for phi in phis)
+        b0, bm, b1 = ((p.u1 - p.eta) * phi + 2.0 * p.h * p.x1 for phi in phis)
+
+        def rk4(y, w):
+            # one substep of y' = a y + b w from y, for every substep at once
+            k1 = a0 * y + b0 * w
+            k2 = am * (y + 0.5 * h * k1) + bm * w
+            k3 = am * (y + 0.5 * h * k2) + bm * w
+            k4 = a1 * (y + h * k3) + b1 * w
+            return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        # a substep is affine in psi: psi_next = gain psi + shift
+        psi, path = 0.0, []
+        for gain, shift in zip(rk4(1.0, 0.0).tolist(), rk4(0.0, 1.0).tolist()):
+            psi = gain * psi + shift
+            path.append(psi)
+        return np.array(path)[last][where].reshape(s.shape)
+
+    @property
+    def phi_agreement(self) -> float:
+        phi_inf = production_riccati_constants(self.params)[0]
+        return abs(float(self.phi_at(40.0 / self.params.beta)) - phi_inf)
+
+    @cached_property
+    def psi_agreement(self) -> float:
+        psi_inf = production_riccati_constants(self.params)[1]
+        return abs(float(self.psi_at(40.0 / self.params.beta)) - psi_inf)
+
+    @property
+    def stationary_residual(self) -> float:
+        c, h, beta = self.params.c, self.params.h, self.params.beta
+        phi = production_riccati_constants(self.params)[0]
+        return abs(phi * phi - 2.0 * c * beta * phi - 4.0 * c * h)
+
+
+def _riccati_roots(params: ProductionPlanningParams):
+    """Roots r1 <= 0 < r2 of r^2/(2c) - beta r - 2h and the rate k = (r2 - r1)/(2c)."""
+    c, h, beta = params.c, params.h, params.beta
+    root = math.sqrt(c * c * beta * beta + 4.0 * c * h)
+    return c * beta - root, c * beta + root, root / c
 
 
 def riccati_oracle(params: ProductionPlanningParams) -> RiccatiOracle:
-    """Integrate the finite-horizon Riccati pair backward from zero data.
-
-    In time-to-go s the pair solves
-
-        phi' = phi^2/(2c) - beta phi - 2h,          phi(0) = 0,
-        psi' = -beta psi + phi psi/(2c) + (u1 - eta) phi + 2 h x1,  psi(0) = 0,
-
-    and converges to the algebraic constants as s grows.  It is integrated
-    over s in [0, 40 / beta], far past the settling time.
-    """
-    c, h, beta = params.c, params.h, params.beta
-
-    def rhs(s, v):
-        phi, psi = v
-        dphi = phi * phi / (2.0 * c) - beta * phi - 2.0 * h
-        dpsi = (
-            -beta * psi
-            + phi * psi / (2.0 * c)
-            + (params.u1 - params.eta) * phi
-            + 2.0 * h * params.x1
-        )
-        return (dphi, dpsi)
-
-    sol = solve_ivp(
-        rhs, (0.0, 40.0 / beta), (0.0, 0.0), dense_output=True, rtol=1e-10, atol=1e-12
-    )
-    if not sol.success:
-        raise RuntimeError(f"riccati integration failed: {sol.message}")
-    phi, psi, _ = production_riccati_constants(params)
-    phi_end, psi_end = sol.y[0, -1], sol.y[1, -1]
-    residual = abs(phi * phi - 2.0 * c * beta * phi - 4.0 * c * h)
-    return RiccatiOracle(
-        phi_agreement=abs(phi_end - phi),
-        psi_agreement=abs(psi_end - psi),
-        stationary_residual=residual,
-        solution=sol,
-    )
+    """The finite-horizon Riccati pair and its agreement with the stationary limit."""
+    return RiccatiOracle(params)
 
 
 def production_value(params: ProductionPlanningParams, x) -> Array:

@@ -28,15 +28,22 @@ KIND_CONTROLS = 2
 KIND_COSTATE = 3
 KIND_Z = 4
 
+WRITE_BLOCK_BYTES = 1 << 20
+
 
 def write_array(path, arr: Array, kind: int = KIND_GENERIC) -> None:
-    # asarray keeps a 0-d shape; tobytes() writes C order whatever the layout
+    # asarray keeps a 0-d shape.  The payload is C order whatever the layout:
+    # a C-contiguous array is written as it is, any other a block of leading
+    # rows at a time, so a time-major array is never copied whole.
     arr = np.asarray(arr, dtype="<f8")
     header = np.array([FORMAT_VERSION, kind, arr.ndim, *arr.shape], dtype="<u4")
+    rows = np.atleast_1d(arr)
+    block = max(1, WRITE_BLOCK_BYTES * len(rows) // max(rows.nbytes, 1))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header.tobytes())
-        fh.write(arr.tobytes())
+        for start in range(0, len(rows), block):
+            fh.write(np.ascontiguousarray(rows[start:start + block]).data)
 
 
 def read_array(path):

@@ -2,12 +2,16 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import smpsolve
 from smpsolve.cli import _build_parser, main
 from smpsolve.experiments import _GENERIC_CHECKS, list_experiments
 
@@ -22,6 +26,15 @@ def _strip_metadata(path):
 
 def _run(*argv):
     return main(list(argv))
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy would add most of the start-up time
+    probe = "import sys, smpsolve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(smpsolve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 class TestList:

@@ -137,6 +137,33 @@ class TestAddingAnExperiment:
         assert statuses == {"assumptions": "pass", "steady_state": "pass"}
 
 
+def _riccati_rk4(params, s, substeps_per_rate):
+    """Plain RK4 on the (phi, psi) pair from zero, in time-to-go order,
+    with ceil(gap * rate * substeps_per_rate) substeps between the points s."""
+    c, h, beta = params.c, params.h, params.beta
+    drift, pull = params.u1 - params.eta, 2.0 * h * params.x1
+    rate = math.sqrt(c * c * beta * beta + 4.0 * c * h) / c
+
+    def rhs(phi, psi):
+        dphi = phi * phi / (2.0 * c) - beta * phi - 2.0 * h
+        return dphi, -beta * psi + phi * psi / (2.0 * c) + drift * phi + pull
+
+    out = np.empty((len(s), 2))
+    phi = psi = at = 0.0
+    for j in np.argsort(s):
+        n = max(1, math.ceil(abs(s[j] - at) * rate * substeps_per_rate))
+        dt = (s[j] - at) / n
+        for _ in range(n):
+            k1 = rhs(phi, psi)
+            k2 = rhs(phi + 0.5 * dt * k1[0], psi + 0.5 * dt * k1[1])
+            k3 = rhs(phi + 0.5 * dt * k2[0], psi + 0.5 * dt * k2[1])
+            k4 = rhs(phi + dt * k3[0], psi + dt * k3[1])
+            phi += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            psi += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        out[j], at = (phi, psi), s[j]
+    return out
+
+
 class TestRiccatiOracle:
     def test_frozen_symmetric_constants(self):
         # c = h = beta = 1, u1 = eta, x1 = 1: the quadratic has exact
@@ -160,6 +187,23 @@ class TestRiccatiOracle:
         # time-to-go zero carries the terminal data
         assert float(oracle.phi_at(0.0)) == 0.0
         assert float(oracle.psi_at(0.0)) == 0.0
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, dict(c=0.1, h=2.0, beta=0.2), dict(c=3.0, h=0.1, beta=1.5)],
+        ids=["default", "stiff", "flat"],
+    )
+    def test_pair_matches_a_finer_rk4_at_the_grid_nodes(self, kw):
+        params = ProductionPlanningParams(**kw)
+        oracle = riccati_oracle(params)
+        grid = TimeGrid.auto(params.beta, 400)
+        s = grid.horizon - grid.times()
+        reference = _riccati_rk4(params, s, 10 * experiments.RICCATI_SUBSTEPS_PER_RATE)
+        assert np.abs(oracle.phi_at(s) - reference[:, 0]).max() <= 1e-9
+        assert np.abs(oracle.psi_at(s) - reference[:, 1]).max() <= 1e-9
+        assert float(oracle.phi_at(0.0)) == float(oracle.psi_at(0.0)) == 0.0
+        assert oracle.phi_agreement <= 1e-6
+        assert oracle.psi_agreement <= 1e-6
 
     def test_value_at_default_start(self):
         assert float(production_value(ProductionPlanningParams(), 1.0)) == pytest.approx(-0.75)

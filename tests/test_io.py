@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from smpsolve.experiments import (
     consumption_optimal_law,
     consumption_problem,
 )
+from smpsolve.forward import time_major
 from smpsolve.io import (
     FORMAT_VERSION,
     KIND_CONTROLS,
@@ -115,6 +117,19 @@ class TestEnsembleDump:
         assert states.read_bytes() == (tmp_path / "ref.smp").read_bytes()
         write_array(tmp_path / "ref.smp", np.ascontiguousarray(ens.controls), KIND_CONTROLS)
         assert controls.read_bytes() == (tmp_path / "ref.smp").read_bytes()
+
+    def test_time_major_dump_copies_one_block_at_a_time(self, tmp_path):
+        states = time_major(2000, 401, 1)
+        states[...] = np.random.default_rng(0).standard_normal(states.shape)
+        tracemalloc.start()
+        try:
+            write_array(tmp_path / "states.smp", states, KIND_STATES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * states.nbytes
+        write_array(tmp_path / "ref.smp", np.ascontiguousarray(states), KIND_STATES)
+        assert (tmp_path / "states.smp").read_bytes() == (tmp_path / "ref.smp").read_bytes()
 
     def test_paths_csv_shape(self, tmp_path):
         ens, _ = _small_run(n_paths=7, steps=4)
