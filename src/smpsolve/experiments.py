@@ -65,11 +65,13 @@ from .problems import (
 )
 from .reports import FAIL, INCONCLUSIVE, PASS, CostEstimate, VerificationReport
 from .verify import (
+    PathCostSum,
     check_identities,
     check_pointwise_max,
     check_tvc,
     cost_dominance,
     path_costs,
+    stream_competitor,
 )
 
 Array = np.ndarray
@@ -890,8 +892,8 @@ class ClosedFormCandidate:
     """A candidate given by a known law; its paths and costate are computed on first use."""
 
     def __init__(self, run: "ExperimentRun", law: ControlLaw) -> None:
-        # no reference to the run: a cycle would keep the run, and a tvc rival
-        # that no costs check dropped, alive past the run
+        # no reference to the run: a cycle would keep the run and its
+        # candidate's paths alive past the run
         self.law = law
         self.problem, self.grid, self.basis = run.problem, run.grid, run.basis
         self.n_paths, self.seed = run.n_paths, run.seed
@@ -909,10 +911,13 @@ class ClosedFormCandidate:
 class ExperimentRun:
     """One run of an experiment, passed to the callables of its definition.
 
-    ``candidate`` and ``tvc_rival`` are computed on first use and shared by
-    every check; the ``costs`` check drops ``tvc_rival`` once it has costed
-    it.  Entries added to ``scalars``, ``curves`` and ``costs`` end up in
-    the :class:`ExperimentResult`.
+    ``candidate`` is computed on first use and shared by every check.
+    Competitors are never stored: ``tvc`` and ``costs`` step each one through
+    a window on the candidate's noise (:func:`stream_competitor`), and
+    ``competitor_costs`` keeps the per-path costs of those already stepped,
+    so the tvc competitor is stepped once when both checks run.  Entries
+    added to ``scalars``, ``curves`` and ``costs`` end up in the
+    :class:`ExperimentResult`.
     """
 
     definition: "ExperimentDefinition"
@@ -925,22 +930,12 @@ class ExperimentRun:
     scalars: Dict[str, float] = field(default_factory=dict)
     curves: Dict[str, Array] = field(default_factory=dict)
     costs: Dict[str, CostEstimate] = field(default_factory=dict)
+    competitor_costs: Dict[str, Array] = field(default_factory=dict)
 
     @cached_property
     def candidate(self):
         """The policy under audit: an object with ``law``, ``ensemble`` and ``solution``."""
         return self.definition.candidate(self)
-
-    @cached_property
-    def tvc_rival(self) -> PathEnsemble:
-        """The ``tvc_competitor`` law, simulated like every competitor."""
-        law = self.definition.competitors(self.params)[self.definition.tvc_competitor]
-        return self.simulate_competitor(law)
-
-    def simulate_competitor(self, law: ControlLaw) -> PathEnsemble:
-        """``law`` simulated on the candidate's noise (common random numbers)."""
-        noise = self.candidate.ensemble.noise
-        return simulate_forward(self.problem, law, self.grid, self.n_paths, self.seed, noise=noise)
 
     def computed(self, attr: str):
         """The candidate's ``attr`` if it has been computed already, else None."""
@@ -991,8 +986,7 @@ class ExperimentDefinition:
     @property
     def check_table(self) -> Dict[str, Callable[[ExperimentRun], list]]:
         """Every check this experiment runs, by name, in run order: its own
-        checks, then the generic ones it does not redefine (last, because the
-        tvc rival that tvc simulates lives until costs drops it)."""
+        checks, then the generic ones it does not redefine."""
         table = dict(self.checks)
         for name, check in _GENERIC_CHECKS.items():
             table.setdefault(name, check)
@@ -1031,19 +1025,24 @@ def _stability(run: ExperimentRun) -> List[VerificationReport]:
 
 
 def _tvc(run: ExperimentRun) -> List[VerificationReport]:
-    c = run.candidate
-    return [check_tvc(run.problem, c.ensemble, c.solution, run.tvc_rival)]
+    c, name = run.candidate, run.definition.tvc_competitor
+    law = run.definition.competitors(run.params)[name]
+    # the competitor is costed in the same pass, for costs to read
+    costing = PathCostSum(run.problem, run.grid)
+    report = check_tvc(run.problem, c.ensemble, c.solution, law, costing)
+    run.competitor_costs[name] = costing.total
+    return [report]
 
 
 def _costs(run: ExperimentRun) -> List[VerificationReport]:
-    # one path-cost pass per ensemble: the tvc rival, if tvc simulated it, is
-    # costed and dropped first, so each pass holds the candidate and one competitor
-    rival = vars(run).pop("tvc_rival", None)
-    done = {} if rival is None else {run.definition.tvc_competitor: path_costs(run.problem, rival)}
-    del rival
-    costs = {"candidate": path_costs(run.problem, run.candidate.ensemble)}
+    ens = run.candidate.ensemble
+    costs = {"candidate": path_costs(run.problem, ens)}
     for name, law in run.definition.competitors(run.params).items():
-        costs[name] = done[name] if name in done else path_costs(run.problem, run.simulate_competitor(law))
+        if name not in run.competitor_costs:
+            costing = PathCostSum(run.problem, run.grid)
+            stream_competitor(run.problem, ens, law, costing)
+            run.competitor_costs[name] = costing.total
+        costs[name] = run.competitor_costs[name]
     for name, j in costs.items():
         run.costs[name] = CostEstimate.from_path_costs(j, run.grid.horizon, label=name)
     return [cost_dominance(costs.pop("candidate"), costs)]
@@ -1184,7 +1183,8 @@ def _production_oracle(run: ExperimentRun) -> List[VerificationReport]:
         node_gap[i] = (np.abs(y[:, i] - exact) / (1.0 + np.abs(exact))).mean()
     stat = float(node_gap.max())
     est, det_exact, det_rel = production_sigma_zero_cost(params)
-    ok = stat <= 0.05 and oracle.phi_agreement <= 1e-6 and oracle.psi_agreement <= 1e-6 and det_rel <= 0.005
+    # phi is the closed form, so phi_agreement is reported but decides nothing
+    ok = stat <= 0.05 and oracle.psi_agreement <= 1e-6 and det_rel <= 0.005
     run.curves["phi_of_time_to_go"] = phi_s
     return [
         VerificationReport(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -83,8 +83,10 @@ class TimeGrid:
         return self.horizon / self.steps
 
     def times(self) -> Array:
-        # i * T / N, evaluated directly so t_N == T exactly
-        return np.arange(self.steps + 1) * (self.horizon / self.steps)
+        # i * T / N; the product can round past T at i = N, so t_N is set to T
+        t = np.arange(self.steps + 1) * (self.horizon / self.steps)
+        t[-1] = self.horizon
+        return t
 
     def step_at(self, t: float) -> int:
         """Step i with t_i <= t < t_{i+1}: floor(t / dt + 1e-9), for 0 <= t < horizon."""
@@ -312,60 +314,72 @@ def _resolve_x0(problem: DiscountedProblem, x0, n_paths: int) -> Array:
     return base.copy()
 
 
-def simulate_forward(
+def step_forward(
     problem: DiscountedProblem,
     law: ControlLaw,
     grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    noise: NoiseBatch | None = None,
+    noise: NoiseBatch,
+    states: Array,
+    controls: Array,
+    visitors: Sequence[Callable[[int, Array, Array], None]] = (),
     x0=None,
-) -> PathEnsemble:
-    """Simulate the controlled SDE over ``grid`` and record the ensemble.
+) -> tuple[Array, Array, Array]:
+    """Step the controlled SDE over ``grid`` through a caller-owned window.
+
+    ``controls`` holds W steps and ``states`` their W + 1 nodes, both
+    time-major (see :func:`time_major`).  The steps are taken W at a time:
+    when the window holding steps s..e-1 is full, each visitor is called as
+    ``visit(s, states[:, :e-s+1], controls[:, :e-s])``, seeing nodes s..e
+    and the controls of those steps, and the window is then reused, its last
+    node carried to its first slot.  A window of ``grid.steps`` steps is the
+    whole table, stepped in one pass.
 
     Step i applies ``law.control_at(t_i, x)``, clipped to the problem's box.
     On the half-line, states are clipped at ``POSITIVITY_FLOOR`` and flagged.
     Paths that leave ``EXPLOSION_GUARD`` or turn non-finite are frozen at
-    their last finite value and flagged; the run errors out if more than
-    ``MAX_EXPLODED_FRACTION`` of paths explode.  Without ``noise`` the batch
-    is drawn from ``seed``.
+    their last finite value and flagged; the pass errors out if more than
+    ``MAX_EXPLODED_FRACTION`` of paths explode.  Returns the per-path flags
+    (euler_crossed, floor_clipped, exploded) of :class:`PathEnsemble`.
     """
-    n, d, k = problem.state_dim, problem.noise_dim, problem.control_dim
-    if noise is None:
-        noise = NoiseBatch.generate(seed, n_paths, grid.steps, d, grid.dt)
-    else:
-        if noise.n_paths != n_paths or noise.n_steps != grid.steps or noise.noise_dim != d:
-            raise ValueError("noise batch shape does not match the requested run")
-        if abs(noise.dt - grid.dt) > 1e-15 * max(1.0, grid.dt):
-            raise ValueError("noise batch dt does not match the grid")
+    n_paths = noise.n_paths
+    if noise.n_steps != grid.steps or noise.noise_dim != problem.noise_dim:
+        raise ValueError("noise batch shape does not match the requested run")
+    if abs(noise.dt - grid.dt) > 1e-15 * max(1.0, grid.dt):
+        raise ValueError("noise batch dt does not match the grid")
+    window = controls.shape[1]
+    if controls.shape[0] != n_paths or states.shape[:2] != (n_paths, window + 1):
+        raise ValueError("the window must hold W steps and their W + 1 nodes for every path")
 
     dt = grid.dt
     times = grid.times()
-    x = _resolve_x0(problem, x0, n_paths)
     positive = problem.state_region is StateRegion.POSITIVE_HALF_LINE
+    x = states[:, 0]
+    x[...] = _resolve_x0(problem, x0, n_paths)
     if positive and np.any(x <= 0):
         raise ValueError("initial states must be positive on the half-line")
 
-    states = time_major(n_paths, grid.steps + 1, n)
-    controls = time_major(n_paths, grid.steps, k)
-    states[:, 0, :] = x
-    x = states[:, 0]
     crossed = np.zeros(n_paths, dtype=bool)
     clipped = np.zeros(n_paths, dtype=bool)
     exploded = np.zeros(n_paths, dtype=bool)
+    frozen = False
 
     coeff = problem.coefficients
     lower, upper = problem.domain.lower, problem.domain.upper
     mult = problem.multiplicative if positive else None
     # on the multiplicative branch the Euler candidate only feeds the crossing
     # flag, so it lives in one reused buffer; otherwise it is the new state
-    euler_buf = np.empty((n_paths, n)) if mult is not None else None
+    euler_buf = np.empty((n_paths, problem.state_dim)) if mult is not None else None
 
     for i in range(grid.steps):
-        u = controls[:, i]
+        j = i % window
+        if i and not j:
+            # the visited window is reused from its last node on
+            states[:, 0] = states[:, window]
+            x = states[:, 0]
+        u = controls[:, j]
         np.clip(law.control_at(times[i], x), lower, upper, out=u)
         dW = noise.increments[:, i, :]
-        x_new = states[:, i + 1]
+        x_new = states[:, j + 1]
 
         b = np.asarray(coeff.drift(x, u), dtype=float)
         sig = np.asarray(coeff.diffusion(x, u), dtype=float)
@@ -393,11 +407,15 @@ def simulate_forward(
                 clipped |= low
                 x_new[low, 0] = POSITIVITY_FLOOR
 
-        # NaN and inf fail the comparison too
-        exploded |= ~(np.abs(x_new).max(axis=1) <= EXPLOSION_GUARD)
-        if exploded.any():
+        # one scalar test while every path is in bounds; NaN and inf fail it
+        if frozen or not max(x_new.max(), -x_new.min()) <= EXPLOSION_GUARD:
+            exploded |= ~(np.abs(x_new).max(axis=1) <= EXPLOSION_GUARD)
+            frozen = bool(exploded.any())
             x_new[exploded] = x[exploded]
         x = x_new
+        if j == window - 1 or i == grid.steps - 1:
+            for visit in visitors:
+                visit(i - j, states[:, : j + 2], controls[:, : j + 1])
 
     frac = float(exploded.mean())
     if frac > MAX_EXPLODED_FRACTION:
@@ -405,7 +423,32 @@ def simulate_forward(
             f"{frac:.1%} of paths exploded (guard {EXPLOSION_GUARD:g}); "
             "refine the grid or check the problem scaling"
         )
+    return crossed, clipped, exploded
 
+
+def simulate_forward(
+    problem: DiscountedProblem,
+    law: ControlLaw,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    noise: NoiseBatch | None = None,
+    x0=None,
+) -> PathEnsemble:
+    """Simulate the controlled SDE over ``grid`` and record the ensemble.
+
+    This is :func:`step_forward` with one window the size of the grid, so
+    the ensemble keeps every node; see there for the scheme, the clipping
+    and the explosion guard.  Without ``noise`` the batch is drawn from
+    ``seed``.
+    """
+    if noise is None:
+        noise = NoiseBatch.generate(seed, n_paths, grid.steps, problem.noise_dim, grid.dt)
+    elif noise.n_paths != n_paths:
+        raise ValueError("noise batch shape does not match the requested run")
+    states = time_major(n_paths, grid.steps + 1, problem.state_dim)
+    controls = time_major(n_paths, grid.steps, problem.control_dim)
+    crossed, clipped, exploded = step_forward(problem, law, grid, noise, states, controls, x0=x0)
     return PathEnsemble(
         grid=grid,
         states=states,

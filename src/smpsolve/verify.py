@@ -15,7 +15,7 @@ from typing import Dict
 import numpy as np
 
 from .bsde import BsdeSolution
-from .forward import PathEnsemble
+from .forward import ControlLaw, PathEnsemble, TimeGrid, step_forward, time_major
 from .problems import (
     DiscountedProblem,
     SampleSpec,
@@ -33,29 +33,80 @@ COST_SE_SLACK = 2.0
 # candidate's mean absolute cost differs from it deterministically
 DETERMINISTIC_SE = 1e-12
 GRADIENT_TOL = 1e-6
-# (path, step) nodes per running-cost evaluation in :func:`path_costs`
-PATH_COST_BLOCK = 1 << 16
+# (path, step) nodes per block of :func:`path_costs` and per window of
+# :func:`stream_competitor`
+PATH_COST_BLOCK = 1 << 14
+
+
+def _block_steps(n_paths: int, steps: int) -> int:
+    """Whole steps per block of about ``PATH_COST_BLOCK`` nodes, at least one."""
+    return min(steps, -(-PATH_COST_BLOCK // n_paths))
+
+
+class PathCostSum:
+    """Window visitor: discounted running cost per path, trapezoid in time.
+
+    Called as ``visit(s, x, u)`` on consecutive blocks, with ``u`` the
+    controls of steps s..e-1 and ``x`` the nodes s..e; the step nodes
+    contract the running cost against :meth:`TimeGrid.discounted_weights`,
+    and after the last block the terminal node, which reuses the last step's
+    control, is added.  ``total`` then holds the per-path costs.  The running
+    cost must be elementwise over the (path, step) axes.
+    """
+
+    def __init__(self, problem: DiscountedProblem, grid: TimeGrid) -> None:
+        self.cost = problem.coefficients.running_cost
+        self.weights = grid.discounted_weights(problem.beta)
+        self.total: Array | None = None
+
+    def __call__(self, s: int, x: Array, u: Array) -> None:
+        e = s + u.shape[1]
+        part = np.dot(self.cost(x[:, :-1], u), self.weights[s:e])
+        if self.total is None:
+            self.total = part
+        else:
+            self.total += part
+        if e == self.weights.size - 1:
+            self.total += self.cost(x[:, -1], u[:, -1]) * self.weights[-1]
 
 
 def path_costs(problem: DiscountedProblem, ensemble: PathEnsemble) -> Array:
-    """Discounted running cost integral per path, trapezoid in time.
+    """Discounted running cost integral per path of a stored ensemble.
 
-    The step nodes pair with the control table's steps, and the terminal node
-    reuses the last step's control; both terms contract the running cost
-    against :meth:`TimeGrid.discounted_weights`.  The step nodes are costed
-    in blocks of about ``PATH_COST_BLOCK`` nodes (whole steps, at least one),
-    so the running cost must be elementwise over the (path, step) axes.
+    The stored nodes are fed to :class:`PathCostSum` in blocks of about
+    ``PATH_COST_BLOCK`` nodes, the same blocks in which
+    :func:`stream_competitor` steps a competitor, so a streamed and a stored
+    ensemble of the same paths cost the same to the bit.
     """
     x, u = ensemble.states, ensemble.controls
-    w = ensemble.grid.discounted_weights(problem.beta)
-    cost = problem.coefficients.running_cost
-    n_paths, steps = u.shape[:2]
-    block = -(-PATH_COST_BLOCK // n_paths)
-    total = cost(x[:, -1], u[:, -1]) * w[-1]
+    steps = ensemble.grid.steps
+    block = _block_steps(ensemble.n_paths, steps)
+    total = PathCostSum(problem, ensemble.grid)
     for s in range(0, steps, block):
         e = min(s + block, steps)
-        total += cost(x[:, s:e], u[:, s:e]) @ w[s:e]
-    return total
+        total(s, x[:, s : e + 1], u[:, s:e])
+    return total.total
+
+
+def stream_competitor(
+    problem: DiscountedProblem, ensemble: PathEnsemble, law: ControlLaw, *visitors
+) -> None:
+    """Step ``law`` on ``ensemble``'s noise without storing its paths.
+
+    The competitor starts from the ensemble's initial states and shares its
+    Brownian increments (common random numbers).  It is stepped by
+    :func:`step_forward` through one window of ``PATH_COST_BLOCK`` nodes
+    (whole steps), and every visitor sees each finished window as
+    ``visit(s, x, u)``: the nodes s..e and the controls of steps s..e-1.
+    No table of all its nodes is ever allocated; a law that explodes raises
+    :class:`SimulationError` as :func:`simulate_forward` would.
+    """
+    grid, n_paths = ensemble.grid, ensemble.n_paths
+    window = _block_steps(n_paths, grid.steps)
+    states = time_major(n_paths, window + 1, problem.state_dim)
+    controls = time_major(n_paths, window, problem.control_dim)
+    x0 = ensemble.states[:, 0]
+    step_forward(problem, law, grid, ensemble.noise, states, controls, visitors, x0=x0)
 
 
 def check_pointwise_max(
@@ -133,14 +184,18 @@ def check_tvc(
     problem: DiscountedProblem,
     ensemble: PathEnsemble,
     solution: BsdeSolution,
-    competitor: PathEnsemble,
+    law: ControlLaw,
+    *visitors,
 ) -> VerificationReport:
-    """Transversality statistic against a competitor trajectory.
+    """Transversality statistic against a competitor law on the same noise.
 
-    Tracks m(t) = E[e^{-beta t} <Y_t, X'_t - X_t>] on the shared grid.  The
-    direct criterion holds when some tail node (the last 10% of nodes, at
-    least 2 where the grid has them) satisfies m <= 3 SE (the limit inferior
-    only needs a subsequence).  When the tail is positive but
+    Tracks m(t) = E[e^{-beta t} <Y_t, X'_t - X_t>] on the shared grid, where
+    X' is ``law`` stepped on the candidate's noise by
+    :func:`stream_competitor`: m and its SE are gathered one window at a
+    time, and further ``visitors`` (say a :class:`PathCostSum`) see the same
+    pass.  The direct criterion holds when some tail node (the last 10% of
+    nodes, at least 2 where the grid has them) satisfies m <= 3 SE (the
+    limit inferior only needs a subsequence).  When the tail is positive but
     provably transient, the fallback applies: strict discounting makes the
     weighted norms of state and costate finite, which forces m(t) -> 0 along
     a subsequence, so the condition is implied; the report then passes with
@@ -152,20 +207,26 @@ def check_tvc(
     node 0, where both ensembles start at x0; a grid with no node in between
     is inconclusive.
     """
-    if competitor.n_paths != ensemble.n_paths or competitor.grid.steps != ensemble.grid.steps:
-        raise ValueError("competitor must share the candidate's paths and grid")
-    if ensemble.grid.steps < 2:
+    grid, n_paths = ensemble.grid, ensemble.n_paths
+    if solution.grid != grid or solution.Y.shape[0] != n_paths:
+        raise ValueError("the costate must belong to the candidate's paths and grid")
+    times = grid.times()[:-1]
+    m, se = np.empty(grid.steps), np.empty(grid.steps)
+
+    def gather(s: int, x: Array, u: Array) -> None:
+        e = s + u.shape[1]
+        weighted = np.einsum(
+            "pin,pin->pi", solution.Y[:, s:e, :], x[:, :-1, :] - ensemble.states[:, s:e, :]
+        )
+        weighted *= np.exp(-problem.beta * times[s:e])
+        m[s:e] = weighted.mean(axis=0)
+        se[s:e] = weighted.std(axis=0, ddof=1)
+
+    stream_competitor(problem, ensemble, law, gather, *visitors)
+    if grid.steps < 2:
         notes = "no grid node between the start and the horizon"
         return VerificationReport(check="transversality", status=INCONCLUSIVE, notes=notes)
-    times = ensemble.grid.times()[:-1]
-    weighted = np.einsum(
-        "pin,pin->pi",
-        solution.Y[:, :-1, :],
-        competitor.states[:, :-1, :] - ensemble.states[:, :-1, :],
-    )
-    weighted *= np.exp(-problem.beta * times)
-    m = weighted.mean(axis=0)
-    se = weighted.std(axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
+    se /= math.sqrt(n_paths)
 
     n_tail = min(m.size - 1, max(2, int(math.ceil(0.1 * m.size))))
     tail = slice(m.size - n_tail, m.size)
@@ -204,7 +265,7 @@ def check_tvc(
         status=status,
         statistic=float(m[-1]),
         tolerance=float(3.0 * se[-1]),
-        n_samples=ensemble.n_paths,
+        n_samples=n_paths,
         standard_error=float(se[-1]),
         details=details,
         notes=notes,
@@ -217,9 +278,10 @@ def cost_dominance(
 ) -> VerificationReport:
     """Paired cost comparison of the candidate against each competitor.
 
-    The arguments are per-path discounted costs (:func:`path_costs`) of
-    ensembles that share the driving noise, so per-path differences are
-    low-variance.  A competitor is dominated when
+    The arguments are per-path discounted costs (:func:`path_costs`, or a
+    :class:`PathCostSum` of a streamed competitor) of ensembles that share
+    the driving noise, so per-path differences are low-variance.  A
+    competitor is dominated when
     mean(J_candidate - J_competitor) >= -2 SE(diff) (``COST_SE_SLACK``);
     the check passes when every competitor is dominated, and is inconclusive
     when there is none to compare against.  A difference whose SE is at most

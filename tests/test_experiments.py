@@ -230,6 +230,24 @@ class TestRiccatiOracle:
         assert report.status == PASS
         assert peak <= 0.5 * n_paths * (steps + 1) * 8
 
+    def test_phi_agreement_is_reported_but_decides_nothing(self, monkeypatch):
+        # phi is the closed form, so its agreement cannot fail; psi's still can
+        definition = get_experiment("production")
+        params = definition.params_type()
+        problem = definition.problem(params)
+        grid = TimeGrid.auto(problem.beta, 200)
+        run = experiments.ExperimentRun(definition, params, problem, grid, 2000, 3, definition.basis)
+        sigma_zero = experiments.production_sigma_zero_cost(params, steps=2000)
+        monkeypatch.setattr(experiments, "production_sigma_zero_cost", lambda params: sigma_zero)
+        statuses = {}
+        for premise in ("phi_agreement", "psi_agreement"):
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments.RiccatiOracle, premise, property(lambda self: 1.0))
+                (report,) = definition.checks["oracle"](run)
+            assert report.details[premise] == 1.0
+            statuses[premise] = report.status
+        assert statuses == {"phi_agreement": PASS, "psi_agreement": FAIL}
+
 
 class TestConsumptionOracles:
     def test_truncated_costate_identity(self):
@@ -353,7 +371,8 @@ class TestRunExperiment:
 
 
 class TestSharedWork:
-    """The cost and tvc checks read each ensemble once and keep few alive."""
+    """The cost and tvc checks store the candidate's paths alone and step each
+    competitor once through a window."""
 
     @staticmethod
     def _watch(monkeypatch, name="consumption", checks=("tvc", "costs")):
@@ -361,37 +380,43 @@ class TestSharedWork:
 
         from smpsolve import verify
 
-        alive, seen = [], []
-        simulate, costs = experiments.simulate_forward, verify.path_costs
+        alive, passes = [], []
+        simulate, step = experiments.simulate_forward, verify.step_forward
 
         def simulate_spy(*args, **kwargs):
             ens = simulate(*args, **kwargs)
             alive.append(weakref.ref(ens))
             return ens
 
-        def costs_spy(*args, **kwargs):
-            seen.append(sum(ref() is not None for ref in alive))
-            return costs(*args, **kwargs)
+        def step_spy(*args, **kwargs):
+            # stored ensembles alive while a competitor is stepped
+            passes.append(sum(ref() is not None for ref in alive))
+            return step(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "simulate_forward", simulate_spy)
-        monkeypatch.setattr(verify, "path_costs", costs_spy)
-        monkeypatch.setattr(experiments, "path_costs", costs_spy, raising=False)
+        monkeypatch.setattr(verify, "step_forward", step_spy)
         result = run_experiment(name, grid=TimeGrid(horizon=8.0, steps=80), n_paths=500, checks=list(checks))
-        return result, alive, seen
+        return result, alive, passes
 
     def test_one_path_cost_pass_per_ensemble(self, monkeypatch):
-        result, alive, seen = self._watch(monkeypatch)
-        assert len(alive) == 8
-        assert len(seen) == 8
-        assert set(result.costs) == {"candidate", *experiments.consumption_competitors(result.params)}
+        result, alive, passes = self._watch(monkeypatch)
+        competitors = experiments.consumption_competitors(result.params)
+        # the candidate is the one stored ensemble; the tvc competitor is
+        # stepped once, and costed in that same pass
+        assert len(alive) == 1
+        assert len(passes) == len(competitors)
+        assert set(result.costs) == {"candidate", *competitors}
         assert result.report_by_name("cost_dominance").status == PASS
+        assert result.report_by_name("transversality").status == PASS
 
     @pytest.mark.parametrize("checks", [("tvc", "costs"), ("costs",)], ids=["tvc+costs", "costs"])
     @pytest.mark.parametrize("name", ["consumption", "production", "logistic"])
     def test_at_most_two_ensembles_alive(self, monkeypatch, name, checks):
-        _, _, seen = self._watch(monkeypatch, name, checks)
-        # the candidate and the ensemble being costed: the tvc rival is costed first and dropped
-        assert max(seen) <= 2
+        result, _, passes = self._watch(monkeypatch, name, checks)
+        # only the candidate's ensemble is alive while competitors are stepped,
+        # and each competitor is stepped once
+        assert passes and max(passes) == 1
+        assert len(passes) == len(get_experiment(name).competitors(result.params))
 
 
 SMALL_GRID = TimeGrid(horizon=2.0, steps=20)

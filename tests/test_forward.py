@@ -18,8 +18,9 @@ from smpsolve import (
     lyapunov_generator_check,
     positivity_check,
     simulate_forward,
+    step_forward,
 )
-from smpsolve.forward import EXPLOSION_GUARD, POSITIVITY_FLOOR, RegionConstants
+from smpsolve.forward import EXPLOSION_GUARD, POSITIVITY_FLOOR, RegionConstants, time_major
 from smpsolve.problems import (
     AssumptionConstants,
     CoefficientField,
@@ -74,6 +75,16 @@ class TestTimeGrid:
         assert t.shape == (141,)
         assert t[0] == 0.0 and t[-1] == 7.0
         assert grid.dt == pytest.approx(0.05)
+
+    def test_last_node_is_the_horizon(self):
+        # i * (T / N) rounds past T at i = N on some grids, e.g. T = 14, N = 200
+        for horizon in range(1, 60):
+            for steps in (100, 200, 250, 400, 500):
+                grid = TimeGrid(float(horizon), steps)
+                t = grid.times()
+                assert t[-1] == horizon
+                assert (grid.horizon - t).min() >= 0.0
+                np.testing.assert_array_equal(t[:-1], np.arange(steps) * (horizon / steps))
 
     def test_step_at_recovers_every_node_index(self):
         grids = [
@@ -294,6 +305,50 @@ class TestSimulateForward:
             np.testing.assert_allclose(path[5], sign * 100.0 + 0.5)
             assert (path[5:] == path[5]).all()
         np.testing.assert_allclose(ens.states[0, :, 0], grid.times())
+
+    @pytest.mark.parametrize("window", [1, 3, 10])
+    def test_windowed_pass_reproduces_the_stored_tables(self, window):
+        # the path that explodes (at step 4, after a first window of 3 steps)
+        # and the paths clipped at the floor keep their flags and frozen
+        # values across the reused window
+        coeffs = CoefficientField(
+            state_dim=1,
+            noise_dim=1,
+            control_dim=1,
+            drift=lambda x, u: 3.0 * x - u,
+            diffusion=lambda x, u: np.full(x.shape[:-1] + (1, 1), 0.1),
+            running_cost=lambda x, u: np.zeros(x.shape[:-1]),
+            grad_drift=lambda x, u: np.full(x.shape[:-1] + (1, 1), 3.0),
+            grad_cost=lambda x, u: np.zeros_like(x),
+        )
+        problem = DiscountedProblem(
+            coefficients=coeffs,
+            domain=ControlDomain([0.0], [1.0]),
+            beta=1.0,
+            constants=AssumptionConstants(3.0, 3.0, 0.0, 0.0),
+            x0=np.array([1.0]),
+            state_region=StateRegion.POSITIVE_HALF_LINE,
+        )
+        grid = TimeGrid(horizon=8.0, steps=10)
+        x0 = np.full((200, 1), 0.2)
+        x0[5] = 1e6
+        law = FeedbackControl(lambda t, x: np.where(x[:, 0] < 0.3, 1.0, 0.0))
+        ens = simulate_forward(problem, law, grid, 200, seed=2, x0=x0)
+        assert ens.exploded.sum() == 1 and ens.floor_clipped.any()
+
+        states, controls = time_major(200, window + 1, 1), time_major(200, window, 1)
+        seen = []
+
+        def visit(s, x, u):
+            assert x.shape[1] == u.shape[1] + 1
+            seen.append(s)
+            np.testing.assert_array_equal(x, ens.states[:, s : s + x.shape[1]])
+            np.testing.assert_array_equal(u, ens.controls[:, s : s + u.shape[1]])
+
+        flags = step_forward(problem, law, grid, ens.noise, states, controls, [visit], x0=x0)
+        assert seen == list(range(0, 10, window))
+        for got, want in zip(flags, (ens.euler_crossed, ens.floor_clipped, ens.exploded)):
+            np.testing.assert_array_equal(got, want)
 
     def test_noise_shape_mismatch_rejected(self):
         problem = production_problem(ProductionPlanningParams())

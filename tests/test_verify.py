@@ -9,16 +9,22 @@ import pytest
 from smpsolve import (
     ConstantControl,
     CostEstimate,
+    PathCostSum,
     RegressionBasis,
+    SimulationError,
     TimeGrid,
     check_identities,
     check_pointwise_max,
     check_tvc,
     cost_dominance,
+    get_experiment,
     path_costs,
     simulate_forward,
     solve_bsde_lsmc,
+    stream_competitor,
 )
+from smpsolve.problems import AssumptionConstants, CoefficientField, ControlDomain, DiscountedProblem
+from smpsolve.verify import PATH_COST_BLOCK
 from smpsolve.experiments import (
     ConsumptionParams,
     LogisticParams,
@@ -104,6 +110,112 @@ class TestPathCosts:
         assert peak <= 0.25 * n_paths * steps * 8
 
 
+# (paths, grid): whole windows of 4 steps; windows of 6 steps that leave 5
+# for the last of 23; a single step
+STREAM_GRIDS = {
+    "whole_windows": (4096, TimeGrid(horizon=2.0, steps=20)),
+    "ragged_window": (3000, TimeGrid(horizon=2.3, steps=23)),
+    "one_step": (500, TimeGrid(horizon=0.5, steps=1)),
+}
+
+
+def _streamed_setup(name, grid_name):
+    n_paths, grid = STREAM_GRIDS[grid_name]
+    definition = get_experiment(name)
+    params = definition.params_type()
+    problem = definition.problem(params)
+    competitors = definition.competitors(params)
+    cand = simulate_forward(problem, next(iter(competitors.values())), grid, n_paths, seed=7)
+    return definition, problem, competitors, cand
+
+
+class TestStreamedCompetitors:
+    def test_window_sizes(self):
+        assert [-(-PATH_COST_BLOCK // p) for p, _ in STREAM_GRIDS.values()] == [4, 6, 33]
+
+    @pytest.mark.parametrize("grid_name", list(STREAM_GRIDS))
+    @pytest.mark.parametrize("name", ["consumption", "production", "logistic"])
+    def test_costs_match_the_stored_ensemble_bit_for_bit(self, name, grid_name):
+        _, problem, competitors, cand = _streamed_setup(name, grid_name)
+        grid, n_paths = cand.grid, cand.n_paths
+        for law_name, law in competitors.items():
+            stored = simulate_forward(problem, law, grid, n_paths, seed=7, noise=cand.noise)
+            costing = PathCostSum(problem, grid)
+            stream_competitor(problem, cand, law, costing)
+            np.testing.assert_array_equal(costing.total, path_costs(problem, stored), err_msg=law_name)
+
+    @pytest.mark.parametrize("grid_name", ["whole_windows", "ragged_window"])
+    @pytest.mark.parametrize("name", ["consumption", "production", "logistic"])
+    def test_tvc_matches_a_stored_competitor(self, name, grid_name):
+        definition, problem, competitors, cand = _streamed_setup(name, grid_name)
+        grid, n_paths = cand.grid, cand.n_paths
+        sol = solve_bsde_lsmc(problem, cand, definition.basis)
+        law = competitors[definition.tvc_competitor]
+        report = check_tvc(problem, cand, sol, law)
+
+        # m(t) and its SE from the stored competitor, over nodes 0..N-1
+        rival = simulate_forward(problem, law, grid, n_paths, seed=7, noise=cand.noise)
+        weighted = np.einsum("pin,pin->pi", sol.Y[:, :-1], rival.states[:, :-1] - cand.states[:, :-1])
+        weighted *= np.exp(-problem.beta * grid.times()[:-1])
+        m = weighted.mean(axis=0)
+        se = weighted.std(axis=0, ddof=1) / math.sqrt(n_paths)
+        n_tail = report.details["tail_nodes"]
+        score = m[-n_tail:] - 3.0 * se[-n_tail:]
+
+        def close(got, want, scale):
+            assert abs(got - want) <= 1e-12 * scale
+
+        close(report.statistic, m[-1], abs(m[-1]))
+        close(report.standard_error, se[-1], se[-1])
+        close(report.tolerance, 3.0 * se[-1], se[-1])
+        close(report.details["best_margin"], score.min(), np.abs(m[-n_tail:]).max() + 3.0 * se.max())
+        assert report.details["best_node"] == int(np.argmin(score)) + m.size - n_tail
+
+    def test_peak_memory_is_window_sized(self):
+        # one competitor costed through a window: no (P, N) table of it
+        n_paths, steps = 4000, 400
+        params = ProductionPlanningParams()
+        problem = production_problem(params)
+        grid = TimeGrid.auto(problem.beta, steps)
+        cand = simulate_forward(problem, production_optimal_law(params), grid, n_paths, seed=3)
+        law = ConstantControl([params.u_high])
+        tracemalloc.start()
+        try:
+            stream_competitor(problem, cand, law, PathCostSum(problem, grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * n_paths * steps * 8
+
+    def test_exploding_competitor_raises_like_simulate_forward(self):
+        # x' = 3 x u: the candidate u = 0 stays at 1, the competitor u = 1
+        # reaches 1.24^100 ~ 2e9, past the explosion guard
+        coeffs = CoefficientField(
+            state_dim=1,
+            noise_dim=1,
+            control_dim=1,
+            drift=lambda x, u: 3.0 * x * u,
+            diffusion=lambda x, u: np.zeros(x.shape[:-1] + (1, 1)),
+            running_cost=lambda x, u: x[..., 0],
+            grad_drift=lambda x, u: 3.0 * u[..., None],
+            grad_cost=lambda x, u: np.ones_like(x),
+        )
+        problem = DiscountedProblem(
+            coefficients=coeffs,
+            domain=ControlDomain([0.0], [1.0]),
+            beta=1.0,
+            constants=AssumptionConstants(3.0, 3.0, 0.0, 0.0),
+            x0=np.array([1.0]),
+        )
+        grid = TimeGrid(horizon=8.0, steps=100)
+        cand = simulate_forward(problem, ConstantControl([0.0]), grid, 8, seed=0)
+        with pytest.raises(SimulationError) as stored:
+            simulate_forward(problem, ConstantControl([1.0]), grid, 8, seed=0, noise=cand.noise)
+        with pytest.raises(SimulationError) as streamed:
+            stream_competitor(problem, cand, ConstantControl([1.0]), PathCostSum(problem, grid))
+        assert str(streamed.value) == str(stored.value)
+
+
 class TestPointwiseMax:
     def test_optimal_law_has_negligible_gap(self):
         params = ProductionPlanningParams()
@@ -139,20 +251,14 @@ class TestTransversality:
 
     def test_direct_route_with_heavier_consumption(self):
         params, problem, grid, ens, sol = self._setup()
-        rival = simulate_forward(
-            problem, ConstantControl([params.cap]), grid, ens.n_paths, seed=4, noise=ens.noise
-        )
-        report = check_tvc(problem, ens, sol, rival)
+        report = check_tvc(problem, ens, sol, ConstantControl([params.cap]))
         assert report.status == "pass"
         assert "route" not in report.details
 
     def test_implied_route_with_lighter_consumption(self):
         params, problem, grid, ens, sol = self._setup()
         quarter = 0.25 * params.resolved_beta()
-        rival = simulate_forward(
-            problem, ConstantControl([quarter]), grid, ens.n_paths, seed=4, noise=ens.noise
-        )
-        report = check_tvc(problem, ens, sol, rival)
+        report = check_tvc(problem, ens, sol, ConstantControl([quarter]))
         assert report.status == "pass"
         assert report.details.get("route") == "integrability"
         assert report.details["tail_decay_rate"] < 0.0
@@ -162,24 +268,18 @@ class TestTransversality:
         # the implied-route setup passes on finite arrays; one bad path must fail it
         params, problem, grid, ens, sol = self._setup()
         quarter = 0.25 * params.resolved_beta()
-        rival = simulate_forward(
-            problem, ConstantControl([quarter]), grid, ens.n_paths, seed=4, noise=ens.noise
-        )
         sol.Y[7] = bad
         with np.errstate(invalid="ignore"):
-            report = check_tvc(problem, ens, sol, rival)
+            report = check_tvc(problem, ens, sol, ConstantControl([quarter]))
         assert report.status == "fail"
 
     def test_peak_memory_is_two_path_arrays(self):
-        # the statistic and one temporary of shape (paths, steps) at a time
+        # the competitor is stepped through a window and m(t) gathered per window
         n_paths, steps = 4000, 400
         params, problem, grid, ens, sol = self._setup(n_paths=n_paths, steps=steps)
-        rival = simulate_forward(
-            problem, ConstantControl([params.cap]), grid, n_paths, seed=4, noise=ens.noise
-        )
         tracemalloc.start()
         try:
-            check_tvc(problem, ens, sol, rival)
+            check_tvc(problem, ens, sol, ConstantControl([params.cap]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -188,20 +288,19 @@ class TestTransversality:
     def test_start_node_is_not_in_the_tail(self):
         # both ensembles start at x0, so m(0) = 0 would pass vacuously
         params, problem, grid, ens, sol = self._setup(n_paths=200, horizon=2.0, steps=2)
-        rival = simulate_forward(
-            problem, ConstantControl([params.cap]), grid, 200, seed=4, noise=ens.noise
-        )
-        report = check_tvc(problem, ens, sol, rival)
+        report = check_tvc(problem, ens, sol, ConstantControl([params.cap]))
         assert report.details["tail_nodes"] == 1
         assert report.details["best_node"] == 1
 
     def test_grid_mismatch_rejected(self):
+        # the costate must be the one solved on the candidate's own grid
         params, problem, grid, ens, sol = self._setup(n_paths=100, horizon=2.0, steps=20)
         other = simulate_forward(
-            problem, ConstantControl([params.cap]), TimeGrid(horizon=2.0, steps=10), 100, seed=4
+            problem, consumption_optimal_law(params), TimeGrid(horizon=2.0, steps=10), 100, seed=4
         )
+        other_sol = solve_bsde_lsmc(problem, other, CONS_BASIS)
         with pytest.raises(ValueError):
-            check_tvc(problem, ens, sol, other)
+            check_tvc(problem, ens, other_sol, ConstantControl([params.cap]))
 
 
 class TestCostComparison:
