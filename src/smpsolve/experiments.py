@@ -45,10 +45,12 @@ from .forward import (
     TimeGrid,
     apriori_gap_check,
     comparison_check,
+    degenerate_paths,
     lyapunov_generator_check,
     lyapunov_ratio,
     positivity_check,
     simulate_forward,
+    stream_competitor,
 )
 from .problems import (
     AssumptionConstants,
@@ -71,7 +73,6 @@ from .verify import (
     check_tvc,
     cost_dominance,
     path_costs,
-    stream_competitor,
 )
 
 Array = np.ndarray
@@ -912,12 +913,13 @@ class ExperimentRun:
     """One run of an experiment, passed to the callables of its definition.
 
     ``candidate`` is computed on first use and shared by every check.
-    Competitors are never stored: ``tvc`` and ``costs`` step each one through
-    a window on the candidate's noise (:func:`stream_competitor`), and
-    ``competitor_costs`` keeps the per-path costs of those already stepped,
-    so the tvc competitor is stepped once when both checks run.  Entries
-    added to ``scalars``, ``curves`` and ``costs`` end up in the
-    :class:`ExperimentResult`.
+    Companion flows are never stored: ``tvc``, ``costs``, ``comparison`` and
+    ``apriori`` step each one through a window on the candidate's noise
+    (:func:`stream_competitor`).  ``competitor_costs`` keeps the per-path
+    costs of the competitors already stepped, with their flow's
+    :func:`degenerate_paths` counts, so the tvc competitor is stepped once
+    when both checks run.  Entries added to ``scalars``, ``curves`` and
+    ``costs`` end up in the :class:`ExperimentResult`.
     """
 
     definition: "ExperimentDefinition"
@@ -930,7 +932,7 @@ class ExperimentRun:
     scalars: Dict[str, float] = field(default_factory=dict)
     curves: Dict[str, Array] = field(default_factory=dict)
     costs: Dict[str, CostEstimate] = field(default_factory=dict)
-    competitor_costs: Dict[str, Array] = field(default_factory=dict)
+    competitor_costs: Dict[str, tuple[Array, dict]] = field(default_factory=dict)
 
     @cached_property
     def candidate(self):
@@ -1030,22 +1032,23 @@ def _tvc(run: ExperimentRun) -> List[VerificationReport]:
     # the competitor is costed in the same pass, for costs to read
     costing = PathCostSum(run.problem, run.grid)
     report = check_tvc(run.problem, c.ensemble, c.solution, law, costing)
-    run.competitor_costs[name] = costing.total
+    counts = {k: report.details[k] for k in ("clipped_paths", "exploded_paths")}
+    run.competitor_costs[name] = costing.total, counts
     return [report]
 
 
 def _costs(run: ExperimentRun) -> List[VerificationReport]:
     ens = run.candidate.ensemble
-    costs = {"candidate": path_costs(run.problem, ens)}
+    costs, degenerate = {"candidate": path_costs(run.problem, ens)}, {}
     for name, law in run.definition.competitors(run.params).items():
         if name not in run.competitor_costs:
             costing = PathCostSum(run.problem, run.grid)
-            stream_competitor(run.problem, ens, law, costing)
-            run.competitor_costs[name] = costing.total
-        costs[name] = run.competitor_costs[name]
+            flags = stream_competitor(run.problem, ens, law, costing)
+            run.competitor_costs[name] = costing.total, degenerate_paths(flags)
+        costs[name], degenerate[name] = run.competitor_costs[name]
     for name, j in costs.items():
         run.costs[name] = CostEstimate.from_path_costs(j, run.grid.horizon, label=name)
-    return [cost_dominance(costs.pop("candidate"), costs)]
+    return [cost_dominance(costs.pop("candidate"), costs, degenerate)]
 
 
 # checks every experiment runs; each is called only when selected, and the
@@ -1237,10 +1240,9 @@ register_experiment(
         scalars=_production_scalars,
         checks={
             "oracle": _production_oracle,
-            "apriori": lambda run: [apriori_gap_check(
-                run.problem, run.candidate.law, run.grid, run.problem.x0, run.problem.x0 + 1.0,
-                n_paths=min(run.n_paths, 4000), seed=run.seed + 2,
-            )],
+            "apriori": lambda run: [
+                apriori_gap_check(run.problem, run.candidate.ensemble, run.problem.x0 + 1.0)
+            ],
         },
         # the stationary candidate meets the zero-terminal costate only away
         # from the horizon
@@ -1291,10 +1293,7 @@ register_experiment(
         scalars=_logistic_scalars,
         checks={
             "picard": lambda run: [run.candidate.report],
-            "comparison": lambda run: [comparison_check(
-                run.problem, run.candidate.law, run.grid,
-                n_paths=min(run.n_paths, 8000), seed=run.seed + 3,
-            )],
+            "comparison": lambda run: [comparison_check(run.problem, run.candidate.ensemble)],
             "cylinder": lambda run: [cylinder_consistency_check(
                 run.problem, run.candidate.ensemble, run.basis,
                 truncation_m=10.0, truncation_p=50.0, cylinder=5.0,
@@ -1408,6 +1407,9 @@ def run_experiment(
         run.curves["mean_control"] = ens.controls[:, :, 0].mean(axis=0)
     if sol is not None:
         run.scalars["y0_estimate"] = float(sol.y0()[0])
+        run.scalars["condition_number_max"] = float(sol.condition_numbers.max())
+        run.scalars["condition_number_median"] = float(np.median(sol.condition_numbers))
+        run.scalars["ridge_steps"] = len(sol.ridge_steps)
         run.curves["mean_costate"] = sol.Y[:, :, 0].mean(axis=0)
 
     return ExperimentResult(

@@ -11,6 +11,9 @@ Noise is counter-based: increment block of path p is a pure function of
 (seed, path index), with the (step, component) layout fixed inside the block.
 :func:`simulate_forward` is the only place that draws it; ensembles that must
 share their Brownian motion pass the first ensemble's ``noise`` to the others.
+A flow that only accompanies an ensemble (a competitor, a sandwich envelope,
+a second start) is stepped on its noise by :func:`stream_competitor` through
+one reused window and never stored.
 
 Per-step arrays (states, controls, noise increments, costates) have the
 logical shape (paths, steps, ...) but are stored time-major by
@@ -460,62 +463,95 @@ def simulate_forward(
     )
 
 
-def apriori_gap_check(
-    problem: DiscountedProblem,
-    law: ControlLaw,
-    grid: TimeGrid,
-    x0_a,
-    x0_b,
-    n_paths: int,
-    seed: int,
-) -> VerificationReport:
-    """Two-start stability estimate for the forward flow under one control.
+# (path, step) nodes per window of :func:`stream_competitor` and per block of
+# :func:`smpsolve.verify.path_costs`
+PATH_COST_BLOCK = 1 << 14
 
-    Simulates the same law twice from x0_a and x0_b with identical noise and
-    identical realized controls, and checks the running bound
+
+def _block_steps(n_paths: int, steps: int) -> int:
+    """Whole steps per block of about ``PATH_COST_BLOCK`` nodes, at least one."""
+    return min(steps, -(-PATH_COST_BLOCK // n_paths))
+
+
+def stream_competitor(
+    problem: DiscountedProblem, ensemble: PathEnsemble, law: ControlLaw, *visitors, x0=None
+) -> tuple[Array, Array, Array]:
+    """Step ``law`` on ``ensemble``'s noise without storing its paths.
+
+    The competitor starts from ``x0`` (default: the ensemble's initial
+    states) and shares the ensemble's Brownian increments (common random
+    numbers).  It is stepped by :func:`step_forward` through one window of
+    ``PATH_COST_BLOCK`` nodes (whole steps), and every visitor sees each
+    finished window as ``visit(s, x, u)``: the nodes s..e and the controls of
+    steps s..e-1, to be compared with ``ensemble.states[:, s:e+1]``.  No
+    table of all its nodes is ever allocated; a law that explodes raises
+    :class:`SimulationError` as :func:`simulate_forward` would.  Returns the
+    competitor's (euler_crossed, floor_clipped, exploded) path flags.
+    """
+    grid, n_paths = ensemble.grid, ensemble.n_paths
+    window = _block_steps(n_paths, grid.steps)
+    states = time_major(n_paths, window + 1, problem.state_dim)
+    controls = time_major(n_paths, window, problem.control_dim)
+    x0 = ensemble.states[:, 0] if x0 is None else x0
+    return step_forward(problem, law, grid, ensemble.noise, states, controls, visitors, x0=x0)
+
+
+def degenerate_paths(*flags: tuple[Array, Array, Array]) -> dict:
+    """``clipped_paths`` and ``exploded_paths``: the paths that any of the
+    (euler_crossed, floor_clipped, exploded) triples of :func:`step_forward` flags."""
+    clipped = np.logical_or.reduce([f[1] for f in flags])
+    exploded = np.logical_or.reduce([f[2] for f in flags])
+    return {"clipped_paths": int(clipped.sum()), "exploded_paths": int(exploded.sum())}
+
+
+def apriori_gap_check(problem: DiscountedProblem, ensemble: PathEnsemble, x0) -> VerificationReport:
+    """Two-start stability estimate for the ensemble's forward flow.
+
+    Replays the ensemble's realized controls from ``x0`` on its noise
+    (:func:`stream_competitor`), so both flows see the same control process,
+    and checks the running bound
 
         e^{-bt} E|D_t|^2 + (b - 2 mu1 - 2 L^2) E int_0^t e^{-bs}|D_s|^2 ds
-            <= |x0_a - x0_b|^2        for every grid node t,
+            <= E|D_0|^2        for every grid node t,
 
-    where D is the path difference and b the discount rate.  The statistic
-    is the largest left side over nodes; pass when it is at most
-    rhs * (1 + 0.05) + 3 SE.  The looser combination sup + full integral is
-    reported in details for reference (it can exceed the right side even in
-    exact cases).
+    where D is the path difference and b the discount rate.  Each window
+    carries the per-path trapezoid of the integral and leaves the per-node
+    mean and SD of the left side.  The statistic is the largest mean over
+    nodes; pass when it is at most rhs * (1 + 0.05) + 3 SE.  The looser
+    combination sup + full integral is reported in details for reference (it
+    can exceed the right side even in exact cases).
     """
-    ens_a = simulate_forward(problem, law, grid, n_paths, seed, x0=x0_a)
-    # replay realized controls so both flows see the same control process
-    ens_b = simulate_forward(
-        problem, ens_a.open_loop(), grid, n_paths, seed, noise=ens_a.noise, x0=x0_b
-    )
-
-    diff = ens_a.states - ens_b.states
-    sq = np.einsum("pin,pin->pi", diff, diff)
-    times = grid.times()
-    w = np.exp(-problem.beta * times)
-    weighted = sq * w
-
-    mean_weighted = weighted.mean(axis=0)
+    grid, n_paths = ensemble.grid, ensemble.n_paths
+    discount = np.exp(-problem.beta * grid.times())
     margin = problem.beta - 2.0 * problem.constants.mu1 - 2.0 * problem.constants.L**2
+    half_dt = 0.5 * grid.dt
+    mean_weighted, node_means, node_sds = (np.empty(grid.steps + 1) for _ in range(3))
+    cum = np.zeros((1, n_paths))
 
-    # cumulative trapezoid of the weighted second moment, per path
-    dt = grid.dt
-    seg = 0.5 * dt * (weighted[:, 1:] + weighted[:, :-1])
-    cum = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(seg, axis=1)], axis=1)
+    def reduce(s: int, x: Array, u: Array) -> None:
+        # (node, path) blocks, so each node's reduction runs over contiguous paths
+        nonlocal cum
+        e = s + u.shape[1]
+        diff = ensemble.states[:, s : e + 1] - x
+        weighted = np.einsum("pin,pin->ip", diff, diff)
+        weighted *= discount[s : e + 1, None]
+        # the per-path trapezoid runs on from the window's first node
+        seg = half_dt * (weighted[1:] + weighted[:-1])
+        cum = np.cumsum(np.concatenate([cum[-1:], seg]), axis=0)
+        stat = weighted + margin * cum
+        mean_weighted[s : e + 1] = weighted.mean(axis=1)
+        node_means[s : e + 1] = stat.mean(axis=1)
+        node_sds[s : e + 1] = stat.std(axis=1, ddof=1)
 
-    per_path_stat = weighted + margin * cum
-    node_means = per_path_stat.mean(axis=0)
+    flags = stream_competitor(problem, ensemble, ensemble.open_loop(), reduce, x0=x0)
     i_star = int(np.argmax(node_means))
     statistic = float(node_means[i_star])
-    se = float(per_path_stat[:, i_star].std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-
-    rhs = float(np.sum((np.atleast_1d(x0_a) - np.atleast_1d(x0_b)) ** 2))
+    se = float(node_sds[i_star] / math.sqrt(n_paths))
+    rhs = float(node_means[0])
     tol = rhs * (1.0 + 0.05) + 3.0 * se
-    status = PASS if statistic <= tol else FAIL
-    loose = float(mean_weighted.max() + margin * cum.mean(axis=0)[-1])
     return VerificationReport(
         check="apriori_gap",
-        status=status,
+        status=PASS if statistic <= tol else FAIL,
         statistic=statistic,
         tolerance=tol,
         n_samples=n_paths,
@@ -524,49 +560,54 @@ def apriori_gap_check(
             "rhs": rhs,
             "margin": margin,
             "sup_node": i_star,
-            "sup_plus_full_integral": loose,
+            "sup_plus_full_integral": float(mean_weighted.max() + margin * cum[-1].mean()),
+            **degenerate_paths(flags),
         },
-        notes="running two-start bound; rhs is |x0_a - x0_b|^2",
+        notes="running two-start bound; rhs is E|X_0 - x0|^2",
     )
 
 
-def comparison_check(
-    problem: DiscountedProblem,
-    law: ControlLaw,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-) -> VerificationReport:
-    """Sandwich check: envelope constant controls bracket the law's paths.
+def comparison_check(problem: DiscountedProblem, ensemble: PathEnsemble) -> VerificationReport:
+    """Sandwich check: envelope constant controls bracket the ensemble's paths.
 
-    Simulates the law and the ``problem.sandwich_controls`` constants under
-    shared noise and reports the fraction of (path, step) nodes where the
-    law's state escapes [lower - 1e-9, upper + 1e-9]; pass at most 1e-3.
+    Steps the ``problem.sandwich_controls`` constants on the ensemble's noise
+    from its initial states (:func:`stream_competitor`) and counts, window by
+    window, the (path, node) pairs where the ensemble's state escapes
+    [lower - 1e-9, upper + 1e-9]; pass when at most 1e-3 of them escape.
+    The envelopes are ordered, so no node escapes both.  ``clipped_paths``
+    and ``exploded_paths`` count paths degenerate in either envelope.
     """
     if problem.sandwich_controls is None:
         raise ValueError("problem declares no sandwich controls")
-    lower_control, upper_control = problem.sandwich_controls
-    ens = simulate_forward(problem, law, grid, n_paths, seed)
-    ens_lo = simulate_forward(
-        problem, ConstantControl(lower_control), grid, n_paths, seed, noise=ens.noise
-    )
-    ens_hi = simulate_forward(
-        problem, ConstantControl(upper_control), grid, n_paths, seed, noise=ens.noise
-    )
-    below = ens.states[:, :, 0] < ens_lo.states[:, :, 0] - SANDWICH_MARGIN
-    above = ens.states[:, :, 0] > ens_hi.states[:, :, 0] + SANDWICH_MARGIN
-    bad = below | above
-    frac = float(bad.mean())
-    status = PASS if frac <= SANDWICH_MAX_FRACTION else FAIL
+    states = ensemble.states[:, :, 0]
+
+    def escapes(control, compare, offset: float) -> tuple[int, tuple]:
+        count = 0
+
+        def visit(s: int, x: Array, u: Array) -> None:
+            nonlocal count
+            # node s was counted with the window before, unless it is node 0
+            lo, e = int(s > 0), s + u.shape[1]
+            count += int(np.count_nonzero(compare(states[:, s + lo : e + 1], x[:, lo:, 0] + offset)))
+
+        flags = stream_competitor(problem, ensemble, ConstantControl(control), visit)
+        return count, flags
+
+    lower, upper = problem.sandwich_controls
+    below, lower_flags = escapes(lower, np.less, -SANDWICH_MARGIN)
+    above, upper_flags = escapes(upper, np.greater, SANDWICH_MARGIN)
+    size = states.size
+    frac = (below + above) / size
     return VerificationReport(
         check="sandwich",
-        status=status,
+        status=PASS if frac <= SANDWICH_MAX_FRACTION else FAIL,
         statistic=frac,
         tolerance=SANDWICH_MAX_FRACTION,
-        n_samples=int(bad.size),
+        n_samples=size,
         details={
-            "below_fraction": float(below.mean()),
-            "above_fraction": float(above.mean()),
+            "below_fraction": below / size,
+            "above_fraction": above / size,
+            **degenerate_paths(lower_flags, upper_flags),
         },
         notes="fraction of nodes outside the envelope bracket",
     )

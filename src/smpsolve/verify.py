@@ -15,7 +15,14 @@ from typing import Dict
 import numpy as np
 
 from .bsde import BsdeSolution
-from .forward import ControlLaw, PathEnsemble, TimeGrid, step_forward, time_major
+from .forward import (
+    ControlLaw,
+    PathEnsemble,
+    TimeGrid,
+    _block_steps,
+    degenerate_paths,
+    stream_competitor,
+)
 from .problems import (
     DiscountedProblem,
     SampleSpec,
@@ -30,17 +37,10 @@ Array = np.ndarray
 
 COST_SE_SLACK = 2.0
 # a competitor whose cost difference has an SE at most this fraction of the
-# candidate's mean absolute cost differs from it deterministically
+# candidate's mean absolute cost differs from it deterministically, and so
+# does a tvc node whose SE is at most this fraction of its mean |statistic|
 DETERMINISTIC_SE = 1e-12
 GRADIENT_TOL = 1e-6
-# (path, step) nodes per block of :func:`path_costs` and per window of
-# :func:`stream_competitor`
-PATH_COST_BLOCK = 1 << 14
-
-
-def _block_steps(n_paths: int, steps: int) -> int:
-    """Whole steps per block of about ``PATH_COST_BLOCK`` nodes, at least one."""
-    return min(steps, -(-PATH_COST_BLOCK // n_paths))
 
 
 class PathCostSum:
@@ -86,27 +86,6 @@ def path_costs(problem: DiscountedProblem, ensemble: PathEnsemble) -> Array:
         e = min(s + block, steps)
         total(s, x[:, s : e + 1], u[:, s:e])
     return total.total
-
-
-def stream_competitor(
-    problem: DiscountedProblem, ensemble: PathEnsemble, law: ControlLaw, *visitors
-) -> None:
-    """Step ``law`` on ``ensemble``'s noise without storing its paths.
-
-    The competitor starts from the ensemble's initial states and shares its
-    Brownian increments (common random numbers).  It is stepped by
-    :func:`step_forward` through one window of ``PATH_COST_BLOCK`` nodes
-    (whole steps), and every visitor sees each finished window as
-    ``visit(s, x, u)``: the nodes s..e and the controls of steps s..e-1.
-    No table of all its nodes is ever allocated; a law that explodes raises
-    :class:`SimulationError` as :func:`simulate_forward` would.
-    """
-    grid, n_paths = ensemble.grid, ensemble.n_paths
-    window = _block_steps(n_paths, grid.steps)
-    states = time_major(n_paths, window + 1, problem.state_dim)
-    controls = time_major(n_paths, window, problem.control_dim)
-    x0 = ensemble.states[:, 0]
-    step_forward(problem, law, grid, ensemble.noise, states, controls, visitors, x0=x0)
 
 
 def check_pointwise_max(
@@ -193,9 +172,12 @@ def check_tvc(
     X' is ``law`` stepped on the candidate's noise by
     :func:`stream_competitor`: m and its SE are gathered one window at a
     time, and further ``visitors`` (say a :class:`PathCostSum`) see the same
-    pass.  The direct criterion holds when some tail node (the last 10% of
-    nodes, at least 2 where the grid has them) satisfies m <= 3 SE (the
-    limit inferior only needs a subsequence).  When the tail is positive but
+    pass.  A node whose SE is at most ``DETERMINISTIC_SE`` times its mean
+    |e^{-beta t} <Y_t, X'_t - X_t>| is roundoff around a deterministic value,
+    and its SE is 0.  The details count the competitor's clipped and
+    exploded paths.  The direct criterion holds when some tail node (the
+    last 10% of nodes, at least 2 where the grid has them) satisfies
+    m <= 3 SE (the limit inferior only needs a subsequence).  When the tail is positive but
     provably transient, the fallback applies: strict discounting makes the
     weighted norms of state and costate finite, which forces m(t) -> 0 along
     a subsequence, so the condition is implied; the report then passes with
@@ -211,7 +193,7 @@ def check_tvc(
     if solution.grid != grid or solution.Y.shape[0] != n_paths:
         raise ValueError("the costate must belong to the candidate's paths and grid")
     times = grid.times()[:-1]
-    m, se = np.empty(grid.steps), np.empty(grid.steps)
+    m, se, scale = np.empty(grid.steps), np.empty(grid.steps), np.empty(grid.steps)
 
     def gather(s: int, x: Array, u: Array) -> None:
         e = s + u.shape[1]
@@ -221,12 +203,17 @@ def check_tvc(
         weighted *= np.exp(-problem.beta * times[s:e])
         m[s:e] = weighted.mean(axis=0)
         se[s:e] = weighted.std(axis=0, ddof=1)
+        scale[s:e] = np.abs(weighted, out=weighted).mean(axis=0)
 
-    stream_competitor(problem, ensemble, law, gather, *visitors)
+    flags = stream_competitor(problem, ensemble, law, gather, *visitors)
     if grid.steps < 2:
         notes = "no grid node between the start and the horizon"
-        return VerificationReport(check="transversality", status=INCONCLUSIVE, notes=notes)
+        return VerificationReport(
+            check="transversality", status=INCONCLUSIVE, details=degenerate_paths(flags), notes=notes
+        )
     se /= math.sqrt(n_paths)
+    # roundoff around a deterministic node value
+    se[se <= DETERMINISTIC_SE * scale] = 0.0
 
     n_tail = min(m.size - 1, max(2, int(math.ceil(0.1 * m.size))))
     tail = slice(m.size - n_tail, m.size)
@@ -239,6 +226,7 @@ def check_tvc(
         "best_node": i_best,
         "best_margin": float(score.min()),
         "strictly_discounted": problem.is_strictly_discounted(),
+        **degenerate_paths(flags),
     }
 
     decay_rate = None
@@ -275,6 +263,7 @@ def check_tvc(
 def cost_dominance(
     candidate_costs: Array,
     competitor_costs: Dict[str, Array],
+    degenerate: Dict[str, dict] | None = None,
 ) -> VerificationReport:
     """Paired cost comparison of the candidate against each competitor.
 
@@ -287,7 +276,9 @@ def cost_dominance(
     when there is none to compare against.  A difference whose SE is at most
     ``DETERMINISTIC_SE`` times the candidate's mean absolute cost is roundoff
     around a deterministic value: its SE is reported as 0 and the verdict is
-    the sign of the mean.
+    the sign of the mean.  ``degenerate`` maps a competitor to the
+    :func:`~smpsolve.forward.degenerate_paths` counts of its flow, which its
+    row records.
     """
     rows = {}
     all_ok = True
@@ -308,6 +299,7 @@ def cost_dominance(
             "standard_error": se,
             "deterministic": deterministic,
             "dominated": ok,
+            **(degenerate or {}).get(name, {}),
         }
         all_ok = all_ok and ok
         worst = min(worst, mean + COST_SE_SLACK * se)

@@ -186,7 +186,7 @@ def test_criterion_5_logistic_properties(logistic_fixed_point, capsys):
     crossings = sum(r.details["euler_crossings"] + r.details["floor_clips"] for r in batches)
 
     grid = TimeGrid.auto(params.beta, 250)
-    sandwich = comparison_check(problem, law, grid, n_paths=4000, seed=7)
+    sandwich = comparison_check(problem, simulate_forward(problem, law, grid, 4000, seed=7))
 
     ens = simulate_forward(problem, law, grid, 4000, seed=8)
     cyl = cylinder_consistency_check(

@@ -21,6 +21,7 @@ from smpsolve import (
     register_experiment,
     riccati_oracle,
     run_experiment,
+    simulate_forward,
 )
 from smpsolve.experiments import (
     ConsumptionParams,
@@ -307,6 +308,7 @@ class TestRunExperiment:
         assert result.solution is None
         assert {r.check for r in result.reports} == {"assumptions", "identities"}
         assert result.all_passed
+        assert "condition_number_max" not in result.scalars
 
     def test_params_mapping_override(self):
         result = run_experiment(
@@ -330,6 +332,19 @@ class TestRunExperiment:
         report = result.report_by_name("oracle")
         assert report.status == "pass"
         assert "y0_estimate" in result.scalars
+
+    @pytest.mark.parametrize("name", ["consumption", "production", "logistic"])
+    def test_solve_conditioning_in_scalars(self, name):
+        result = run_experiment(name, grid=TimeGrid(horizon=4.0, steps=40), n_paths=400, checks=["tvc", "costs"])
+        conds, scalars = result.solution.condition_numbers, result.scalars
+        assert scalars["condition_number_max"] == float(conds.max())
+        assert scalars["condition_number_median"] == float(np.median(conds))
+        assert 1.0 <= scalars["condition_number_median"] <= scalars["condition_number_max"]
+        assert scalars["ridge_steps"] == len(result.solution.ridge_steps)
+        # every streamed flow reports its degenerate paths
+        rows = result.report_by_name("cost_dominance").details["competitors"]
+        for details in [*rows.values(), result.report_by_name("transversality").details]:
+            assert details["clipped_paths"] == details["exploded_paths"] == 0
 
     def test_stability_check_reports_the_gap(self):
         result = run_experiment(
@@ -378,23 +393,25 @@ class TestSharedWork:
     def _watch(monkeypatch, name="consumption", checks=("tvc", "costs")):
         import weakref
 
-        from smpsolve import verify
+        from smpsolve import forward
 
         alive, passes = [], []
-        simulate, step = experiments.simulate_forward, verify.step_forward
+        simulate, step = experiments.simulate_forward, forward.step_forward
 
         def simulate_spy(*args, **kwargs):
             ens = simulate(*args, **kwargs)
             alive.append(weakref.ref(ens))
             return ens
 
-        def step_spy(*args, **kwargs):
-            # stored ensembles alive while a competitor is stepped
-            passes.append(sum(ref() is not None for ref in alive))
-            return step(*args, **kwargs)
+        def step_spy(problem, law, grid, noise, states, controls, *args, **kwargs):
+            # a streamed flow steps through a window shorter than the grid;
+            # count the stored ensembles alive meanwhile
+            if controls.shape[1] < grid.steps:
+                passes.append(sum(ref() is not None for ref in alive))
+            return step(problem, law, grid, noise, states, controls, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "simulate_forward", simulate_spy)
-        monkeypatch.setattr(verify, "step_forward", step_spy)
+        monkeypatch.setattr(forward, "step_forward", step_spy)
         result = run_experiment(name, grid=TimeGrid(horizon=8.0, steps=80), n_paths=500, checks=list(checks))
         return result, alive, passes
 
@@ -422,12 +439,19 @@ class TestSharedWork:
 SMALL_GRID = TimeGrid(horizon=2.0, steps=20)
 _SHARED_NOISE_GROUPS = {
     "comparison_check": lambda: comparison_check(
-        consumption_problem(ConsumptionParams()), consumption_optimal_law(ConsumptionParams()),
-        SMALL_GRID, n_paths=200, seed=1,
+        consumption_problem(ConsumptionParams()),
+        simulate_forward(
+            consumption_problem(ConsumptionParams()), consumption_optimal_law(ConsumptionParams()),
+            SMALL_GRID, 200, seed=1,
+        ),
     ),
     "apriori_gap_check": lambda: apriori_gap_check(
-        production_problem(ProductionPlanningParams()), ConstantControl([1.5]), SMALL_GRID,
-        [1.0], [3.0], n_paths=200, seed=1,
+        production_problem(ProductionPlanningParams()),
+        simulate_forward(
+            production_problem(ProductionPlanningParams()), ConstantControl([1.5]), SMALL_GRID,
+            200, seed=1, x0=[1.0],
+        ),
+        [3.0],
     ),
     "logistic_picard_solve": lambda: logistic_picard_solve(
         LogisticParams(), SMALL_GRID, n_paths=300, seed=1
@@ -454,3 +478,42 @@ def test_noise_is_drawn_once_per_shared_noise_group(monkeypatch, group):
     monkeypatch.setattr(NoiseBatch, "generate", classmethod(spy))
     _SHARED_NOISE_GROUPS[group]()
     assert len(draws) == 1
+
+
+def _calls_in_package(*callees):
+    """{(module, enclosing scope)} of every call of a function or method
+    named in ``callees`` inside the smpsolve sources, by callee."""
+    import ast
+    import pathlib
+
+    import smpsolve
+
+    found = {name: set() for name in callees}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in found:
+                    found[name].add((module, scope))
+            visit(child, module, inner)
+
+    for path in sorted(pathlib.Path(smpsolve.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_only_the_candidate_flows_draw_noise():
+    # every other flow rides the noise of an ensemble it is handed
+    calls = _calls_in_package("generate", "simulate_forward")
+    assert calls["generate"] == {("forward", "simulate_forward")}
+    assert calls["simulate_forward"] == {
+        ("experiments", "ClosedFormCandidate.ensemble"),
+        ("experiments", "logistic_picard_solve"),
+        ("experiments", "consumption_integrability_check"),
+        ("experiments", "production_sigma_zero_cost"),
+    }

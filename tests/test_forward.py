@@ -1,5 +1,7 @@
 """Forward simulation: grids, noise, control laws, path checks."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,15 @@ from smpsolve import (
     simulate_forward,
     step_forward,
 )
-from smpsolve.forward import EXPLOSION_GUARD, POSITIVITY_FLOOR, RegionConstants, time_major
+from smpsolve.forward import (
+    EXPLOSION_GUARD,
+    POSITIVITY_FLOOR,
+    SANDWICH_MARGIN,
+    SANDWICH_MAX_FRACTION,
+    RegionConstants,
+    time_major,
+)
+from smpsolve.reports import FAIL, PASS, VerificationReport
 from smpsolve.problems import (
     AssumptionConstants,
     CoefficientField,
@@ -35,6 +45,7 @@ from smpsolve.experiments import (
     consumption_optimal_law,
     consumption_problem,
     logistic_problem,
+    production_optimal_law,
     logistic_region_constants,
     logistic_sample_spec,
     production_problem,
@@ -389,18 +400,18 @@ class TestPathChecks:
     def test_two_start_stability_passes(self):
         problem = production_problem(ProductionPlanningParams())
         grid = TimeGrid(horizon=4.0, steps=80)
-        report = apriori_gap_check(
-            problem, ConstantControl([1.5]), grid, [1.0], [3.0], n_paths=200, seed=1
-        )
+        ens = simulate_forward(problem, ConstantControl([1.5]), grid, 200, seed=1, x0=[1.0])
+        report = apriori_gap_check(problem, ens, [3.0])
         assert report.status == "pass"
+        assert report.details["rhs"] == 4.0
+        assert report.details["clipped_paths"] == report.details["exploded_paths"] == 0
 
     def test_sandwich_brackets_interior_law(self):
         params = ConsumptionParams()
         problem = consumption_problem(params)
         grid = TimeGrid(horizon=3.0, steps=60)
-        report = comparison_check(
-            problem, consumption_optimal_law(params), grid, n_paths=400, seed=3
-        )
+        ens = simulate_forward(problem, consumption_optimal_law(params), grid, 400, seed=3)
+        report = comparison_check(problem, ens)
         assert report.check == "sandwich"
         assert report.status == "pass"
         assert report.statistic == 0.0
@@ -409,7 +420,7 @@ class TestPathChecks:
         problem = production_problem(ProductionPlanningParams())
         grid = TimeGrid(horizon=1.0, steps=10)
         with pytest.raises(ValueError):
-            comparison_check(problem, ConstantControl([1.0]), grid, n_paths=4, seed=0)
+            comparison_check(problem, simulate_forward(problem, ConstantControl([1.0]), grid, 4, seed=0))
 
     def test_positivity_clean_run(self):
         params = ConsumptionParams()
@@ -435,3 +446,129 @@ class TestPathChecks:
             RegionConstants(r=2.0, R=1.0, C=0.0)
         with pytest.raises(ValueError):
             RegionConstants(r=0.5, R=1.0, C=-1.0)
+
+
+# (paths, grid): whole windows of 4 steps; windows of 6 steps that leave 5
+# for the last of 23; a single step
+PATH_CHECK_GRIDS = {
+    "whole_windows": (4096, TimeGrid(horizon=2.0, steps=20)),
+    "ragged_window": (3000, TimeGrid(horizon=2.3, steps=23)),
+    "one_step": (500, TimeGrid(horizon=0.5, steps=1)),
+}
+
+
+def _stored_sandwich(problem, ens) -> VerificationReport:
+    """The sandwich check on stored envelopes, as it was computed before streaming."""
+    lower, upper = (
+        simulate_forward(problem, ConstantControl(c), ens.grid, ens.n_paths, 0, noise=ens.noise)
+        for c in problem.sandwich_controls
+    )
+    below = ens.states[:, :, 0] < lower.states[:, :, 0] - SANDWICH_MARGIN
+    above = ens.states[:, :, 0] > upper.states[:, :, 0] + SANDWICH_MARGIN
+    frac = float((below | above).mean())
+    return VerificationReport(
+        check="sandwich",
+        status=PASS if frac <= SANDWICH_MAX_FRACTION else FAIL,
+        statistic=frac,
+        tolerance=SANDWICH_MAX_FRACTION,
+        n_samples=int(below.size),
+        details={
+            "below_fraction": float(below.mean()),
+            "above_fraction": float(above.mean()),
+            "clipped_paths": int((lower.floor_clipped | upper.floor_clipped).sum()),
+            "exploded_paths": int((lower.exploded | upper.exploded).sum()),
+        },
+        notes="fraction of nodes outside the envelope bracket",
+    )
+
+
+def _stored_apriori(problem, ens, x0):
+    """(statistic, SE, sup node, sup + full integral) of the two-start bound
+    from a stored second ensemble, as computed before streaming."""
+    other = simulate_forward(
+        problem, ens.open_loop(), ens.grid, ens.n_paths, 0, noise=ens.noise, x0=x0
+    )
+    diff = ens.states - other.states
+    weighted = np.einsum("pin,pin->pi", diff, diff) * np.exp(-problem.beta * ens.grid.times())
+    margin = problem.beta - 2.0 * problem.constants.mu1 - 2.0 * problem.constants.L**2
+    seg = 0.5 * ens.grid.dt * (weighted[:, 1:] + weighted[:, :-1])
+    cum = np.concatenate([np.zeros((ens.n_paths, 1)), np.cumsum(seg, axis=1)], axis=1)
+    per_path = weighted + margin * cum
+    means = per_path.mean(axis=0)
+    i = int(np.argmax(means))
+    se = per_path[:, i].std(ddof=1) / math.sqrt(ens.n_paths)
+    return means[i], se, i, weighted.mean(axis=0).max() + margin * cum[:, -1].mean()
+
+
+def _wider_box(problem, widen: float):
+    """``problem`` with its control box widened by ``widen`` on both sides, and a
+    law that plays the lower corner of the wider box on even paths and the
+    upper one on odd paths, so that its states leave both envelopes."""
+    lo, hi = problem.domain.lower - widen, problem.domain.upper + widen
+    wide = dataclasses.replace(problem, domain=ControlDomain(lo, hi))
+    law = FeedbackControl(lambda t, x: np.where(np.arange(x.shape[0]) % 2 == 0, lo[0], hi[0]))
+    return wide, law
+
+
+class TestStreamedPathChecks:
+    """``comparison`` and ``apriori`` step their companion flows through a
+    window on the audited ensemble's noise and agree with stored flows."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["interior", "wider_box"])
+    @pytest.mark.parametrize("grid_name", list(PATH_CHECK_GRIDS))
+    @pytest.mark.parametrize("name", ["consumption", "logistic"])
+    def test_sandwich_matches_stored_envelopes(self, name, grid_name, wide):
+        n_paths, grid = PATH_CHECK_GRIDS[grid_name]
+        definition = get_experiment(name)
+        params = definition.params_type()
+        problem = definition.problem(params)
+        if wide:
+            stepped, law = _wider_box(problem, 0.5)
+        else:
+            stepped, law = problem, next(iter(definition.competitors(params).values()))
+        ens = simulate_forward(stepped, law, grid, n_paths, seed=5)
+        report = comparison_check(problem, ens)
+        assert report == _stored_sandwich(problem, ens)
+        if wide:
+            # a law outside the envelopes' control box escapes on both sides
+            assert report.status == FAIL
+            assert report.details["below_fraction"] > 0.0
+            assert report.details["above_fraction"] > 0.0
+
+    @pytest.mark.parametrize("grid_name", list(PATH_CHECK_GRIDS))
+    @pytest.mark.parametrize("name", ["consumption", "production"])
+    def test_apriori_matches_a_stored_second_start(self, name, grid_name):
+        n_paths, grid = PATH_CHECK_GRIDS[grid_name]
+        params = get_experiment(name).params_type()
+        problem = get_experiment(name).problem(params)
+        law = consumption_optimal_law(params) if name == "consumption" else production_optimal_law(params)
+        ens = simulate_forward(problem, law, grid, n_paths, seed=5)
+        x0 = problem.x0 + 1.0
+        report = apriori_gap_check(problem, ens, x0)
+        statistic, se, node, loose = _stored_apriori(problem, ens, x0)
+        assert report.details["sup_node"] == node
+        # relative to the statistic: production's SE is itself roundoff
+        for got, want, scale in [
+            (report.statistic, statistic, statistic),
+            (report.standard_error, se, statistic),
+            (report.details["sup_plus_full_integral"], loose, loose),
+        ]:
+            assert abs(got - want) <= 1e-12 * abs(scale)
+
+    @pytest.mark.parametrize("check", ["comparison", "apriori"])
+    def test_peak_memory_is_window_sized(self, check):
+        n_paths, steps = 4000, 400
+        params = ConsumptionParams()
+        problem = consumption_problem(params)
+        grid = TimeGrid(horizon=14.0, steps=steps)
+        ens = simulate_forward(problem, consumption_optimal_law(params), grid, n_paths, seed=3)
+        tracemalloc.start()
+        try:
+            if check == "comparison":
+                comparison_check(problem, ens)
+            else:
+                apriori_gap_check(problem, ens, problem.x0 + 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2 * n_paths * (steps + 1) * 8

@@ -23,8 +23,14 @@ from smpsolve import (
     solve_bsde_lsmc,
     stream_competitor,
 )
-from smpsolve.problems import AssumptionConstants, CoefficientField, ControlDomain, DiscountedProblem
-from smpsolve.verify import PATH_COST_BLOCK
+from smpsolve.problems import (
+    AssumptionConstants,
+    CoefficientField,
+    ControlDomain,
+    DiscountedProblem,
+    StateRegion,
+)
+from smpsolve.forward import PATH_COST_BLOCK, degenerate_paths
 from smpsolve.experiments import (
     ConsumptionParams,
     LogisticParams,
@@ -187,6 +193,39 @@ class TestStreamedCompetitors:
             tracemalloc.stop()
         assert peak <= 0.1 * n_paths * steps * 8
 
+    def test_clipped_competitor_is_counted(self):
+        # x' = -u on the half-line: the candidate u = 0 stays at 0.5, the
+        # competitor u = 1 reaches the floor at t = 0.5 on every path
+        coeffs = CoefficientField(
+            state_dim=1,
+            noise_dim=1,
+            control_dim=1,
+            drift=lambda x, u: -u,
+            diffusion=lambda x, u: np.zeros(x.shape[:-1] + (1, 1)),
+            running_cost=lambda x, u: x[..., 0],
+            grad_drift=lambda x, u: np.zeros(x.shape[:-1] + (1, 1)),
+            grad_cost=lambda x, u: np.ones_like(x),
+        )
+        problem = DiscountedProblem(
+            coefficients=coeffs,
+            domain=ControlDomain([0.0], [1.0]),
+            beta=1.0,
+            constants=AssumptionConstants(0.0, 0.0, 0.0, 0.0),
+            x0=np.array([0.5]),
+            state_region=StateRegion.POSITIVE_HALF_LINE,
+        )
+        grid = TimeGrid(horizon=1.0, steps=20)
+        cand = simulate_forward(problem, ConstantControl([0.0]), grid, 8, seed=0)
+        costing = PathCostSum(problem, grid)
+        flags = stream_competitor(problem, cand, ConstantControl([1.0]), costing)
+        counts = degenerate_paths(flags)
+        assert counts == {"clipped_paths": 8, "exploded_paths": 0}
+        report = cost_dominance(path_costs(problem, cand), {"dive": costing.total}, {"dive": counts})
+        assert report.details["competitors"]["dive"]["clipped_paths"] == 8
+        sol = solve_bsde_lsmc(problem, cand, RegressionBasis(degree=1))
+        tvc = check_tvc(problem, cand, sol, ConstantControl([1.0]))
+        assert tvc.details["clipped_paths"] == 8
+
     def test_exploding_competitor_raises_like_simulate_forward(self):
         # x' = 3 x u: the candidate u = 0 stays at 1, the competitor u = 1
         # reaches 1.24^100 ~ 2e9, past the explosion guard
@@ -291,6 +330,18 @@ class TestTransversality:
         report = check_tvc(problem, ens, sol, ConstantControl([params.cap]))
         assert report.details["tail_nodes"] == 1
         assert report.details["best_node"] == 1
+
+    def test_deterministic_node_reports_zero_se(self):
+        # constant-rate consumption keeps X'/X deterministic and the
+        # reciprocal basis fits Y = g(t)/X, so the per-path values agree to
+        # roundoff: SE 0, and the positive tail passes by the implied route
+        params, problem, grid, ens, sol = self._setup()
+        report = check_tvc(problem, ens, sol, ConstantControl([0.25 * params.resolved_beta()]))
+        assert report.standard_error == 0.0
+        assert report.tolerance == 0.0
+        assert report.statistic > 0.0
+        assert report.status == "pass"
+        assert report.details["route"] == "integrability"
 
     def test_grid_mismatch_rejected(self):
         # the costate must be the one solved on the candidate's own grid
