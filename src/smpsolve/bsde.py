@@ -396,70 +396,3 @@ def cylinder_consistency_check(
         details={"z_difference": diff_z, "kept_fraction": kept / ensemble.n_paths},
         notes=f"per-subset refit at truncations {truncation_m:g} and {truncation_p:g}",
     )
-
-
-def martingale_residual_report(
-    problem: DiscountedProblem,
-    ensemble: PathEnsemble,
-    solution: BsdeSolution,
-    max_time: float | None = None,
-) -> VerificationReport:
-    """Per-step mean of Y_{i+1} - Y_i + driver dt - Z dW, against SE of zero.
-
-    A systematic driver error accumulates in the mean; a correct scheme
-    leaves only sampling noise.  The regression behind Y pins the fit
-    residual's sample mean at zero, so the fluctuation of the step mean is
-    carried by the Z dW term; the standard error must include it, not just
-    the spread of the combined residual.  The tolerance max(3, sqrt(2 ln 40m))
-    widens with the number m of steps tested (the statistic is a maximum).
-
-    The final backward step is always skipped: with a deterministic terminal
-    value the conditional-mean fit there is exact and Z vanishes, so that
-    step has no martingale component; its residual is pure one-step
-    quadrature error and the ratio would compare bias against an unrelated
-    spread.  ``max_time`` widens that exclusion to a whole terminal window,
-    for problems whose driver moments grow so fast along the horizon that
-    the quadrature bias of the zero-terminal truncation outruns the noise
-    scale near the boundary.
-    """
-    grid = ensemble.grid
-    dt = grid.dt
-    last = grid.steps - 1
-    if max_time is not None:
-        last = min(last, max(1, int(math.floor(max_time / dt))))
-    if last < 1:
-        notes = "no step to test: the grid has only the skipped final step"
-        return VerificationReport(check="martingale_residual", status=INCONCLUSIVE, notes=notes)
-    tolerance = max(3.0, math.sqrt(2.0 * math.log(40.0 * last)))
-    keep = ~ensemble.exploded
-    P = int(keep.sum())
-    worst = 0.0
-    worst_step = -1
-    for i in range(last):
-        g = grad_x_hamiltonian(
-            ensemble.states[keep, i, :],
-            ensemble.controls[keep, i, :],
-            solution.Y[keep, i, :],
-            solution.Z[keep, i, :, :],
-            problem,
-        )
-        zdw = np.einsum(
-            "pnd,pd->pn", solution.Z[keep, i, :, :], ensemble.noise.increments[keep, i, :]
-        )
-        resid = solution.Y[keep, i + 1, :] - solution.Y[keep, i, :] + g * dt - zdw
-        mean = resid.mean(axis=0)
-        var = zdw.var(axis=0, ddof=1) + resid.var(axis=0, ddof=1)
-        se = np.sqrt(var / P)
-        score = float(np.max(np.abs(mean) / np.maximum(se, 1e-300)))
-        if score > worst:
-            worst, worst_step = score, i
-    status = PASS if worst <= tolerance else FAIL
-    return VerificationReport(
-        check="martingale_residual",
-        status=status,
-        statistic=worst,
-        tolerance=tolerance,
-        n_samples=P,
-        details={"worst_step": worst_step, "steps_tested": last, "max_time": max_time},
-        notes="largest |mean residual| / SE over steps",
-    )

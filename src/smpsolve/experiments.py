@@ -30,7 +30,6 @@ from .bsde import (
     BsdeSolution,
     RegressionBasis,
     cylinder_consistency_check,
-    martingale_residual_report,
     solve_bsde_lsmc,
     terminal_stability_gap,
 )
@@ -962,8 +961,8 @@ class ExperimentDefinition:
     or a :class:`PicardResult`).  ``scalars(run)`` records reference figures
     in ``run.scalars`` and ``run.curves``.  ``checks`` maps the experiment's
     own check names to ``check(run) -> [reports]``; they run before the
-    generic ones.  The windows map the horizon to the last time the pointwise
-    and martingale checks sample (None: the whole grid).
+    generic ones.  ``pointwise_window`` maps the horizon to the last time the
+    pointwise check samples (None: the whole grid).
     """
 
     name: str
@@ -983,7 +982,6 @@ class ExperimentDefinition:
     checks: Mapping[str, Callable[[ExperimentRun], list]] = field(default_factory=dict)
     pointwise_tol: float = 1e-6
     pointwise_window: Callable[[float], float | None] = lambda horizon: None
-    martingale_window: Callable[[float], float | None] = lambda horizon: None
 
     @property
     def check_table(self) -> Dict[str, Callable[[ExperimentRun], list]]:
@@ -1001,12 +999,6 @@ def _pointwise_max(run: ExperimentRun) -> List[VerificationReport]:
     return [check_pointwise_max(
         run.problem, c.ensemble, c.solution, seed=run.seed + 4, tol=d.pointwise_tol, max_time=max_time
     )]
-
-
-def _martingale(run: ExperimentRun) -> List[VerificationReport]:
-    c = run.candidate
-    max_time = run.definition.martingale_window(run.grid.horizon)
-    return [martingale_residual_report(run.problem, c.ensemble, c.solution, max_time=max_time)]
 
 
 def _stability(run: ExperimentRun) -> List[VerificationReport]:
@@ -1060,7 +1052,6 @@ _GENERIC_CHECKS = {
         concavity_probe(run.problem, spec) for spec in run.definition.concavity_specs(run.params)
     ],
     "pointwise_max": _pointwise_max,
-    "martingale": _martingale,
     "positivity": lambda run: [positivity_check(run.candidate.ensemble)],
     "stability": _stability,
     "tvc": _tvc,
@@ -1149,7 +1140,7 @@ register_experiment(
         default_paths=20_000,
         default_checks=(
             "assumptions", "identities", "concavity", "oracle", "integrability",
-            "pointwise_max", "martingale", "stability", "tvc", "costs", "positivity",
+            "pointwise_max", "stability", "tvc", "costs", "positivity",
         ),
         tvc_competitor="constant_quarter",
         basis=RegressionBasis(degree=4, reciprocal=True),
@@ -1164,11 +1155,9 @@ register_experiment(
             "integrability": lambda run: [consumption_integrability_check(run.params, seed=run.seed + 1)],
         },
         # the stationary candidate meets the zero-terminal costate only away
-        # from the horizon; the 1/X driver moments grow so fast that the
-        # martingale test also has to stop short of it
+        # from the horizon
         pointwise_tol=1e-3,
         pointwise_window=_before_terminal_layer(10.0, 12.0, 0.4),
-        martingale_window=_before_terminal_layer(2.0, 4.0, 0.5),
     )
 )
 
@@ -1228,7 +1217,7 @@ register_experiment(
         default_paths=20_000,
         default_checks=(
             "assumptions", "identities", "concavity", "oracle", "pointwise_max",
-            "martingale", "stability", "tvc", "costs", "apriori",
+            "stability", "tvc", "costs", "apriori",
         ),
         tvc_competitor="constant_high",
         basis=RegressionBasis(degree=4),
@@ -1278,8 +1267,7 @@ register_experiment(
         default_paths=15_000,
         default_checks=(
             "assumptions", "identities", "concavity", "picard", "pointwise_max",
-            "martingale", "comparison", "positivity", "cylinder", "lyapunov", "tvc",
-            "costs",
+            "comparison", "positivity", "cylinder", "lyapunov", "tvc", "costs",
         ),
         tvc_competitor="constant_high",
         basis=RegressionBasis(degree=4),
@@ -1305,7 +1293,6 @@ register_experiment(
         },
         # the fixed-point candidate is consistent with its own surface, so the
         # pointwise check keeps the default tolerance on the whole grid
-        martingale_window=_before_terminal_layer(0.1, 0.5, 0.8),
     )
 )
 

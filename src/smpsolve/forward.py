@@ -147,6 +147,8 @@ class NoiseBatch:
             raise ValueError("n_paths, n_steps and noise_dim must be >= 1")
         if dt <= 0:
             raise ValueError("dt must be positive")
+        if not 0 <= seed < 2**63:
+            raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
         increments = time_major(n_paths, n_steps, noise_dim)
         # draws need contiguous rows, so each block of paths is drawn path by
         # path into a small buffer and then copied over time-major

@@ -12,7 +12,6 @@ from smpsolve import (
     RegressionBasis,
     TimeGrid,
     cylinder_consistency_check,
-    martingale_residual_report,
     simulate_forward,
     solve_bsde_lsmc,
     terminal_stability_gap,
@@ -274,23 +273,6 @@ class TestFactorization:
             for i in range(grid.steps)
         )
         assert fit_error <= 1e-8
-
-
-class TestMartingaleResidual:
-    def test_clean_problem_passes(self):
-        params, problem, ens = _production_setup()
-        sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
-        report = martingale_residual_report(problem, ens, sol)
-        assert report.status == "pass"
-        # the deterministic-terminal step carries no martingale part and is skipped
-        assert report.details["steps_tested"] == ens.grid.steps - 1
-
-    def test_max_time_limits_the_window(self):
-        params, problem, ens = _production_setup(horizon=4.0, steps=80, n_paths=1000)
-        sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
-        report = martingale_residual_report(problem, ens, sol, max_time=2.0)
-        assert report.details["steps_tested"] == 40
-        assert report.details["worst_step"] < 40
 
 
 def _record_solves(monkeypatch) -> list:

@@ -102,6 +102,19 @@ class TestExitCodes:
         assert code == 1
         assert "volatility" in capsys.readouterr().err
 
+    def test_removed_martingale_check_exits_one(self, tmp_path, capsys):
+        code = _run("run", "-e", "consumption", "--check", "martingale", "--out", str(tmp_path))
+        assert code == 1
+        assert "martingale" in capsys.readouterr().err
+
+    def test_seed_beyond_int64_exits_one(self, tmp_path, capsys):
+        code = _run(
+            "run", "-e", "consumption", "--check", "oracle", "--paths", "50", "--steps", "10",
+            "--seed", "36893488147419103232", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert "error: seed must lie in [0, 2**63)" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "bad",
         [

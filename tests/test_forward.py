@@ -131,11 +131,12 @@ class TestNoiseBatch:
         c = NoiseBatch.generate(8, 16, 10, 1, 0.1)
         assert not np.array_equal(a.increments, c.increments)
 
-    def test_paths_are_keyed_individually(self):
-        # enlarging the batch must not change existing paths (common random numbers)
-        small = NoiseBatch.generate(3, 10, 12, 1, 0.05)
-        big = NoiseBatch.generate(3, 25, 12, 1, 0.05)
-        assert np.array_equal(big.increments[:10], small.increments)
+    def test_a_smaller_batch_is_a_prefix(self):
+        # enlarging the batch must not change existing paths (common random
+        # numbers); 300 of 700 paths cross a 256-path draw block
+        small = NoiseBatch.generate(3, 300, 12, 1, 0.05)
+        big = NoiseBatch.generate(3, 700, 12, 1, 0.05)
+        assert np.array_equal(big.increments[:300], small.increments)
 
     def test_increment_scale(self):
         batch = NoiseBatch.generate(11, 200, 50, 1, 0.04)
@@ -149,6 +150,13 @@ class TestNoiseBatch:
             gen = np.random.Generator(np.random.Philox(key=[5, p]))
             expected = (gen.standard_normal(9 * 2) * math.sqrt(0.25)).reshape(9, 2)
             assert np.array_equal(batch.increments[p], expected)
+
+    def test_seeds_beyond_int64_are_rejected(self):
+        # a key cast through float64 would give 2**63 and 2**63 + 1 one stream
+        NoiseBatch.generate(2**63 - 1, 2, 3, 1, 0.1)
+        for seed in (2**63, 2**63 + 1, -1):
+            with pytest.raises(ValueError, match="seed"):
+                NoiseBatch.generate(seed, 2, 3, 1, 0.1)
 
 
 class TestTimeMajorLayout:
