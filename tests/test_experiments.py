@@ -9,6 +9,7 @@ import pytest
 
 from smpsolve import (
     ConstantControl,
+    FeedbackControl,
     NoiseBatch,
     TimeGrid,
     VerificationReport,
@@ -209,10 +210,50 @@ class TestRiccatiOracle:
     def test_value_at_default_start(self):
         assert float(production_value(ProductionPlanningParams(), 1.0)) == pytest.approx(-0.75)
 
-    def test_sigma_zero_cost_track(self):
-        est, exact, rel = production_sigma_zero_cost(ProductionPlanningParams(), steps=5000)
-        assert exact == pytest.approx(float(production_value(ProductionPlanningParams(sigma=0.0), 1.0)))
-        assert rel <= 5e-3
+    @pytest.mark.parametrize(
+        "kw, bound", [({}, 1e-4), (dict(sigma=1.5, h=2.0, beta=0.2), 1e-3)], ids=["default", "stiff"]
+    )
+    def test_sigma_zero_cost_track(self, kw, bound):
+        params = ProductionPlanningParams(**kw)
+        value, exact, rel = production_sigma_zero_cost(params)
+        assert exact == pytest.approx(float(production_value(dataclasses.replace(params, sigma=0.0), params.x0)))
+        assert rel == pytest.approx(abs(value - exact) / abs(exact))
+        assert rel <= bound
+
+    @staticmethod
+    def _oracle(params, gain=1.0, n_paths=2000, steps=200, seed=3):
+        definition = get_experiment("production")
+        if gain != 1.0:
+            phi, psi, _ = production_riccati_constants(params)
+            law = FeedbackControl(lambda t, x: np.clip(
+                params.u1 + gain * (phi * x[:, 0] + psi) / (2.0 * params.c), params.u_low, params.u_high
+            ))
+            definition = dataclasses.replace(
+                definition, candidate=lambda run: experiments.ClosedFormCandidate(run, law)
+            )
+        problem = definition.problem(params)
+        grid = TimeGrid.auto(problem.beta, steps)
+        run = experiments.ExperimentRun(definition, params, problem, grid, n_paths, seed, definition.basis)
+        (report,) = definition.checks["oracle"](run)
+        return report
+
+    def test_oracle_is_inconclusive_where_the_box_binds(self):
+        # about 9% of the candidate's nodes sit on the box; the Riccati curve
+        # (statistic near 0.48 against 0.05) does not apply there
+        report = self._oracle(ProductionPlanningParams(c=0.1, x0=-3.0))
+        assert report.details["box_share"] > experiments.ORACLE_MAX_BOX_SHARE
+        assert report.status == "inconclusive"
+        assert report.statistic > report.tolerance
+
+    def test_oracle_passes_the_optimal_candidate_with_the_box_inactive(self):
+        report = self._oracle(ProductionPlanningParams())
+        assert report.details["box_share"] <= experiments.ORACLE_MAX_BOX_SHARE
+        assert report.status == PASS
+
+    def test_oracle_fails_a_wrong_gain_with_the_box_inactive(self):
+        report = self._oracle(ProductionPlanningParams(), gain=0.8, n_paths=4000)
+        assert report.details["box_share"] <= experiments.ORACLE_MAX_BOX_SHARE
+        assert report.status == FAIL
 
     def test_oracle_check_reduces_one_time_node_at_a_time(self):
         n_paths, steps = 4000, 400
@@ -238,7 +279,7 @@ class TestRiccatiOracle:
         problem = definition.problem(params)
         grid = TimeGrid.auto(problem.beta, 200)
         run = experiments.ExperimentRun(definition, params, problem, grid, 2000, 3, definition.basis)
-        sigma_zero = experiments.production_sigma_zero_cost(params, steps=2000)
+        sigma_zero = experiments.production_sigma_zero_cost(params)
         monkeypatch.setattr(experiments, "production_sigma_zero_cost", lambda params: sigma_zero)
         statuses = {}
         for premise in ("phi_agreement", "psi_agreement"):
@@ -268,6 +309,46 @@ class TestConsumptionOracles:
         want = max(2 * 0.05 + 2 * 0.04, 1.0 + 3 * 0.04 - 2 * 0.05)
         assert certified_consumption_threshold(params) == pytest.approx(want)
         assert certified_consumption_threshold(params) == pytest.approx(1.02)
+
+
+def _integrability(grid=None, n_paths=2000, seed=3, problem=None):
+    definition = get_experiment("consumption")
+    params = ConsumptionParams()
+    problem = definition.problem(params) if problem is None else problem
+    grid = TimeGrid.auto(problem.beta, definition.default_steps) if grid is None else grid
+    run = experiments.ExperimentRun(definition, params, problem, grid, n_paths, seed, definition.basis)
+    (report,) = definition.checks["integrability"](run)
+    return report
+
+
+class TestIntegrability:
+    def test_correct_stepper_passes(self):
+        report = _integrability()
+        assert report.status == PASS
+        assert report.n_samples == 2000
+        assert report.details["probe_times"] == pytest.approx([0.56, 1.05, 1.54, 2.03, 2.52, 3.01, 3.5, 4.06, 4.55, 5.04])
+        assert report.details["clipped_paths"] == report.details["exploded_paths"] == 0
+
+    def test_stepper_without_the_ito_term_fails(self):
+        # drift rate + sigma^2/2 drops the -sigma^2/2 of the log step, which
+        # moves E[1/X^2] by a factor e^{-sigma^2 t}, about 18% at t = 5
+        problem = consumption_problem(ConsumptionParams())
+        mult = problem.multiplicative
+        mutant = dataclasses.replace(
+            mult, linear_rate=lambda u: mult.linear_rate(u) + 0.5 * mult.volatility**2
+        )
+        report = _integrability(problem=dataclasses.replace(problem, multiplicative=mutant))
+        assert report.status == FAIL
+
+    def test_probes_past_the_horizon_are_dropped(self):
+        report = _integrability(grid=TimeGrid(horizon=3.0, steps=60), n_paths=3000)
+        assert report.details["probe_times"] == pytest.approx([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        assert report.n_samples == 3000
+
+    def test_grid_without_a_probe_node_is_inconclusive(self):
+        report = _integrability(grid=TimeGrid(horizon=0.4, steps=8))
+        assert report.status == "inconclusive"
+        assert report.details["probe_times"] == []
 
 
 class TestLogisticStructure:
@@ -460,6 +541,12 @@ _SHARED_NOISE_GROUPS = {
         ))
         for name in ("consumption", "production", "logistic")
     },
+    "consumption-integrability": lambda: run_experiment(
+        "consumption", grid=TimeGrid(horizon=8.0, steps=80), n_paths=500, checks=["integrability"]
+    ),
+    "production-oracle": lambda: run_experiment(
+        "production", grid=TimeGrid(horizon=8.0, steps=80), n_paths=500, checks=["oracle"]
+    ),
 }
 
 
@@ -512,6 +599,4 @@ def test_only_the_candidate_flows_draw_noise():
     assert calls["simulate_forward"] == {
         ("experiments", "ClosedFormCandidate.ensemble"),
         ("experiments", "logistic_picard_solve"),
-        ("experiments", "consumption_integrability_check"),
-        ("experiments", "production_sigma_zero_cost"),
     }
