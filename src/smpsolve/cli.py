@@ -109,6 +109,19 @@ def _validate_config(config: dict, experiment_names) -> None:
             raise ConfigError(f"unknown config section {section!r}")
 
 
+def _as_int(value) -> int:
+    """``value`` as an int; booleans and non-integral floats are rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _as_float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _canonical_checks(checks):
     if checks is None:
         return None
@@ -222,11 +235,11 @@ def _command_run(args) -> int:
     checks = args.checks if args.checks is not None else run_cfg.get("checks")
     degree = run_cfg.get("basis_degree")
     try:
-        steps = None if steps is None else int(steps)
-        horizon = None if horizon is None else float(horizon)
-        n_paths = None if n_paths is None else int(n_paths)
-        seed = int(seed)
-        degree = None if degree is None else int(degree)
+        steps = None if steps is None else _as_int(steps)
+        horizon = None if horizon is None else _as_float(horizon)
+        n_paths = None if n_paths is None else _as_int(n_paths)
+        seed = _as_int(seed)
+        degree = None if degree is None else _as_int(degree)
         checks = _canonical_checks(checks)
         out = Path(out_dir)
     except (TypeError, ValueError) as exc:

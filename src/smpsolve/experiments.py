@@ -43,7 +43,6 @@ from .forward import (
     PathEnsemble,
     RegionConstants,
     TimeGrid,
-    apriori_gap_check,
     comparison_check,
     degenerate_paths,
     lyapunov_generator_check,
@@ -326,11 +325,6 @@ def production_riccati_constants(params: ProductionPlanningParams):
     return phi, psi, offset
 
 
-# RK4 substeps per unit of k s, k the decay rate of phi's transient and the
-# fastest rate in either Riccati equation
-RICCATI_SUBSTEPS_PER_RATE = 100
-
-
 @dataclass(frozen=True)
 class RiccatiOracle:
     """The finite-horizon Riccati pair in time-to-go s, from zero data.
@@ -340,11 +334,15 @@ class RiccatiOracle:
 
         phi(s) = r1 - r1 E (r2 - r1) / (r2 - r1 E),   E = e^{-k s}.
 
-    psi' = -beta psi + phi psi/(2c) + (u1 - eta) phi + 2 h x1 is linear and
-    is integrated by RK4 from psi(0) = 0, in substeps of at most
-    1/(RICCATI_SUBSTEPS_PER_RATE k) that end exactly on every requested s.
-    The agreements are the gaps to the algebraic constants at s = 40/beta,
-    far past the settling time.
+    psi' = -beta psi + phi psi/(2c) + (u1 - eta) phi + 2 h x1 is linear, and
+    from psi(0) = 0 it is
+
+        psi(s) = [C0 (1 - e^{as})/(-a) + (2c C1/r2)(e^{as} - E)] / (1 - w0 E)
+
+    with a = -(beta + k)/2, w0 = r1/r2, C0 = (u1 - eta) r1 + 2 h x1 and
+    C1 = (u1 - eta) r2 + 2 h x1.  No divisor is small: -a >= beta/2, r2 > 0
+    and 1 - w0 E >= 1.  The agreements are the gaps to the algebraic
+    constants at s = 40/beta, far past the settling time.
     """
 
     params: ProductionPlanningParams
@@ -355,43 +353,21 @@ class RiccatiOracle:
         return r1 - r1 * e * (r2 - r1) / (r2 - r1 * e)
 
     def psi_at(self, s):
-        s = np.asarray(s, dtype=float)
         p = self.params
-        nodes, where = np.unique(s, return_inverse=True)
-        knots = np.concatenate(([0.0], nodes))
-        gaps = np.diff(knots)
-        k = _riccati_roots(p)[2]
-        counts = np.maximum(np.ceil(np.abs(gaps) * k * RICCATI_SUBSTEPS_PER_RATE), 1).astype(int)
-        last = np.cumsum(counts) - 1
-        h = np.repeat(gaps / counts, counts)
-        # substep j of gap i starts at knots[i] + j h_i
-        j = np.arange(last[-1] + 1) - np.repeat(last + 1 - counts, counts)
-        start = np.repeat(knots[:-1], counts) + j * h
-        phis = [self.phi_at(t) for t in (start, start + 0.5 * h, start + h)]
-        a0, am, a1 = (phi / (2.0 * p.c) - p.beta for phi in phis)
-        b0, bm, b1 = ((p.u1 - p.eta) * phi + 2.0 * p.h * p.x1 for phi in phis)
-
-        def rk4(y, w):
-            # one substep of y' = a y + b w from y, for every substep at once
-            k1 = a0 * y + b0 * w
-            k2 = am * (y + 0.5 * h * k1) + bm * w
-            k3 = am * (y + 0.5 * h * k2) + bm * w
-            k4 = a1 * (y + h * k3) + b1 * w
-            return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        # a substep is affine in psi: psi_next = gain psi + shift
-        psi, path = 0.0, []
-        for gain, shift in zip(rk4(1.0, 0.0).tolist(), rk4(0.0, 1.0).tolist()):
-            psi = gain * psi + shift
-            path.append(psi)
-        return np.array(path)[last][where].reshape(s.shape)
+        r1, r2, k = _riccati_roots(p)
+        a = -0.5 * (p.beta + k)
+        drift, pull = p.u1 - p.eta, 2.0 * p.h * p.x1
+        c0, c1 = drift * r1 + pull, drift * r2 + pull
+        s = np.asarray(s, dtype=float)
+        ea, e = np.exp(a * s), np.exp(-k * s)
+        return (c0 * (1.0 - ea) / -a + 2.0 * p.c * c1 / r2 * (ea - e)) / (1.0 - r1 / r2 * e)
 
     @property
     def phi_agreement(self) -> float:
         phi_inf = production_riccati_constants(self.params)[0]
         return abs(float(self.phi_at(40.0 / self.params.beta)) - phi_inf)
 
-    @cached_property
+    @property
     def psi_agreement(self) -> float:
         psi_inf = production_riccati_constants(self.params)[1]
         return abs(float(self.psi_at(40.0 / self.params.beta)) - psi_inf)
@@ -892,10 +868,9 @@ class ExperimentRun:
     """One run of an experiment, passed to the callables of its definition.
 
     ``candidate`` is computed on first use and shared by every check.
-    Companion flows are never stored: ``tvc``, ``costs``, ``comparison``,
-    ``apriori`` and ``integrability`` step each one through a window on the
-    candidate's noise
-    (:func:`stream_competitor`).  ``competitor_costs`` keeps the per-path
+    Companion flows are never stored: ``tvc``, ``costs``, ``comparison``
+    and ``integrability`` step each one through a window on the candidate's
+    noise (:func:`stream_competitor`).  ``competitor_costs`` keeps the per-path
     costs of the competitors already stepped, with their flow's
     :func:`degenerate_paths` counts, so the tvc competitor is stepped once
     when both checks run.  Entries added to ``scalars``, ``curves`` and
@@ -1220,8 +1195,8 @@ def _production_oracle(run: ExperimentRun) -> List[VerificationReport]:
     stat = float(node_gap.max())
     box_share = on_box / u.size
     det_value, det_exact, det_rel = production_sigma_zero_cost(params)
-    # phi is the closed form, so phi_agreement is reported but decides nothing
-    ok = stat <= 0.05 and oracle.psi_agreement <= 1e-6 and det_rel <= 0.005
+    # phi and psi are closed forms, so their agreements are reported but decide nothing
+    ok = stat <= 0.05 and det_rel <= 0.005
     status = PASS if ok else FAIL
     notes = "costate vs the Riccati curve, plus the noise-free value point"
     if box_share > ORACLE_MAX_BOX_SHARE:
@@ -1268,7 +1243,7 @@ register_experiment(
         default_paths=20_000,
         default_checks=(
             "assumptions", "identities", "concavity", "oracle", "pointwise_max",
-            "stability", "tvc", "costs", "apriori",
+            "stability", "tvc", "costs",
         ),
         tvc_competitor="constant_high",
         basis=RegressionBasis(degree=4),
@@ -1280,9 +1255,6 @@ register_experiment(
         scalars=_production_scalars,
         checks={
             "oracle": _production_oracle,
-            "apriori": lambda run: [
-                apriori_gap_check(run.problem, run.candidate.ensemble, run.problem.x0 + 1.0)
-            ],
         },
         # the stationary candidate meets the zero-terminal costate only away
         # from the horizon

@@ -11,8 +11,8 @@ Noise is counter-based: increment block of path p is a pure function of
 (seed, path index), with the (step, component) layout fixed inside the block.
 :func:`simulate_forward` is the only place that draws it; ensembles that must
 share their Brownian motion pass the first ensemble's ``noise`` to the others.
-A flow that only accompanies an ensemble (a competitor, a sandwich envelope,
-a second start) is stepped on its noise by :func:`stream_competitor` through
+A flow that only accompanies an ensemble (a competitor, a sandwich envelope)
+is stepped on its noise by :func:`stream_competitor` through
 one reused window and never stored.
 
 Per-step arrays (states, controls, noise increments, costates) have the
@@ -189,21 +189,6 @@ class ConstantControl(ControlLaw):
         return np.broadcast_to(self.value, (x.shape[0], self.value.shape[0]))
 
 
-class OpenLoopControl(ControlLaw):
-    """Control table (n_paths, grid.steps, k), read at the step of ``grid`` holding t."""
-
-    def __init__(self, table: Array, grid: TimeGrid) -> None:
-        self.table = np.asarray(table, dtype=float)
-        if self.table.ndim != 3:
-            raise ValueError("table must be (n_paths, n_steps, k)")
-        if self.table.shape[1] != grid.steps:
-            raise ValueError(f"table has {self.table.shape[1]} steps, the grid {grid.steps}")
-        self.grid = grid
-
-    def control_at(self, t: float, x: Array) -> Array:
-        return self.table[:, self.grid.step_at(t), :]
-
-
 class FeedbackControl(ControlLaw):
     """Markov feedback u = fn(t, x) with fn vectorized over paths."""
 
@@ -299,10 +284,6 @@ class PathEnsemble:
             exploded=self.exploded[index],
         )
 
-    def open_loop(self) -> OpenLoopControl:
-        """The realized controls replayed as an open-loop law on this grid."""
-        return OpenLoopControl(self.controls, self.grid)
-
 
 def _resolve_x0(problem: DiscountedProblem, x0, n_paths: int) -> Array:
     if x0 is None:
@@ -371,9 +352,6 @@ def step_forward(
     coeff = problem.coefficients
     lower, upper = problem.domain.lower, problem.domain.upper
     mult = problem.multiplicative if positive else None
-    # on the multiplicative branch the Euler candidate only feeds the crossing
-    # flag, so it lives in one reused buffer; otherwise it is the new state
-    euler_buf = np.empty((n_paths, problem.state_dim)) if mult is not None else None
 
     for i in range(grid.steps):
         j = i % window
@@ -386,27 +364,35 @@ def step_forward(
         dW = noise.increments[:, i, :]
         x_new = states[:, j + 1]
 
-        b = np.asarray(coeff.drift(x, u), dtype=float)
-        sig = np.asarray(coeff.diffusion(x, u), dtype=float)
-        euler = x_new if mult is None else euler_buf
-        np.multiply(b, dt, out=euler)
-        euler += x
-        euler += np.einsum("pic,pc->pi", sig, dW)
-
-        if mult is not None:
+        if mult is None:
+            b = np.asarray(coeff.drift(x, u), dtype=float)
+            sig = np.asarray(coeff.diffusion(x, u), dtype=float)
+            np.multiply(b, dt, out=x_new)
+            x_new += x
+            x_new += np.einsum("pic,pc->pi", sig, dW)
+            euler = x_new[:, 0]
+        else:
+            # b = rate x + residual and sigma = vol x, so the Euler candidate,
+            # which only feeds the crossing flag, is
+            # x (1 + rate dt + vol dW) + residual dt
             core = x_new[:, 0]
             rate = np.asarray(mult.linear_rate(u), dtype=float).reshape(n_paths)
             vol = mult.volatility
+            euler = rate * dt
+            euler += 1.0
+            euler += vol * dW[:, 0]
+            euler *= x[:, 0]
             np.subtract(rate, 0.5 * vol * vol, out=core)
             core *= dt
             core += vol * dW[:, 0]
             np.exp(core, out=core)
             core *= x[:, 0]
             if mult.residual is not None:
-                res = np.asarray(mult.residual(x, u), dtype=float).reshape(n_paths)
-                core += res * dt
+                res = np.asarray(mult.residual(x, u), dtype=float).reshape(n_paths) * dt
+                euler += res
+                core += res
         if positive:
-            crossed |= euler[:, 0] <= 0.0
+            crossed |= euler <= 0.0
             low = x_new[:, 0] <= POSITIVITY_FLOOR
             if low.any():
                 clipped |= low
@@ -476,13 +462,12 @@ def _block_steps(n_paths: int, steps: int) -> int:
 
 
 def stream_competitor(
-    problem: DiscountedProblem, ensemble: PathEnsemble, law: ControlLaw, *visitors, x0=None
+    problem: DiscountedProblem, ensemble: PathEnsemble, law: ControlLaw, *visitors
 ) -> tuple[Array, Array, Array]:
     """Step ``law`` on ``ensemble``'s noise without storing its paths.
 
-    The competitor starts from ``x0`` (default: the ensemble's initial
-    states) and shares the ensemble's Brownian increments (common random
-    numbers).  It is stepped by :func:`step_forward` through one window of
+    The competitor starts from the ensemble's initial states and shares its
+    Brownian increments (common random numbers).  It is stepped by :func:`step_forward` through one window of
     ``PATH_COST_BLOCK`` nodes (whole steps), and every visitor sees each
     finished window as ``visit(s, x, u)``: the nodes s..e and the controls of
     steps s..e-1, to be compared with ``ensemble.states[:, s:e+1]``.  No
@@ -494,8 +479,9 @@ def stream_competitor(
     window = _block_steps(n_paths, grid.steps)
     states = time_major(n_paths, window + 1, problem.state_dim)
     controls = time_major(n_paths, window, problem.control_dim)
-    x0 = ensemble.states[:, 0] if x0 is None else x0
-    return step_forward(problem, law, grid, ensemble.noise, states, controls, visitors, x0=x0)
+    return step_forward(
+        problem, law, grid, ensemble.noise, states, controls, visitors, x0=ensemble.states[:, 0]
+    )
 
 
 def degenerate_paths(*flags: tuple[Array, Array, Array]) -> dict:
@@ -504,69 +490,6 @@ def degenerate_paths(*flags: tuple[Array, Array, Array]) -> dict:
     clipped = np.logical_or.reduce([f[1] for f in flags])
     exploded = np.logical_or.reduce([f[2] for f in flags])
     return {"clipped_paths": int(clipped.sum()), "exploded_paths": int(exploded.sum())}
-
-
-def apriori_gap_check(problem: DiscountedProblem, ensemble: PathEnsemble, x0) -> VerificationReport:
-    """Two-start stability estimate for the ensemble's forward flow.
-
-    Replays the ensemble's realized controls from ``x0`` on its noise
-    (:func:`stream_competitor`), so both flows see the same control process,
-    and checks the running bound
-
-        e^{-bt} E|D_t|^2 + (b - 2 mu1 - 2 L^2) E int_0^t e^{-bs}|D_s|^2 ds
-            <= E|D_0|^2        for every grid node t,
-
-    where D is the path difference and b the discount rate.  Each window
-    carries the per-path trapezoid of the integral and leaves the per-node
-    mean and SD of the left side.  The statistic is the largest mean over
-    nodes; pass when it is at most rhs * (1 + 0.05) + 3 SE.  The looser
-    combination sup + full integral is reported in details for reference (it
-    can exceed the right side even in exact cases).
-    """
-    grid, n_paths = ensemble.grid, ensemble.n_paths
-    discount = np.exp(-problem.beta * grid.times())
-    margin = problem.beta - 2.0 * problem.constants.mu1 - 2.0 * problem.constants.L**2
-    half_dt = 0.5 * grid.dt
-    mean_weighted, node_means, node_sds = (np.empty(grid.steps + 1) for _ in range(3))
-    cum = np.zeros((1, n_paths))
-
-    def reduce(s: int, x: Array, u: Array) -> None:
-        # (node, path) blocks, so each node's reduction runs over contiguous paths
-        nonlocal cum
-        e = s + u.shape[1]
-        diff = ensemble.states[:, s : e + 1] - x
-        weighted = np.einsum("pin,pin->ip", diff, diff)
-        weighted *= discount[s : e + 1, None]
-        # the per-path trapezoid runs on from the window's first node
-        seg = half_dt * (weighted[1:] + weighted[:-1])
-        cum = np.cumsum(np.concatenate([cum[-1:], seg]), axis=0)
-        stat = weighted + margin * cum
-        mean_weighted[s : e + 1] = weighted.mean(axis=1)
-        node_means[s : e + 1] = stat.mean(axis=1)
-        node_sds[s : e + 1] = stat.std(axis=1, ddof=1)
-
-    flags = stream_competitor(problem, ensemble, ensemble.open_loop(), reduce, x0=x0)
-    i_star = int(np.argmax(node_means))
-    statistic = float(node_means[i_star])
-    se = float(node_sds[i_star] / math.sqrt(n_paths))
-    rhs = float(node_means[0])
-    tol = rhs * (1.0 + 0.05) + 3.0 * se
-    return VerificationReport(
-        check="apriori_gap",
-        status=PASS if statistic <= tol else FAIL,
-        statistic=statistic,
-        tolerance=tol,
-        n_samples=n_paths,
-        standard_error=se,
-        details={
-            "rhs": rhs,
-            "margin": margin,
-            "sup_node": i_star,
-            "sup_plus_full_integral": float(mean_weighted.max() + margin * cum[-1].mean()),
-            **degenerate_paths(flags),
-        },
-        notes="running two-start bound; rhs is E|X_0 - x0|^2",
-    )
 
 
 def comparison_check(problem: DiscountedProblem, ensemble: PathEnsemble) -> VerificationReport:

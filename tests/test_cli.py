@@ -131,6 +131,17 @@ class TestExitCodes:
             ("--set", "run.checks=5"),
             ("--paths", "1"),
             ("--paths", "0"),
+            # integer keys are not truncated, and booleans are not numbers
+            ("--set", "grid.steps=20.7"),
+            ("--set", "grid.steps=true"),
+            ("--set", "grid.steps=Infinity"),
+            ("--set", "run.paths=100.5"),
+            ("--set", "run.paths=true"),
+            ("--set", "run.seed=1.5"),
+            ("--set", "run.seed=true"),
+            ("--set", "run.basis_degree=4.5"),
+            ("--set", "run.basis_degree=true"),
+            ("--set", "grid.horizon=true"),
         ],
     )
     def test_bad_grid_or_basis_exits_one(self, bad, tmp_path, capsys):

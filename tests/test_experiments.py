@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from smpsolve import (
-    ConstantControl,
     FeedbackControl,
     NoiseBatch,
     TimeGrid,
     VerificationReport,
-    apriori_gap_check,
     comparison_check,
     experiments,
     get_experiment,
@@ -34,7 +32,6 @@ from smpsolve.experiments import (
     consumption_problem,
     consumption_truncated_costate,
     logistic_region_constants,
-    production_problem,
     production_riccati_constants,
     production_sigma_zero_cost,
     production_value,
@@ -200,7 +197,7 @@ class TestRiccatiOracle:
         oracle = riccati_oracle(params)
         grid = TimeGrid.auto(params.beta, 400)
         s = grid.horizon - grid.times()
-        reference = _riccati_rk4(params, s, 10 * experiments.RICCATI_SUBSTEPS_PER_RATE)
+        reference = _riccati_rk4(params, s, 1000)
         assert np.abs(oracle.phi_at(s) - reference[:, 0]).max() <= 1e-9
         assert np.abs(oracle.psi_at(s) - reference[:, 1]).max() <= 1e-9
         assert float(oracle.phi_at(0.0)) == float(oracle.psi_at(0.0)) == 0.0
@@ -273,7 +270,7 @@ class TestRiccatiOracle:
         assert peak <= 0.5 * n_paths * (steps + 1) * 8
 
     def test_phi_agreement_is_reported_but_decides_nothing(self, monkeypatch):
-        # phi is the closed form, so its agreement cannot fail; psi's still can
+        # phi and psi are closed forms, so their agreements read roundoff and decide nothing
         definition = get_experiment("production")
         params = definition.params_type()
         problem = definition.problem(params)
@@ -288,7 +285,7 @@ class TestRiccatiOracle:
                 (report,) = definition.checks["oracle"](run)
             assert report.details[premise] == 1.0
             statuses[premise] = report.status
-        assert statuses == {"phi_agreement": PASS, "psi_agreement": FAIL}
+        assert statuses == {"phi_agreement": PASS, "psi_agreement": PASS}
 
 
 class TestConsumptionOracles:
@@ -523,14 +520,6 @@ _SHARED_NOISE_GROUPS = {
             consumption_problem(ConsumptionParams()), consumption_optimal_law(ConsumptionParams()),
             SMALL_GRID, 200, seed=1,
         ),
-    ),
-    "apriori_gap_check": lambda: apriori_gap_check(
-        production_problem(ProductionPlanningParams()),
-        simulate_forward(
-            production_problem(ProductionPlanningParams()), ConstantControl([1.5]), SMALL_GRID,
-            200, seed=1, x0=[1.0],
-        ),
-        [3.0],
     ),
     "logistic_picard_solve": lambda: logistic_picard_solve(
         LogisticParams(), SMALL_GRID, n_paths=300, seed=1

@@ -11,10 +11,8 @@ from smpsolve import (
     ConstantControl,
     FeedbackControl,
     NoiseBatch,
-    OpenLoopControl,
     SimulationError,
     TimeGrid,
-    apriori_gap_check,
     comparison_check,
     get_experiment,
     lyapunov_generator_check,
@@ -45,7 +43,6 @@ from smpsolve.experiments import (
     consumption_optimal_law,
     consumption_problem,
     logistic_problem,
-    production_optimal_law,
     logistic_region_constants,
     logistic_sample_spec,
     production_problem,
@@ -188,21 +185,6 @@ class TestControlLaws:
         assert u.shape == (5, 2)
         assert np.all(u == [0.3, 0.7])
 
-    def test_open_loop_indexes_steps(self):
-        table = np.arange(24, dtype=float).reshape(4, 6, 1)
-        grid = TimeGrid(horizon=3.0, steps=6)
-        law = OpenLoopControl(table, grid)
-        u = law.control_at(grid.times()[2], np.zeros((4, 1)))
-        assert np.array_equal(u, table[:, 2, :])
-
-    def test_open_loop_rejects_a_table_of_another_grid(self):
-        table = np.zeros((4, 6, 1))
-        with pytest.raises(ValueError):
-            OpenLoopControl(table, TimeGrid(horizon=3.0, steps=12))
-        law = OpenLoopControl(table, TimeGrid(horizon=3.0, steps=6))
-        with pytest.raises(ValueError):
-            law.control_at(3.0, np.zeros((4, 1)))
-
     def test_feedback_uses_state(self):
         law = FeedbackControl(lambda t, x: 2.0 * x[:, 0:1])
         u = law.control_at(0.0, np.array([[1.0], [3.0]]))
@@ -253,6 +235,25 @@ class TestSimulateForward:
         report = positivity_check(ens)
         assert report.status == "fail"
         assert report.details["floor_clips"] == 3
+
+    @pytest.mark.parametrize(
+        "name, kw", [("consumption", dict(sigma=1.2, beta=4.0)), ("logistic", dict(sigma=1.5, beta=6.0))]
+    )
+    def test_multiplicative_crossing_flags_match_the_euler_candidate(self, name, kw):
+        # coarse steps and loud noise: most paths cross, and logistic paths clip
+        definition = get_experiment(name)
+        params = definition.params_type(**kw)
+        problem = definition.problem(params)
+        grid = TimeGrid(horizon=4.0, steps=8)
+        for law in definition.competitors(params).values():
+            ens = simulate_forward(problem, law, grid, 5000, seed=0)
+            x, u, dW = ens.states[:, :-1], ens.controls, ens.noise.increments
+            drift = problem.coefficients.drift(x, u)
+            diffusion = problem.coefficients.diffusion(x, u)
+            euler = x + drift * grid.dt + np.einsum("pinc,pic->pin", diffusion, dW)
+            want = (euler[:, :, 0] <= 0.0).any(axis=1)
+            assert 0.5 * ens.n_paths < want.sum() < ens.n_paths
+            np.testing.assert_array_equal(ens.euler_crossed, want)
 
     def test_explosion_guard_freezes_and_errors(self):
         coeffs = CoefficientField(
@@ -376,15 +377,6 @@ class TestSimulateForward:
         with pytest.raises(ValueError):
             simulate_forward(problem, ConstantControl([1.0]), grid, 4, seed=0, noise=wrong)
 
-    def test_open_loop_replay_reproduces_paths(self):
-        problem = consumption_problem(ConsumptionParams())
-        grid = TimeGrid(horizon=2.0, steps=40)
-        ens = simulate_forward(problem, consumption_optimal_law(ConsumptionParams()), grid, 50, seed=9)
-        replay = simulate_forward(problem, ens.open_loop(), grid, 50, seed=9, noise=ens.noise)
-        assert np.allclose(replay.states, ens.states)
-        assert np.allclose(replay.controls, ens.controls)
-
-
 class TestWeightedIntegrals:
     def test_trapezoid_against_closed_form(self):
         beta, a, horizon = 0.5, 0.3, 2.0
@@ -405,15 +397,6 @@ class TestWeightedIntegrals:
 
 
 class TestPathChecks:
-    def test_two_start_stability_passes(self):
-        problem = production_problem(ProductionPlanningParams())
-        grid = TimeGrid(horizon=4.0, steps=80)
-        ens = simulate_forward(problem, ConstantControl([1.5]), grid, 200, seed=1, x0=[1.0])
-        report = apriori_gap_check(problem, ens, [3.0])
-        assert report.status == "pass"
-        assert report.details["rhs"] == 4.0
-        assert report.details["clipped_paths"] == report.details["exploded_paths"] == 0
-
     def test_sandwich_brackets_interior_law(self):
         params = ConsumptionParams()
         problem = consumption_problem(params)
@@ -490,24 +473,6 @@ def _stored_sandwich(problem, ens) -> VerificationReport:
     )
 
 
-def _stored_apriori(problem, ens, x0):
-    """(statistic, SE, sup node, sup + full integral) of the two-start bound
-    from a stored second ensemble, as computed before streaming."""
-    other = simulate_forward(
-        problem, ens.open_loop(), ens.grid, ens.n_paths, 0, noise=ens.noise, x0=x0
-    )
-    diff = ens.states - other.states
-    weighted = np.einsum("pin,pin->pi", diff, diff) * np.exp(-problem.beta * ens.grid.times())
-    margin = problem.beta - 2.0 * problem.constants.mu1 - 2.0 * problem.constants.L**2
-    seg = 0.5 * ens.grid.dt * (weighted[:, 1:] + weighted[:, :-1])
-    cum = np.concatenate([np.zeros((ens.n_paths, 1)), np.cumsum(seg, axis=1)], axis=1)
-    per_path = weighted + margin * cum
-    means = per_path.mean(axis=0)
-    i = int(np.argmax(means))
-    se = per_path[:, i].std(ddof=1) / math.sqrt(ens.n_paths)
-    return means[i], se, i, weighted.mean(axis=0).max() + margin * cum[:, -1].mean()
-
-
 def _wider_box(problem, widen: float):
     """``problem`` with its control box widened by ``widen`` on both sides, and a
     law that plays the lower corner of the wider box on even paths and the
@@ -519,8 +484,8 @@ def _wider_box(problem, widen: float):
 
 
 class TestStreamedPathChecks:
-    """``comparison`` and ``apriori`` step their companion flows through a
-    window on the audited ensemble's noise and agree with stored flows."""
+    """``comparison`` steps its envelopes through a window on the audited
+    ensemble's noise and agrees with stored envelopes."""
 
     @pytest.mark.parametrize("wide", [False, True], ids=["interior", "wider_box"])
     @pytest.mark.parametrize("grid_name", list(PATH_CHECK_GRIDS))
@@ -543,28 +508,7 @@ class TestStreamedPathChecks:
             assert report.details["below_fraction"] > 0.0
             assert report.details["above_fraction"] > 0.0
 
-    @pytest.mark.parametrize("grid_name", list(PATH_CHECK_GRIDS))
-    @pytest.mark.parametrize("name", ["consumption", "production"])
-    def test_apriori_matches_a_stored_second_start(self, name, grid_name):
-        n_paths, grid = PATH_CHECK_GRIDS[grid_name]
-        params = get_experiment(name).params_type()
-        problem = get_experiment(name).problem(params)
-        law = consumption_optimal_law(params) if name == "consumption" else production_optimal_law(params)
-        ens = simulate_forward(problem, law, grid, n_paths, seed=5)
-        x0 = problem.x0 + 1.0
-        report = apriori_gap_check(problem, ens, x0)
-        statistic, se, node, loose = _stored_apriori(problem, ens, x0)
-        assert report.details["sup_node"] == node
-        # relative to the statistic: production's SE is itself roundoff
-        for got, want, scale in [
-            (report.statistic, statistic, statistic),
-            (report.standard_error, se, statistic),
-            (report.details["sup_plus_full_integral"], loose, loose),
-        ]:
-            assert abs(got - want) <= 1e-12 * abs(scale)
-
-    @pytest.mark.parametrize("check", ["comparison", "apriori"])
-    def test_peak_memory_is_window_sized(self, check):
+    def test_peak_memory_is_window_sized(self):
         n_paths, steps = 4000, 400
         params = ConsumptionParams()
         problem = consumption_problem(params)
@@ -572,10 +516,7 @@ class TestStreamedPathChecks:
         ens = simulate_forward(problem, consumption_optimal_law(params), grid, n_paths, seed=3)
         tracemalloc.start()
         try:
-            if check == "comparison":
-                comparison_check(problem, ens)
-            else:
-                apriori_gap_check(problem, ens, problem.x0 + 1.0)
+            comparison_check(problem, ens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
