@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations_with_replacement
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -189,12 +190,50 @@ class BsdeSolution:
         return design @ self.y_coeffs[step]
 
 
+@dataclass(frozen=True)
+class Companion:
+    """A second backward column, advanced on the design and factorization of
+    each step of a solve.
+
+    ``problem`` supplies its driver, grad_x H, and ``terminal`` its (P, n)
+    values at the horizon.  Its Y and Z are never stored: ``visit(i, y_i)``
+    sees each node's (P, n) values while they are in hand, from i = N down
+    to 0.
+    """
+
+    problem: DiscountedProblem
+    terminal: Array
+    visit: Callable[[int, Array], None]
+
+
+def _backward_step(problem, design, fit, valid, target_y, x_eff, u_i, dW, dt):
+    """One explicit two-pass step of a column: (Y_i, Z_i) from Y_{i+1}."""
+    P, n = target_y.shape
+    d = dW.shape[1]
+    y_pred = design @ fit(target_y)
+    resid = np.where(valid[:, None], target_y - y_pred, 0.0)
+    target_z = (resid[:, :, None] * dW[:, None, :]).reshape(P, n * d) / dt
+    z_i = (design @ fit(target_z)).reshape(P, n, d)
+    g = grad_x_hamiltonian(x_eff, u_i, y_pred, z_i, problem)
+    y_half = y_pred + g * dt
+    g = grad_x_hamiltonian(x_eff, u_i, y_half, z_i, problem)
+    return y_pred + g * dt, z_i
+
+
+def _terminal_values(terminal, shape, what: str) -> Array:
+    term = np.asarray(terminal, dtype=float)
+    if term.shape != shape:
+        raise ValueError(f"{what} must have shape (n_paths, state_dim)")
+    return term
+
+
 def solve_bsde_lsmc(
     problem: DiscountedProblem,
     ensemble: PathEnsemble,
     basis: RegressionBasis,
     terminal: Array | None = None,
     driver_state_cap: float | None = None,
+    companions: Sequence[Companion] = (),
 ) -> BsdeSolution:
     """Solve the adjoint backward equation along a simulated ensemble.
 
@@ -209,6 +248,12 @@ def solve_bsde_lsmc(
     excluded from every regression.  Non-finite targets beyond
     ``MAX_BAD_FRACTION`` of paths abort with :class:`RegressionError`;
     isolated ones are masked out.  A ridge fallback is warned about.
+
+    Each of ``companions`` is one more column on the same designs and
+    factorizations, fitted by calls of its own, so the stored costate is the
+    same to the bit with or without them.  It shares the rows and the state
+    cap of the costate, and a non-finite target on those rows is a
+    :class:`RegressionError`.  Only its visitor sees its values.
     """
     if driver_state_cap is not None and not (driver_state_cap > 0):
         raise ValueError("driver_state_cap must be positive")
@@ -222,10 +267,10 @@ def solve_bsde_lsmc(
     if terminal is None:
         Y[:, N, :] = 0.0
     else:
-        term = np.asarray(terminal, dtype=float)
-        if term.shape != (P, n):
-            raise ValueError("terminal must have shape (n_paths, state_dim)")
-        Y[:, N, :] = term
+        Y[:, N, :] = _terminal_values(terminal, (P, n), "terminal")
+    companion_y = [_terminal_values(c.terminal, (P, n), "companion terminal") for c in companions]
+    for c, y in zip(companions, companion_y):
+        c.visit(N, y)
 
     transforms: list = [None] * N
     y_coeffs: list = [None] * N
@@ -252,17 +297,12 @@ def solve_bsde_lsmc(
 
         design, transform = basis.fit(x_i, valid=mask)
         fit, cond, ridged = _least_squares(design, mask)
-        y_pred = design @ fit(target_y)
-
-        resid = np.where(valid[:, None], target_y - y_pred, 0.0)
-        target_z = (resid[:, :, None] * dW[:, None, :]).reshape(P, n * d) / dt
-        z_i = (design @ fit(target_z)).reshape(P, n, d)
-
         x_eff = np.minimum(x_i, driver_state_cap) if driver_state_cap is not None else x_i
-        g = grad_x_hamiltonian(x_eff, u_i, y_pred, z_i, problem)
-        y_half = y_pred + g * dt
-        g = grad_x_hamiltonian(x_eff, u_i, y_half, z_i, problem)
-        y_i = y_pred + g * dt
+
+        def step(column_problem, target):
+            return _backward_step(column_problem, design, fit, valid, target, x_eff, u_i, dW, dt)
+
+        y_i, z_i = step(problem, target_y)
 
         Y[:, i, :] = y_i
         Z[:, i, :, :] = z_i
@@ -271,6 +311,12 @@ def solve_bsde_lsmc(
         conds[i] = cond
         if ridged and not transform.degenerate:
             ridge_steps.append(i)
+
+        for k, c in enumerate(companions):
+            if not np.isfinite(companion_y[k][valid]).all():
+                raise RegressionError(f"step {i}: non-finite companion targets")
+            companion_y[k], _ = step(c.problem, companion_y[k])
+            c.visit(i, companion_y[k])
 
     if ridge_steps:
         warnings.warn(
@@ -292,65 +338,111 @@ def solve_bsde_lsmc(
     )
 
 
+def stability_threshold(problem: DiscountedProblem) -> float:
+    """2 mu2 + 2 M^2: the discount at or above which a terminal's influence
+    on the costate decays, the premise of the stability check."""
+    c = problem.constants
+    return 2.0 * c.mu2 + 2.0 * c.M**2
+
+
+class TerminalStabilityGap:
+    """The stability check as a companion column of a backward solve.
+
+    The xi terminal is projected on the final-step basis (a stand-in for its
+    conditional expectation given X_T).  The scheme is affine in (Y, Z) with
+    ``grad_cost`` its only free term, so Y^xi - Y^0 solves the same scheme
+    with ``grad_cost`` zero and terminal xi: that is the companion.  Riding
+    the candidate's own solve, it costs one more set of fits per step and
+    stores no second costate.  Its visitor keeps, per node, the mean and SD
+    over paths of e^{-beta t_i} |Y^0_i - Y^xi_i|^2.  The gap is the largest
+    node mean and the reference bound is e^{-beta T} * mean(|xi|^2).  Pass
+    when gap <= bound * (1 + 0.25) + 3 SE.  Requires
+    beta >= :func:`stability_threshold`.
+    """
+
+    def __init__(
+        self,
+        problem: DiscountedProblem,
+        ensemble: PathEnsemble,
+        basis: RegressionBasis,
+        xi_values: Array,
+    ) -> None:
+        if problem.beta < stability_threshold(problem):
+            raise ValueError("terminal stability needs beta >= 2 mu2 + 2 M^2")
+        xi = np.asarray(xi_values, dtype=float)
+        if xi.ndim == 1:
+            xi = xi[:, None]
+        P = ensemble.n_paths
+        if xi.shape != (P, problem.state_dim):
+            raise ValueError("xi_values must have shape (n_paths, state_dim)")
+
+        x_T = ensemble.states[:, -1, :]
+        valid = None if not ensemble.exploded.any() else ~ensemble.exploded
+        design, _ = basis.fit(x_T, valid=valid)
+        fit, _, _ = _least_squares(design, valid)
+        no_cost = replace(problem.coefficients, grad_cost=lambda x, u: np.zeros_like(x))
+        self.companion = Companion(replace(problem, coefficients=no_cost), design @ fit(xi), self.visit)
+
+        grid = ensemble.grid
+        self.n_paths, self.horizon = P, grid.horizon
+        xi_mean_sq = np.einsum("pn,pn->p", xi, xi).mean()
+        self.bound = float(math.exp(-problem.beta * grid.horizon) * xi_mean_sq)
+        self._weights = np.exp(-problem.beta * grid.times())
+        self._means = np.full(grid.steps + 1, np.nan)
+        self._sds = np.zeros(grid.steps + 1)
+
+    def visit(self, i: int, y: Array) -> None:
+        weighted = np.einsum("pn,pn->p", y, y) * self._weights[i]
+        self._means[i] = weighted.mean()
+        if self.n_paths > 1:
+            self._sds[i] = weighted.std(ddof=1)
+
+    def report(self) -> VerificationReport:
+        """The verdict on the largest node gap; ``details`` add the bound,
+        the node-0 gap and the largest gap over nodes 0..N-1 with its node."""
+        means = self._means
+        if np.isnan(means).any():
+            raise RuntimeError("the stability companion is unsolved or not finite")
+        i_star = int(np.argmax(means))
+        inner = int(np.argmax(means[:-1]))
+        gap = float(means[i_star])
+        se = float(self._sds[i_star] / math.sqrt(self.n_paths))
+        tol = self.bound * (1.0 + 0.25) + 3.0 * se
+        return VerificationReport(
+            check="terminal_stability",
+            status=PASS if gap <= tol else FAIL,
+            statistic=gap,
+            tolerance=tol,
+            n_samples=self.n_paths,
+            standard_error=se,
+            details={
+                "bound": self.bound,
+                "argmax_node": i_star,
+                "horizon": self.horizon,
+                "node0_gap": float(means[0]),
+                "interior_gap": float(means[inner]),
+                "interior_argmax_node": inner,
+            },
+            notes="weighted squared gap between zero- and xi-terminal solves",
+        )
+
+
 def terminal_stability_gap(
     problem: DiscountedProblem,
     ensemble: PathEnsemble,
     basis: RegressionBasis,
     xi_values: Array,
 ) -> VerificationReport:
-    """Compare zero-terminal and xi-terminal solves on one ensemble.
+    """The :class:`TerminalStabilityGap` report, from a solve of its own.
 
-    The xi terminal is projected on the final-step basis (a stand-in for its
-    conditional expectation given X_T).  The gap is
-
-        max_i  mean( e^{-beta t_i} |Y^0_i - Y^xi_i|^2 )
-
-    and the reference bound is e^{-beta T} * mean(|xi|^2).  Pass when
-    gap <= bound * (1 + 0.25) + 3 SE.  Requires beta >= 2 mu2 + 2 M^2.
-    The scheme is affine in (Y, Z) with ``grad_cost`` its only free term, so
-    Y^xi - Y^0 is one solve with ``grad_cost`` zero and terminal xi.  The
-    report's statistic is the gap; ``details`` hold the bound and argmax node.
+    For a costate that is already solved: the companion rides a solve of
+    ``problem`` on ``ensemble``, whose costate is discarded.  A run whose
+    candidate is still to be solved hands the companion to that solve
+    instead.
     """
-    c = problem.constants
-    if problem.beta < 2.0 * c.mu2 + 2.0 * c.M**2:
-        raise ValueError("terminal stability needs beta >= 2 mu2 + 2 M^2")
-    xi = np.asarray(xi_values, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
-    P = ensemble.n_paths
-    if xi.shape != (P, problem.state_dim):
-        raise ValueError("xi_values must have shape (n_paths, state_dim)")
-
-    x_T = ensemble.states[:, -1, :]
-    valid = None if not ensemble.exploded.any() else ~ensemble.exploded
-    design, _ = basis.fit(x_T, valid=valid)
-    fit, _, _ = _least_squares(design, valid)
-    xi_proj = design @ fit(xi)
-
-    no_cost = replace(problem.coefficients, grad_cost=lambda x, u: np.zeros_like(x))
-    diff = solve_bsde_lsmc(replace(problem, coefficients=no_cost), ensemble, basis, terminal=xi_proj).Y
-    sq = np.einsum("pin,pin->pi", diff, diff)
-    weighted = sq * np.exp(-problem.beta * ensemble.grid.times())
-    node_means = weighted.mean(axis=0)
-    i_star = int(np.argmax(node_means))
-    gap = float(node_means[i_star])
-    se = float(weighted[:, i_star].std(ddof=1) / math.sqrt(P)) if P > 1 else 0.0
-
-    bound = float(
-        math.exp(-problem.beta * ensemble.grid.horizon)
-        * np.einsum("pn,pn->p", xi, xi).mean()
-    )
-    tol = bound * (1.0 + 0.25) + 3.0 * se
-    return VerificationReport(
-        check="terminal_stability",
-        status=PASS if gap <= tol else FAIL,
-        statistic=gap,
-        tolerance=tol,
-        n_samples=P,
-        standard_error=se,
-        details={"bound": bound, "argmax_node": i_star, "horizon": ensemble.grid.horizon},
-        notes="weighted squared gap between zero- and xi-terminal solves",
-    )
+    gap = TerminalStabilityGap(problem, ensemble, basis, xi_values)
+    solve_bsde_lsmc(problem, ensemble, basis, companions=(gap.companion,))
+    return gap.report()
 
 
 def cylinder_consistency_check(

@@ -29,8 +29,10 @@ import numpy as np
 from .bsde import (
     BsdeSolution,
     RegressionBasis,
+    TerminalStabilityGap,
     cylinder_consistency_check,
     solve_bsde_lsmc,
+    stability_threshold,
     terminal_stability_gap,
 )
 from .forward import (
@@ -845,7 +847,12 @@ def logistic_concavity_specs(params: LogisticParams) -> List[ConcavitySpec]:
 
 
 class ClosedFormCandidate:
-    """A candidate given by a known law; its paths and costate are computed on first use."""
+    """A candidate given by a known law; its paths and costate are computed on first use.
+
+    Its solve carries the run's ``riders``: each maps the candidate's
+    ensemble to an object with a ``companion`` column, kept in ``rides`` by
+    check name for the check to read.
+    """
 
     def __init__(self, run: "ExperimentRun", law: ControlLaw) -> None:
         # no reference to the run: a cycle would keep the run and its
@@ -853,6 +860,7 @@ class ClosedFormCandidate:
         self.law = law
         self.problem, self.grid, self.basis = run.problem, run.grid, run.basis
         self.n_paths, self.seed = run.n_paths, run.seed
+        self.riders, self.rides = run.riders, {}
 
     @cached_property
     def ensemble(self) -> PathEnsemble:
@@ -860,7 +868,10 @@ class ClosedFormCandidate:
 
     @cached_property
     def solution(self) -> BsdeSolution:
-        return solve_bsde_lsmc(self.problem, self.ensemble, self.basis)
+        ens = self.ensemble
+        self.rides = {name: ride(ens) for name, ride in self.riders.items()}
+        companions = [ride.companion for ride in self.rides.values()]
+        return solve_bsde_lsmc(self.problem, ens, self.basis, companions=companions)
 
 
 @dataclass
@@ -873,7 +884,11 @@ class ExperimentRun:
     noise (:func:`stream_competitor`).  ``competitor_costs`` keeps the per-path
     costs of the competitors already stepped, with their flow's
     :func:`degenerate_paths` counts, so the tvc competitor is stepped once
-    when both checks run.  Entries added to ``scalars``, ``curves`` and
+    when both checks run.  Backward columns are never stored either:
+    ``riders`` maps each selected check that needs one to a factory of its
+    column from the candidate's ensemble, and a candidate that has not yet
+    solved its costate (:class:`ClosedFormCandidate`) carries them in that
+    one backward pass.  Entries added to ``scalars``, ``curves`` and
     ``costs`` end up in the :class:`ExperimentResult`.
     """
 
@@ -888,6 +903,7 @@ class ExperimentRun:
     curves: Dict[str, Array] = field(default_factory=dict)
     costs: Dict[str, CostEstimate] = field(default_factory=dict)
     competitor_costs: Dict[str, tuple[Array, dict]] = field(default_factory=dict)
+    riders: Dict[str, Callable[[PathEnsemble], object]] = field(default_factory=dict)
 
     @cached_property
     def candidate(self):
@@ -957,21 +973,29 @@ def _pointwise_max(run: ExperimentRun) -> List[VerificationReport]:
     )]
 
 
+def _stability_rider(problem: DiscountedProblem, basis: RegressionBasis):
+    """The stability check's column, built from the candidate's paths, with xi = X_T."""
+    return lambda ens: TerminalStabilityGap(problem, ens, basis, ens.states[:, -1, :])
+
+
 def _stability(run: ExperimentRun) -> List[VerificationReport]:
-    ens = run.candidate.ensemble
-    xi = ens.states[:, -1, :].copy()
-    try:
-        return [terminal_stability_gap(run.problem, ens, run.basis, xi)]
-    except ValueError as exc:
+    threshold = stability_threshold(run.problem)
+    if run.problem.beta < threshold:
         return [
             VerificationReport(
                 check="terminal_stability",
                 status=INCONCLUSIVE,
-                statistic=math.nan,
-                tolerance=math.nan,
-                notes=f"not applicable: {exc}",
+                notes=f"not applicable: beta {run.problem.beta:g} is below 2 mu2 + 2 M^2 = {threshold:g}",
             )
         ]
+    c = run.candidate
+    c.solution  # a closed-form candidate's solve carries the column
+    gap = getattr(c, "rides", {}).get("stability")
+    if gap is None:
+        # a costate solved without the column: the column takes a solve of its own
+        ens = c.ensemble
+        return [terminal_stability_gap(run.problem, ens, run.basis, ens.states[:, -1, :])]
+    return [gap.report()]
 
 
 def _tvc(run: ExperimentRun) -> List[VerificationReport]:
@@ -1380,6 +1404,8 @@ def run_experiment(
     check table and ``n_paths`` below 2 are errors.  The forward simulation
     and the backward solve only run when a selected check needs them, so
     problem-level audits stay cheap; the ensemble / solution / law are None.
+    A selected ``stability`` check whose premise holds rides the candidate's
+    first backward solve as a companion column (``ExperimentRun.riders``).
     """
     definition = get_experiment(name)
     if params is None:
@@ -1404,6 +1430,8 @@ def run_experiment(
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     basis = definition.basis if basis is None else basis
     run = ExperimentRun(definition, params, problem, grid, n_paths, seed, basis)
+    if "stability" in selected and problem.beta >= stability_threshold(problem):
+        run.riders["stability"] = _stability_rider(problem, basis)
     reports: List[VerificationReport] = []
     for check, produce in table.items():
         if check in selected:

@@ -149,7 +149,7 @@ def test_criterion_4_stability_decay(capsys):
     beta = params.beta
     horizons = [math.log(1e2) / beta, math.log(1e3) / beta]
 
-    gaps = []
+    gaps, node0 = [], []
     bounded = True
     for n in horizons:
         steps = int(round(n / 0.05))
@@ -159,6 +159,7 @@ def test_criterion_4_stability_decay(capsys):
         limit = 1.25 * math.exp(-beta * n) + 3.0 * report.standard_error
         bounded = bounded and report.statistic <= limit and report.status == "pass"
         gaps.append(report.statistic)
+        node0.append(report.details["node0_gap"])
 
     slope = (math.log(gaps[1]) - math.log(gaps[0])) / (horizons[1] - horizons[0])
     slope_ok = abs(slope - (-beta)) <= 0.2 * beta
@@ -167,7 +168,8 @@ def test_criterion_4_stability_decay(capsys):
         4,
         "stability decay",
         bounded and slope_ok,
-        f"gaps {gaps[0]:.2e}/{gaps[1]:.2e}, log-gap slope {slope:.3f} vs -beta {-beta}",
+        f"gaps {gaps[0]:.2e}/{gaps[1]:.2e}, log-gap slope {slope:.3f} vs -beta {-beta}; "
+        f"node-0 gaps {node0[0]:.2e}/{node0[1]:.2e}",
     )
 
 

@@ -16,6 +16,7 @@ from smpsolve import (
     solve_bsde_lsmc,
     terminal_stability_gap,
 )
+from smpsolve.bsde import TerminalStabilityGap
 from smpsolve.problems import (
     AssumptionConstants,
     CoefficientField,
@@ -309,18 +310,18 @@ class TestTerminalStability:
         terminal_stability_gap(problem, ens, PROD_BASIS, ens.states[:, -1, :])
         assert len(solved) == 1
 
+    @pytest.mark.parametrize("seed", [None, 3, 11], ids=["setup-seed", "seed3", "seed11"])
     @pytest.mark.parametrize("setup", ["production", "consumption"])
-    def test_matches_the_two_solve_reference(self, setup, monkeypatch):
+    def test_matches_the_two_solve_reference(self, setup, seed):
+        kw = {} if seed is None else {"seed": seed}
         if setup == "production":
-            params, problem, ens = _production_setup(horizon=8.0, steps=80, n_paths=1500)
+            params, problem, ens = _production_setup(horizon=8.0, steps=80, n_paths=1500, **kw)
             basis = PROD_BASIS
         else:
-            params, problem, ens = _consumption_setup(horizon=6.0, steps=60, n_paths=1500)
+            params, problem, ens = _consumption_setup(horizon=6.0, steps=60, n_paths=1500, **kw)
             basis = CONS_BASIS
         xi = ens.states[:, -1, :].copy()
-        solved = _record_solves(monkeypatch)
         report = terminal_stability_gap(problem, ens, basis, xi)
-        monkeypatch.undo()
 
         # reference: both terminals solved in full, xi projected as the check does
         design, _ = basis.fit(ens.states[:, -1, :])
@@ -336,11 +337,74 @@ class TestTerminalStability:
         assert report.statistic == pytest.approx(node_means[i_star], rel=1e-12)
         se = weighted[:, i_star].std(ddof=1) / math.sqrt(ens.n_paths)
         assert report.standard_error == pytest.approx(se, rel=1e-12)
-        # every node, not only the argmax (which sits at the terminal node);
-        # the reference loses digits to cancellation where the gap is small
-        (single,) = solved
-        got = np.einsum("pin,pin->pi", single.Y, single.Y) * np.exp(-problem.beta * ens.grid.times())
-        np.testing.assert_allclose(got.mean(axis=0), node_means, rtol=1e-8)
+        # the nodes before the terminal one, where the argmax sits; the
+        # reference loses digits to cancellation where the gap is small
+        inner = int(np.argmax(node_means[:-1]))
+        assert report.details["interior_argmax_node"] == inner
+        assert report.details["interior_gap"] == pytest.approx(node_means[inner], rel=1e-8)
+        assert report.details["node0_gap"] == pytest.approx(node_means[0], rel=1e-8)
+
+    def test_companion_visits_every_node_with_the_difference_solve(self):
+        params, problem, ens = _production_setup(horizon=4.0, steps=40, n_paths=800)
+        gap = TerminalStabilityGap(problem, ens, PROD_BASIS, ens.states[:, -1, :])
+        seen = {}
+        companion = bsde.Companion(
+            gap.companion.problem, gap.companion.terminal, lambda i, y: seen.setdefault(i, y.copy())
+        )
+        solve_bsde_lsmc(problem, ens, PROD_BASIS, companions=(companion,))
+        # the same column solved as the stored costate of a solve of its own
+        alone = solve_bsde_lsmc(gap.companion.problem, ens, PROD_BASIS, terminal=gap.companion.terminal)
+        assert sorted(seen) == list(range(41))
+        for i, y in seen.items():
+            assert np.array_equal(y, alone.Y[:, i, :])
+
+    @pytest.mark.parametrize("setup", ["production", "consumption"])
+    def test_companion_leaves_the_costate_bit_identical(self, setup):
+        if setup == "production":
+            params, problem, ens = _production_setup(horizon=4.0, steps=40, n_paths=800)
+            basis = PROD_BASIS
+        else:
+            params, problem, ens = _consumption_setup(horizon=4.0, steps=40, n_paths=800)
+            basis = CONS_BASIS
+        gap = TerminalStabilityGap(problem, ens, basis, ens.states[:, -1, :])
+        shared = solve_bsde_lsmc(problem, ens, basis, companions=(gap.companion,))
+        plain = solve_bsde_lsmc(problem, ens, basis)
+        assert np.array_equal(shared.Y, plain.Y) and np.array_equal(shared.Z, plain.Z)
+        assert all(np.array_equal(a, b) for a, b in zip(shared.y_coeffs, plain.y_coeffs))
+        assert gap.report().status == "pass"
+
+    def test_companion_stores_no_second_costate(self):
+        import tracemalloc
+
+        params, problem, ens = _production_setup(horizon=8.0, steps=400, n_paths=4000)
+        P, N = ens.n_paths, ens.grid.steps
+
+        def peak(solve) -> int:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                solve()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        plain = peak(lambda: solve_bsde_lsmc(problem, ens, PROD_BASIS))
+        shared = peak(lambda: solve_bsde_lsmc(problem, ens, PROD_BASIS, companions=(
+            TerminalStabilityGap(problem, ens, PROD_BASIS, ens.states[:, -1, :]).companion,
+        )))
+        assert shared - plain <= 0.05 * P * (N + 1) * 8
+
+    def test_companion_terminal_shape_is_validated(self):
+        params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=100)
+        companion = bsde.Companion(problem, np.zeros((7, 1)), lambda i, y: None)
+        with pytest.raises(ValueError, match="companion terminal"):
+            solve_bsde_lsmc(problem, ens, PROD_BASIS, companions=(companion,))
+
+    def test_report_needs_a_solved_companion(self):
+        params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=100)
+        gap = TerminalStabilityGap(problem, ens, PROD_BASIS, ens.states[:, -1, :])
+        with pytest.raises(RuntimeError):
+            gap.report()
 
     def test_xi_shape_is_validated(self):
         params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=100)

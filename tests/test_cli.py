@@ -82,6 +82,13 @@ class TestExitCodes:
             "--out", str(tmp_path),
         )
         assert code == 3
+        # strict JSON: a bare NaN or Infinity is not valid
+        text = (tmp_path / "results.json").read_text()
+        payload = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in results.json"))
+        (report,) = payload["reports"]
+        assert report["status"] == "inconclusive"
+        assert report["statistic"] is None and report["tolerance"] is None
+        assert "2 mu2 + 2 M^2" in report["notes"]
 
     def test_usage_error_exits_one(self, capsys):
         assert _run("run", "--bogus-flag") == 1

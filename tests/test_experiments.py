@@ -432,6 +432,35 @@ class TestRunExperiment:
         assert report.status == "pass"
         assert 0.0 < report.statistic <= report.tolerance
         assert {"bound", "argmax_node"} <= set(report.details)
+        # the interior figures: node 0 and the largest gap before the terminal node
+        details = report.details
+        assert 0 <= details["interior_argmax_node"] < 80
+        assert 0.0 < details["node0_gap"] <= details["interior_gap"] <= report.statistic
+
+    @pytest.mark.parametrize("name", ["consumption", "production"])
+    def test_default_run_makes_one_backward_pass(self, monkeypatch, name):
+        from smpsolve import bsde
+
+        solves = []
+        solve = bsde.solve_bsde_lsmc
+
+        def spy(*args, **kwargs):
+            solves.append(kwargs.get("companions", ()))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_bsde_lsmc", spy)
+        monkeypatch.setattr(bsde, "solve_bsde_lsmc", spy)
+        result = run_experiment(name, n_paths=2000)
+        # stability rides the candidate's solve as its one companion
+        assert len(solves) == 1 and len(solves[0]) == 1
+        assert result.report_by_name("terminal_stability").status == PASS
+
+    def test_stability_of_a_solved_picard_candidate(self):
+        # the fixed point's costate exists before the check: its column takes a solve of its own
+        result = run_experiment("logistic", n_paths=2000, checks=("stability",))
+        report = result.report_by_name("terminal_stability")
+        assert report.status == PASS
+        assert 0.0 < report.statistic <= report.tolerance
 
     @pytest.mark.parametrize("name", ["consumption", "production", "logistic"])
     def test_one_step_grid_leaves_tvc_inconclusive(self, name):
