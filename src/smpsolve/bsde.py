@@ -353,11 +353,11 @@ class TerminalStabilityGap:
     ``grad_cost`` its only free term, so Y^xi - Y^0 solves the same scheme
     with ``grad_cost`` zero and terminal xi: that is the companion.  Riding
     the candidate's own solve, it costs one more set of fits per step and
-    stores no second costate.  Its visitor keeps, per node, the mean and SD
-    over paths of e^{-beta t_i} |Y^0_i - Y^xi_i|^2.  The gap is the largest
-    node mean and the reference bound is e^{-beta T} * mean(|xi|^2).  Pass
-    when gap <= bound * (1 + 0.25) + 3 SE.  Requires
-    beta >= :func:`stability_threshold`.
+    stores no second costate.  Its visitor keeps, per node, the mean
+    (``node_means``) and SD over paths of e^{-beta t_i} |Y^0_i - Y^xi_i|^2.
+    The gap is the largest node mean and the reference bound is
+    e^{-beta T} * mean(|xi|^2).  Pass when gap <= bound * (1 + 0.25) + 3 SE.
+    Requires beta >= :func:`stability_threshold`.
     """
 
     def __init__(
@@ -388,19 +388,19 @@ class TerminalStabilityGap:
         xi_mean_sq = np.einsum("pn,pn->p", xi, xi).mean()
         self.bound = float(math.exp(-problem.beta * grid.horizon) * xi_mean_sq)
         self._weights = np.exp(-problem.beta * grid.times())
-        self._means = np.full(grid.steps + 1, np.nan)
+        self.node_means = np.full(grid.steps + 1, np.nan)
         self._sds = np.zeros(grid.steps + 1)
 
     def visit(self, i: int, y: Array) -> None:
         weighted = np.einsum("pn,pn->p", y, y) * self._weights[i]
-        self._means[i] = weighted.mean()
+        self.node_means[i] = weighted.mean()
         if self.n_paths > 1:
             self._sds[i] = weighted.std(ddof=1)
 
     def report(self) -> VerificationReport:
         """The verdict on the largest node gap; ``details`` add the bound,
         the node-0 gap and the largest gap over nodes 0..N-1 with its node."""
-        means = self._means
+        means = self.node_means
         if np.isnan(means).any():
             raise RuntimeError("the stability companion is unsolved or not finite")
         i_star = int(np.argmax(means))

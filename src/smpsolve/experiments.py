@@ -849,9 +849,8 @@ def logistic_concavity_specs(params: LogisticParams) -> List[ConcavitySpec]:
 class ClosedFormCandidate:
     """A candidate given by a known law; its paths and costate are computed on first use.
 
-    Its solve carries the run's ``riders``: each maps the candidate's
-    ensemble to an object with a ``companion`` column, kept in ``rides`` by
-    check name for the check to read.
+    When the run has a ``stability_column``, the costate's solve carries the
+    stability check's column, kept in ``stability_gap`` for the check to read.
     """
 
     def __init__(self, run: "ExperimentRun", law: ControlLaw) -> None:
@@ -860,7 +859,8 @@ class ClosedFormCandidate:
         self.law = law
         self.problem, self.grid, self.basis = run.problem, run.grid, run.basis
         self.n_paths, self.seed = run.n_paths, run.seed
-        self.riders, self.rides = run.riders, {}
+        self.carry_stability = run.stability_column
+        self.stability_gap: TerminalStabilityGap | None = None
 
     @cached_property
     def ensemble(self) -> PathEnsemble:
@@ -869,8 +869,10 @@ class ClosedFormCandidate:
     @cached_property
     def solution(self) -> BsdeSolution:
         ens = self.ensemble
-        self.rides = {name: ride(ens) for name, ride in self.riders.items()}
-        companions = [ride.companion for ride in self.rides.values()]
+        companions = ()
+        if self.carry_stability:
+            self.stability_gap = TerminalStabilityGap(self.problem, ens, self.basis, ens.states[:, -1, :])
+            companions = (self.stability_gap.companion,)
         return solve_bsde_lsmc(self.problem, ens, self.basis, companions=companions)
 
 
@@ -885,11 +887,12 @@ class ExperimentRun:
     costs of the competitors already stepped, with their flow's
     :func:`degenerate_paths` counts, so the tvc competitor is stepped once
     when both checks run.  Backward columns are never stored either:
-    ``riders`` maps each selected check that needs one to a factory of its
-    column from the candidate's ensemble, and a candidate that has not yet
-    solved its costate (:class:`ClosedFormCandidate`) carries them in that
-    one backward pass.  Entries added to ``scalars``, ``curves`` and
-    ``costs`` end up in the :class:`ExperimentResult`.
+    ``stability_column`` is set when the ``stability`` check is selected
+    and its premise beta >= 2 mu2 + 2 M^2 holds, and a candidate that has
+    not yet solved its costate (:class:`ClosedFormCandidate`) then carries
+    the check's column in that one backward pass.  Entries added to
+    ``scalars``, ``curves`` and ``costs`` end up in the
+    :class:`ExperimentResult`.
     """
 
     definition: "ExperimentDefinition"
@@ -899,11 +902,11 @@ class ExperimentRun:
     n_paths: int
     seed: int
     basis: RegressionBasis
+    stability_column: bool = False
     scalars: Dict[str, float] = field(default_factory=dict)
     curves: Dict[str, Array] = field(default_factory=dict)
     costs: Dict[str, CostEstimate] = field(default_factory=dict)
     competitor_costs: Dict[str, tuple[Array, dict]] = field(default_factory=dict)
-    riders: Dict[str, Callable[[PathEnsemble], object]] = field(default_factory=dict)
 
     @cached_property
     def candidate(self):
@@ -973,14 +976,9 @@ def _pointwise_max(run: ExperimentRun) -> List[VerificationReport]:
     )]
 
 
-def _stability_rider(problem: DiscountedProblem, basis: RegressionBasis):
-    """The stability check's column, built from the candidate's paths, with xi = X_T."""
-    return lambda ens: TerminalStabilityGap(problem, ens, basis, ens.states[:, -1, :])
-
-
 def _stability(run: ExperimentRun) -> List[VerificationReport]:
-    threshold = stability_threshold(run.problem)
-    if run.problem.beta < threshold:
+    if not run.stability_column:
+        threshold = stability_threshold(run.problem)
         return [
             VerificationReport(
                 check="terminal_stability",
@@ -989,13 +987,12 @@ def _stability(run: ExperimentRun) -> List[VerificationReport]:
             )
         ]
     c = run.candidate
-    c.solution  # a closed-form candidate's solve carries the column
-    gap = getattr(c, "rides", {}).get("stability")
-    if gap is None:
-        # a costate solved without the column: the column takes a solve of its own
-        ens = c.ensemble
-        return [terminal_stability_gap(run.problem, ens, run.basis, ens.states[:, -1, :])]
-    return [gap.report()]
+    if isinstance(c, ClosedFormCandidate):
+        c.solution  # the candidate's one backward pass fills its stability_gap
+        return [c.stability_gap.report()]
+    # a costate solved before any check ran (Picard): the column takes a solve of its own
+    ens = c.ensemble
+    return [terminal_stability_gap(run.problem, ens, run.basis, ens.states[:, -1, :])]
 
 
 def _tvc(run: ExperimentRun) -> List[VerificationReport]:
@@ -1405,7 +1402,8 @@ def run_experiment(
     and the backward solve only run when a selected check needs them, so
     problem-level audits stay cheap; the ensemble / solution / law are None.
     A selected ``stability`` check whose premise holds rides the candidate's
-    first backward solve as a companion column (``ExperimentRun.riders``).
+    first backward solve as a companion column
+    (``ExperimentRun.stability_column``).
     """
     definition = get_experiment(name)
     if params is None:
@@ -1429,9 +1427,8 @@ def run_experiment(
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     basis = definition.basis if basis is None else basis
-    run = ExperimentRun(definition, params, problem, grid, n_paths, seed, basis)
-    if "stability" in selected and problem.beta >= stability_threshold(problem):
-        run.riders["stability"] = _stability_rider(problem, basis)
+    stability_column = "stability" in selected and problem.beta >= stability_threshold(problem)
+    run = ExperimentRun(definition, params, problem, grid, n_paths, seed, basis, stability_column)
     reports: List[VerificationReport] = []
     for check, produce in table.items():
         if check in selected:

@@ -322,6 +322,8 @@ class TestTerminalStability:
             basis = CONS_BASIS
         xi = ens.states[:, -1, :].copy()
         report = terminal_stability_gap(problem, ens, basis, xi)
+        gap = TerminalStabilityGap(problem, ens, basis, xi)
+        solve_bsde_lsmc(problem, ens, basis, companions=(gap.companion,))
 
         # reference: both terminals solved in full, xi projected as the check does
         design, _ = basis.fit(ens.states[:, -1, :])
@@ -337,8 +339,11 @@ class TestTerminalStability:
         assert report.statistic == pytest.approx(node_means[i_star], rel=1e-12)
         se = weighted[:, i_star].std(ddof=1) / math.sqrt(ens.n_paths)
         assert report.standard_error == pytest.approx(se, rel=1e-12)
-        # the nodes before the terminal one, where the argmax sits; the
-        # reference loses digits to cancellation where the gap is small
+        # every node, not only the argmax (which sits at the terminal node),
+        # from the companion on the candidate's solve and from the check's own
+        # solve; the reference loses digits to cancellation where the gap is small
+        np.testing.assert_allclose(gap.node_means, node_means, rtol=1e-8)
+        assert gap.report() == report
         inner = int(np.argmax(node_means[:-1]))
         assert report.details["interior_argmax_node"] == inner
         assert report.details["interior_gap"] == pytest.approx(node_means[inner], rel=1e-8)
