@@ -164,17 +164,20 @@ def _least_squares(design: Array, valid: Array | None):
 class BsdeSolution:
     """Backward solve output: node values, surfaces, and fit diagnostics.
 
-    ``Y`` has shape (P, N+1, n) and ``Z`` (P, N, n, d), both stored
-    time-major (see :func:`smpsolve.forward.time_major`).  ``y_coeffs`` holds,
-    per step i < N, the fit of the realized Y_i: the costate surface.
+    ``Y`` has shape (P, N+1, n), stored time-major (see
+    :func:`smpsolve.forward.time_major`): a realized Y_i is not a surface, so
+    it is kept node by node.  Z is not stored.  Per step i < N, ``y_coeffs``
+    holds the fit of the realized Y_i, the costate surface, and ``z_coeffs``
+    the fit of Z_i that the solve itself evaluated; :meth:`y_at` and
+    :meth:`z_at` evaluate them.
     """
 
     grid: TimeGrid
     Y: Array
-    Z: Array
     basis: RegressionBasis
     transforms: list
     y_coeffs: list
+    z_coeffs: list
     condition_numbers: Array
     ridge_steps: list
 
@@ -184,10 +187,27 @@ class BsdeSolution:
 
     def y_at(self, step: int, x: Array) -> Array:
         """Evaluate the fitted costate surface of step ``step``, 0 <= step < N, at states x."""
+        return self._surface(self.y_coeffs, step, x)
+
+    def z_at(self, step: int, x: Array) -> Array:
+        """Evaluate the Z_i surface of step ``step``, 0 <= step < N, at states x: (rows, n, d).
+
+        At the step's own states this is the solve's Z_i to the bit: the same
+        design and the same product.
+        """
+        z = self._surface(self.z_coeffs, step, x)
+        return z.reshape(z.shape[0], self.Y.shape[2], -1)
+
+    def check_paths(self, ensemble: PathEnsemble) -> None:
+        """Raise ValueError unless this costate was solved on the paths and grid of ``ensemble``."""
+        if self.grid != ensemble.grid or self.Y.shape[0] != ensemble.n_paths:
+            raise ValueError("the costate must belong to the candidate's paths and grid")
+
+    def _surface(self, coeffs: list, step: int, x: Array) -> Array:
         if not 0 <= step < self.grid.steps:
             raise ValueError(f"no costate surface at step {step} of a {self.grid.steps}-step grid")
         design = self.basis.design(np.asarray(x, dtype=float), self.transforms[step])
-        return design @ self.y_coeffs[step]
+        return design @ coeffs[step]
 
 
 @dataclass(frozen=True)
@@ -207,17 +227,18 @@ class Companion:
 
 
 def _backward_step(problem, design, fit, valid, target_y, x_eff, u_i, dW, dt):
-    """One explicit two-pass step of a column: (Y_i, Z_i) from Y_{i+1}."""
+    """One explicit two-pass step of a column: Y_i and the Z_i coefficients from Y_{i+1}."""
     P, n = target_y.shape
     d = dW.shape[1]
     y_pred = design @ fit(target_y)
     resid = np.where(valid[:, None], target_y - y_pred, 0.0)
     target_z = (resid[:, :, None] * dW[:, None, :]).reshape(P, n * d) / dt
-    z_i = (design @ fit(target_z)).reshape(P, n, d)
+    z_coeffs = fit(target_z)
+    z_i = (design @ z_coeffs).reshape(P, n, d)
     g = grad_x_hamiltonian(x_eff, u_i, y_pred, z_i, problem)
     y_half = y_pred + g * dt
     g = grad_x_hamiltonian(x_eff, u_i, y_half, z_i, problem)
-    return y_pred + g * dt, z_i
+    return y_pred + g * dt, z_coeffs
 
 
 def _terminal_values(terminal, shape, what: str) -> Array:
@@ -244,7 +265,9 @@ def solve_bsde_lsmc(
     untouched.  It must be positive.
 
     Each step factors its design once; the fits of E[Y_{i+1}|X_i], of Z_i
-    and of the Y_i surface share that factorization.  Exploded paths are
+    and of the Y_i surface share that factorization.  Y is stored node by
+    node; of Z only each step's coefficients are kept, which
+    :meth:`BsdeSolution.z_at` evaluates.  Exploded paths are
     excluded from every regression.  Non-finite targets beyond
     ``MAX_BAD_FRACTION`` of paths abort with :class:`RegressionError`;
     isolated ones are masked out.  A ridge fallback is warned about.
@@ -259,11 +282,10 @@ def solve_bsde_lsmc(
         raise ValueError("driver_state_cap must be positive")
     grid = ensemble.grid
     P, N = ensemble.n_paths, grid.steps
-    n, d = problem.state_dim, problem.noise_dim
+    n = problem.state_dim
     dt = grid.dt
 
     Y = time_major(P, N + 1, n)
-    Z = time_major(P, N, n, d)
     if terminal is None:
         Y[:, N, :] = 0.0
     else:
@@ -274,6 +296,7 @@ def solve_bsde_lsmc(
 
     transforms: list = [None] * N
     y_coeffs: list = [None] * N
+    z_coeffs: list = [None] * N
     conds = np.empty(N)
     ridge_steps: list[int] = []
     base_valid = ~ensemble.exploded
@@ -302,10 +325,9 @@ def solve_bsde_lsmc(
         def step(column_problem, target):
             return _backward_step(column_problem, design, fit, valid, target, x_eff, u_i, dW, dt)
 
-        y_i, z_i = step(problem, target_y)
+        y_i, z_coeffs[i] = step(problem, target_y)
 
         Y[:, i, :] = y_i
-        Z[:, i, :, :] = z_i
         transforms[i] = transform
         y_coeffs[i] = fit(y_i)
         conds[i] = cond
@@ -329,10 +351,10 @@ def solve_bsde_lsmc(
     return BsdeSolution(
         grid=grid,
         Y=Y,
-        Z=Z,
         basis=basis,
         transforms=transforms,
         y_coeffs=y_coeffs,
+        z_coeffs=z_coeffs,
         condition_numbers=conds,
         ridge_steps=sorted(ridge_steps),
     )
@@ -477,7 +499,10 @@ def cylinder_consistency_check(
     sol_m = solve_bsde_lsmc(problem, sub, basis, driver_state_cap=truncation_m)
     sol_p = solve_bsde_lsmc(problem, sub, basis, driver_state_cap=truncation_p)
     diff_y = float(np.abs(sol_m.Y - sol_p.Y).max())
-    diff_z = float(np.abs(sol_m.Z - sol_p.Z).max())
+    diff_z = 0.0
+    for i in range(sub.grid.steps):
+        x_i = sub.states[:, i, :]
+        diff_z = max(diff_z, float(np.abs(sol_m.z_at(i, x_i) - sol_p.z_at(i, x_i)).max()))
     status = PASS if diff_y <= CYLINDER_TOL else FAIL
     return VerificationReport(
         check="cylinder_consistency",

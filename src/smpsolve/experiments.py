@@ -687,7 +687,9 @@ def logistic_picard_solve(
     of the change in the costate surface, evaluated on the freshly simulated
     states; it converges at ``PICARD_TOL`` = 1e-4 within 20 passes.  A
     residual increase blends the new policy into the old one with weight
-    0.5; three consecutive increases abort.
+    0.5; three consecutive increases abort.  A pass whose controls repeat
+    the last pass's exactly is a fixed point: it records residual 0 and
+    stops without solving again.
     """
     problem = logistic_problem(params)
     if basis is None:
@@ -706,6 +708,14 @@ def logistic_picard_solve(
     iterations = 0
     for _ in range(PICARD_MAX_ITERATIONS):
         ens_new = simulate_forward(problem, law, grid, n_paths, seed, noise=ens.noise)
+        if np.array_equal(ens_new.controls, ens.controls):
+            # the same controls on the same noise give the same states, so
+            # the solve and the residual would repeat the last pass to the bit
+            iterations += 1
+            residuals.append(0.0)
+            law = AdjointFeedbackControl(sol, rule)
+            converged = True
+            break
         sol_new = solve_bsde_lsmc(problem, ens_new, basis)
         res = 0.0
         for i in range(grid.steps):

@@ -14,7 +14,7 @@ from typing import Dict, List
 import numpy as np
 
 from .bsde import BsdeSolution
-from .forward import PathEnsemble
+from .forward import PathEnsemble, time_major
 from .reports import VerificationReport
 
 Array = np.ndarray
@@ -79,14 +79,25 @@ def save_ensemble(prefix, ensemble: PathEnsemble) -> List[Path]:
     return paths
 
 
-def save_costates(prefix, solution: BsdeSolution) -> List[Path]:
+def save_costates(prefix, solution: BsdeSolution, ensemble: PathEnsemble) -> List[Path]:
+    """Write Y and Z, solved on ``ensemble``; returns the paths.
+
+    The solution keeps no Z table, so the (P, N, n, d) table is built from
+    :meth:`BsdeSolution.z_at` at the ensemble's states, step by step, only
+    for the write.
+    """
+    solution.check_paths(ensemble)
     prefix = Path(prefix)
     paths = [
         prefix.with_name(prefix.name + "_y.smp"),
         prefix.with_name(prefix.name + "_z.smp"),
     ]
     write_array(paths[0], solution.Y, KIND_COSTATE)
-    write_array(paths[1], solution.Z, KIND_Z)
+    P, steps, n = solution.Y.shape[0], solution.grid.steps, solution.Y.shape[2]
+    Z = time_major(P, steps, n, solution.z_coeffs[0].shape[1] // n)
+    for i in range(steps):
+        Z[:, i] = solution.z_at(i, ensemble.states[:, i, :])
+    write_array(paths[1], Z, KIND_Z)
     return paths
 
 

@@ -108,7 +108,13 @@ def check_pointwise_max(
     candidate policy certified against the zero-terminal costate keeps a
     boundary layer near the horizon where the two legitimately disagree;
     excluding the layer certifies the stationary region on its own.
+
+    Y is read from the stored nodes.  Z is evaluated one sampled step at a
+    time, on all paths of the step as the solve itself evaluated it, and
+    then read at the sampled paths.  ``solution`` must belong to the paths
+    and grid of ``ensemble``.
     """
+    solution.check_paths(ensemble)
     grid = ensemble.grid
     n_steps = grid.steps
     if max_time is not None:
@@ -131,7 +137,10 @@ def check_pointwise_max(
     x = ensemble.states[p_idx, i_idx, :]
     u_exec = ensemble.controls[p_idx, i_idx, :]
     y = solution.Y[p_idx, i_idx, :]
-    z = solution.Z[p_idx, i_idx, :, :]
+    z = np.empty((count, problem.state_dim, problem.noise_dim))
+    for i in np.unique(i_idx):
+        rows = np.flatnonzero(i_idx == i)
+        z[rows] = solution.z_at(int(i), ensemble.states[:, i, :])[p_idx[rows]]
 
     u_star, cert = maximize_hamiltonian_in_u(x, y, z, problem)
     h_star = hamiltonian(x, u_star, y, z, problem)
@@ -189,9 +198,8 @@ def check_tvc(
     node 0, where both ensembles start at x0; a grid with no node in between
     is inconclusive.
     """
+    solution.check_paths(ensemble)
     grid, n_paths = ensemble.grid, ensemble.n_paths
-    if solution.grid != grid or solution.Y.shape[0] != n_paths:
-        raise ValueError("the costate must belong to the candidate's paths and grid")
     times = grid.times()[:-1]
     m, se, scale = np.empty(grid.steps), np.empty(grid.steps), np.empty(grid.steps)
 

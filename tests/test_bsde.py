@@ -123,7 +123,8 @@ class TestSolveInvariances:
         ens = simulate_forward(problem, ConstantControl([0.5]), grid, 500, seed=3)
         sol = solve_bsde_lsmc(problem, ens, RegressionBasis(degree=2))
         assert np.all(sol.Y == 0.0)
-        assert np.all(sol.Z == 0.0)
+        assert all(np.all(c == 0.0) for c in sol.z_coeffs)
+        assert all(np.all(sol.z_at(i, ens.states[:, i, :]) == 0.0) for i in range(40))
 
     def test_inactive_truncation_changes_nothing(self):
         params, problem, ens = _consumption_setup(n_paths=1000)
@@ -132,7 +133,7 @@ class TestSolveInvariances:
         capped_a = solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=2.0 * sup)
         capped_b = solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=4.0 * sup)
         assert np.array_equal(capped_a.Y, plain.Y)
-        assert np.array_equal(capped_a.Z, plain.Z)
+        assert all(np.array_equal(a, b) for a, b in zip(capped_a.z_coeffs, plain.z_coeffs))
         assert np.array_equal(capped_a.Y, capped_b.Y)
 
     def test_active_truncation_moves_the_solution(self):
@@ -152,14 +153,75 @@ class TestSolveInvariances:
             solve_bsde_lsmc(problem, ens, CONS_BASIS, terminal=np.zeros((7, 1)))
 
 
+class TestZSurfaces:
+    @pytest.mark.parametrize("setup", ["production", "consumption"])
+    def test_z_at_is_the_solve_z_to_the_bit(self, monkeypatch, setup):
+        if setup == "production":
+            params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=500)
+            basis = PROD_BASIS
+        else:
+            params, problem, ens = _consumption_setup(horizon=2.0, steps=20, n_paths=500)
+            basis = CONS_BASIS
+        # the Z_i each step hands to its driver, as the step itself forms it
+        used = []
+        step = bsde._backward_step
+
+        def recording(problem, design, fit, valid, target_y, *rest):
+            y_i, z_coeffs = step(problem, design, fit, valid, target_y, *rest)
+            used.append((design @ z_coeffs).reshape(target_y.shape[0], 1, 1))
+            return y_i, z_coeffs
+
+        monkeypatch.setattr(bsde, "_backward_step", recording)
+        sol = solve_bsde_lsmc(problem, ens, basis)
+        assert len(used) == 20
+        for i, z in zip(range(19, -1, -1), used):
+            assert np.array_equal(sol.z_at(i, ens.states[:, i, :]), z)
+
+    # the last step regresses the zero terminal, whose Z is zero
+    @pytest.mark.parametrize("step", [0, 17, 38])
+    def test_z_at_matches_an_independent_regression(self, step):
+        params, problem, ens = _production_setup(horizon=2.0, steps=40, n_paths=2000)
+        sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
+        x = ens.states[:, step, :]
+        y_next = sol.Y[:, step + 1, :]
+        design, _ = PROD_BASIS.fit(x)
+        conditional = design @ np.linalg.lstsq(design, y_next, rcond=None)[0]
+        target = (y_next - conditional) * ens.noise.increments[:, step, :] / ens.grid.dt
+        want = design @ np.linalg.lstsq(design, target, rcond=None)[0]
+        got = sol.z_at(step, x)[:, :, 0]
+        assert float(np.abs(got - want).max()) <= 1e-10 * float(np.abs(want).max())
+
+    def test_step_range_is_checked(self):
+        params, problem, ens = _production_setup(horizon=2.0, steps=10, n_paths=100)
+        sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
+        for step in (-1, 10):
+            with pytest.raises(ValueError):
+                sol.z_at(step, ens.states[:, 0, :])
+
+    def test_solve_stores_one_table(self):
+        import tracemalloc
+
+        params, problem, ens = _production_setup(horizon=8.0, steps=400, n_paths=4000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * sol.Y.nbytes
+
+
 class TestTimeMajorLayout:
     def test_costate_steps_are_contiguous(self):
         params, problem, ens = _consumption_setup(steps=8, n_paths=300)
-        sol = solve_bsde_lsmc(problem, ens.take_paths(np.arange(300) < 200), CONS_BASIS)
+        sub = ens.take_paths(np.arange(300) < 200)
+        sol = solve_bsde_lsmc(problem, sub, CONS_BASIS)
         for i in range(8):
             assert sol.Y[:, i, :].flags.c_contiguous
-            assert sol.Z[:, i].flags.c_contiguous
+            assert sol.z_at(i, sub.states[:, i, :]).shape == (200, 1, 1)
         assert sol.Y[:, 8, :].flags.c_contiguous
+        assert len(sol.z_coeffs) == 8
 
 
 def _consumption_rule(t, x, y):
@@ -374,8 +436,9 @@ class TestTerminalStability:
         gap = TerminalStabilityGap(problem, ens, basis, ens.states[:, -1, :])
         shared = solve_bsde_lsmc(problem, ens, basis, companions=(gap.companion,))
         plain = solve_bsde_lsmc(problem, ens, basis)
-        assert np.array_equal(shared.Y, plain.Y) and np.array_equal(shared.Z, plain.Z)
+        assert np.array_equal(shared.Y, plain.Y)
         assert all(np.array_equal(a, b) for a, b in zip(shared.y_coeffs, plain.y_coeffs))
+        assert all(np.array_equal(a, b) for a, b in zip(shared.z_coeffs, plain.z_coeffs))
         assert gap.report().status == "pass"
 
     def test_companion_stores_no_second_costate(self):

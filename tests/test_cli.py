@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smpsolve
 from smpsolve.cli import _build_parser, main
 from smpsolve.experiments import _GENERIC_CHECKS, list_experiments
+from smpsolve.io import KIND_Z, read_array
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -378,7 +380,10 @@ class TestArtifacts:
         assert (tmp_path / "consumption_states.smp").exists()
         assert (tmp_path / "consumption_controls.smp").exists()
         assert (tmp_path / "consumption_y.smp").exists()
-        assert (tmp_path / "consumption_z.smp").exists()
+        # Z is not stored by the solve: the dump evaluates its surfaces at every node
+        kind, z = read_array(tmp_path / "consumption_z.smp")
+        assert kind == KIND_Z
+        assert z.shape == (300, 60, 1, 1) and np.isfinite(z).all()
 
     def test_results_json_schema_fields(self, tmp_path):
         assert _run(

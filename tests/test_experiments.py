@@ -10,6 +10,7 @@ import pytest
 from smpsolve import (
     FeedbackControl,
     NoiseBatch,
+    RegressionBasis,
     TimeGrid,
     VerificationReport,
     comparison_check,
@@ -369,6 +370,24 @@ class TestLogisticStructure:
         assert float(result.solution.y0()[0]) < 0.0
         u = result.ensemble.controls
         assert np.allclose(u, LogisticParams().u1)
+
+    def test_picard_stops_at_an_exact_fixed_point(self, monkeypatch):
+        solves = []
+        solve = experiments.solve_bsde_lsmc
+
+        def spy(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(experiments, "solve_bsde_lsmc", spy)
+        result = logistic_picard_solve(
+            LogisticParams(), TimeGrid(horizon=2.0, steps=50), n_paths=1500, seed=0
+        )
+        # the last pass repeats the controls of the one before: no solve for it
+        assert result.converged and result.residuals[-1] == 0.0
+        assert len(solves) == result.iterations
+        fresh = solve(result.problem, result.ensemble, RegressionBasis(degree=4))
+        assert np.array_equal(result.solution.Y, fresh.Y)
 
 
 class TestRunExperiment:

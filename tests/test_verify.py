@@ -278,6 +278,19 @@ class TestPointwiseMax:
         assert report.status == "fail"
         assert report.statistic > 0.01
 
+    def test_costate_of_other_paths_rejected(self):
+        params = ProductionPlanningParams()
+        problem = production_problem(params)
+        grid = TimeGrid(horizon=4.0, steps=80)
+        law = production_optimal_law(params)
+        ens = simulate_forward(problem, law, grid, 500, seed=3)
+        more_paths = simulate_forward(problem, law, grid, 800, seed=3)
+        other_grid = simulate_forward(problem, law, TimeGrid(horizon=4.0, steps=50), 500, seed=3)
+        for other in (more_paths, other_grid):
+            sol = solve_bsde_lsmc(problem, other, PROD_BASIS)
+            with pytest.raises(ValueError, match="paths and grid"):
+                check_pointwise_max(problem, ens, sol, n_points=1000)
+
 
 class TestTransversality:
     def _setup(self, n_paths=2000, horizon=8.0, steps=160):
