@@ -167,9 +167,10 @@ class TestZSurfaces:
         step = bsde._backward_step
 
         def recording(problem, design, fit, valid, target_y, *rest):
-            y_i, z_coeffs = step(problem, design, fit, valid, target_y, *rest)
-            used.append((design @ z_coeffs).reshape(target_y.shape[0], 1, 1))
-            return y_i, z_coeffs
+            y_i, z_i, z_coeffs = step(problem, design, fit, valid, target_y, *rest)
+            assert np.array_equal(z_i, (design @ z_coeffs).reshape(target_y.shape[0], 1, 1))
+            used.append(z_i)
+            return y_i, z_i, z_coeffs
 
         monkeypatch.setattr(bsde, "_backward_step", recording)
         sol = solve_bsde_lsmc(problem, ens, basis)
@@ -416,7 +417,9 @@ class TestTerminalStability:
         gap = TerminalStabilityGap(problem, ens, PROD_BASIS, ens.states[:, -1, :])
         seen = {}
         companion = bsde.Companion(
-            gap.companion.problem, gap.companion.terminal, lambda i, y: seen.setdefault(i, y.copy())
+            gap.companion.problem,
+            gap.companion.terminal,
+            lambda i, column, costate: seen.setdefault(i, column[0].copy()),
         )
         solve_bsde_lsmc(problem, ens, PROD_BASIS, companions=(companion,))
         # the same column solved as the stored costate of a solve of its own
@@ -464,7 +467,7 @@ class TestTerminalStability:
 
     def test_companion_terminal_shape_is_validated(self):
         params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=100)
-        companion = bsde.Companion(problem, np.zeros((7, 1)), lambda i, y: None)
+        companion = bsde.Companion(problem, np.zeros((7, 1)), lambda i, column, costate: None)
         with pytest.raises(ValueError, match="companion terminal"):
             solve_bsde_lsmc(problem, ens, PROD_BASIS, companions=(companion,))
 
@@ -478,6 +481,55 @@ class TestTerminalStability:
         params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=100)
         with pytest.raises(ValueError):
             terminal_stability_gap(problem, ens, PROD_BASIS, np.ones(7))
+
+
+class TestCompanionCap:
+    def test_a_companion_solves_under_its_own_binding_cap(self):
+        params, problem, ens = _consumption_setup(n_paths=1000)
+        seen = {}
+
+        def visit(i, column, costate):
+            seen[i] = [None if a is None else a.copy() for a in (*column, *costate)]
+
+        companion = bsde.Companion(problem, np.zeros((1000, 1)), visit, driver_state_cap=0.8)
+        shared = solve_bsde_lsmc(problem, ens, CONS_BASIS, companions=(companion,))
+        plain = solve_bsde_lsmc(problem, ens, CONS_BASIS)
+        alone = solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=0.8)
+        assert float(np.abs(alone.Y - plain.Y).max()) > 0.0  # the cap binds
+        # the costate keeps no cap of the companion's
+        assert np.array_equal(shared.Y, plain.Y)
+        assert all(np.array_equal(a, b) for a, b in zip(shared.z_coeffs, plain.z_coeffs))
+        assert sorted(seen) == list(range(81))
+        for i, (y, z, y_costate, z_costate) in seen.items():
+            assert np.array_equal(y, alone.Y[:, i, :])
+            assert np.array_equal(y_costate, plain.Y[:, i, :])
+            if i == 80:
+                assert z is None and z_costate is None
+            else:
+                x = ens.states[:, i, :]
+                assert np.array_equal(z, alone.z_at(i, x))
+                assert np.array_equal(z_costate, plain.z_at(i, x))
+
+    def test_companion_cap_must_be_positive(self):
+        params, problem, ens = _consumption_setup(steps=10, n_paths=50)
+        companion = bsde.Companion(
+            problem, np.zeros((50, 1)), lambda i, column, costate: None, driver_state_cap=0.0
+        )
+        with pytest.raises(ValueError, match="driver_state_cap"):
+            solve_bsde_lsmc(problem, ens, CONS_BASIS, companions=(companion,))
+
+
+def _cylinder_two_solve_reference(problem, ens, basis, truncation_m, truncation_p, cylinder):
+    """The check as two full solves on a copy of the kept paths: (statistic, z gap, kept)."""
+    mask = np.abs(ens.states).max(axis=(1, 2)) < cylinder
+    sub = ens.take_paths(mask)
+    sol_m = solve_bsde_lsmc(problem, sub, basis, driver_state_cap=truncation_m)
+    sol_p = solve_bsde_lsmc(problem, sub, basis, driver_state_cap=truncation_p)
+    diff_z = max(
+        float(np.abs(sol_m.z_at(i, sub.states[:, i, :]) - sol_p.z_at(i, sub.states[:, i, :])).max())
+        for i in range(ens.grid.steps)
+    )
+    return float(np.abs(sol_m.Y - sol_p.Y).max()), diff_z, int(mask.sum())
 
 
 class TestCylinderConsistency:
@@ -504,3 +556,56 @@ class TestCylinderConsistency:
             cylinder_consistency_check(
                 problem, ens, CONS_BASIS, truncation_m=2.0, truncation_p=50.0, cylinder=5.0
             )
+
+    # the setup keeps every path inside radius 5 and about 98% inside 1.1
+    @pytest.mark.parametrize("cylinder", [5.0, 1.1], ids=["all-kept", "subset"])
+    def test_one_two_column_solve_matches_the_two_solve_reference(self, monkeypatch, cylinder):
+        from smpsolve.forward import PathEnsemble
+
+        params, problem, ens = _consumption_setup(n_paths=1500, seed=7)
+        want_y, want_z, kept = _cylinder_two_solve_reference(
+            problem, ens, CONS_BASIS, 10.0, 50.0, cylinder
+        )
+        assert (kept == 1500) == (cylinder == 5.0) and kept > 0
+        copies = []
+        take = PathEnsemble.take_paths
+
+        def counting(self, index):
+            copies.append(index)
+            return take(self, index)
+
+        monkeypatch.setattr(PathEnsemble, "take_paths", counting)
+        solved = _record_solves(monkeypatch)
+        report = cylinder_consistency_check(
+            problem, ens, CONS_BASIS, truncation_m=10.0, truncation_p=50.0, cylinder=cylinder
+        )
+        assert len(solved) == 1
+        assert len(copies) == (0 if kept == 1500 else 1)
+        assert report.statistic == want_y
+        assert report.details["z_difference"] == want_z
+        assert report.details["kept_fraction"] == kept / 1500
+        assert report.n_samples == kept
+
+    def test_check_stores_one_costate(self):
+        import tracemalloc
+
+        from smpsolve.experiments import LogisticParams, logistic_problem
+
+        params = LogisticParams()
+        problem = logistic_problem(params)
+        grid = TimeGrid.auto(params.beta, 250)
+        law = ConstantControl([0.5 * (params.u1 + params.u2)])
+        ens = simulate_forward(problem, law, grid, 4000, seed=8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = cylinder_consistency_check(
+                problem, ens, RegressionBasis(degree=4), truncation_m=10.0, truncation_p=50.0,
+                cylinder=5.0,
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.details["kept_fraction"] == 1.0
+        one_y = 4000 * (grid.steps + 1) * problem.state_dim * 8
+        assert peak <= 1.25 * one_y

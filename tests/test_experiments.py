@@ -474,6 +474,23 @@ class TestRunExperiment:
         assert len(solves) == 1 and len(solves[0]) == 1
         assert result.report_by_name("terminal_stability").status == PASS
 
+    # logistic: the two Picard passes, then the cylinder check's one two-column pass
+    @pytest.mark.parametrize("name, passes", [("consumption", 1), ("logistic", 3)])
+    def test_default_run_counts_its_backward_passes(self, monkeypatch, name, passes):
+        from smpsolve import bsde
+
+        calls = []
+        solve = bsde.solve_bsde_lsmc
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_bsde_lsmc", counting)
+        monkeypatch.setattr(bsde, "solve_bsde_lsmc", counting)
+        run_experiment(name, n_paths=1000)
+        assert len(calls) == passes
+
     def test_stability_of_a_solved_picard_candidate(self):
         # the fixed point's costate exists before the check: its column takes a solve of its own
         result = run_experiment("logistic", n_paths=2000, checks=("stability",))
