@@ -164,7 +164,9 @@ def _least_squares(design: Array, valid: Array | None):
 class BsdeSolution:
     """Backward solve output: node values, surfaces, and fit diagnostics.
 
-    ``Y`` has shape (P, N+1, n), stored time-major (see
+    ``ensemble`` is the ensemble the costate was solved on, so the checks
+    that read Y next to the paths take both from here, and ``grid`` is its
+    grid.  ``Y`` has shape (P, N+1, n), stored time-major (see
     :func:`smpsolve.forward.time_major`): a realized Y_i is not a surface, so
     it is kept node by node.  Z is not stored.  Per step i < N, ``y_coeffs``
     holds the fit of the realized Y_i, the costate surface, and ``z_coeffs``
@@ -172,7 +174,7 @@ class BsdeSolution:
     :meth:`z_at` evaluate them.
     """
 
-    grid: TimeGrid
+    ensemble: PathEnsemble
     Y: Array
     basis: RegressionBasis
     transforms: list
@@ -180,6 +182,10 @@ class BsdeSolution:
     z_coeffs: list
     condition_numbers: Array
     ridge_steps: list
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.ensemble.grid
 
     def y0(self) -> Array:
         """Costate at time zero, averaged over paths."""
@@ -197,11 +203,6 @@ class BsdeSolution:
         """
         z = self._surface(self.z_coeffs, step, x)
         return z.reshape(z.shape[0], self.Y.shape[2], -1)
-
-    def check_paths(self, ensemble: PathEnsemble) -> None:
-        """Raise ValueError unless this costate was solved on the paths and grid of ``ensemble``."""
-        if self.grid != ensemble.grid or self.Y.shape[0] != ensemble.n_paths:
-            raise ValueError("the costate must belong to the candidate's paths and grid")
 
     def _surface(self, coeffs: list, step: int, x: Array) -> Array:
         if not 0 <= step < self.grid.steps:
@@ -357,7 +358,7 @@ def solve_bsde_lsmc(
         )
 
     return BsdeSolution(
-        grid=grid,
+        ensemble=ensemble,
         Y=Y,
         basis=basis,
         transforms=transforms,

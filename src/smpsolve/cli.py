@@ -296,7 +296,7 @@ def _command_run(args) -> int:
         write_paths_csv(out / "paths.csv", result.ensemble)
         save_ensemble(out / name, result.ensemble)
         if result.solution is not None:
-            save_costates(out / name, result.solution, result.ensemble)
+            save_costates(out / name, result.solution)
 
     for report in result.reports:
         print(report.summary_line())

@@ -202,24 +202,17 @@ def consumption_optimal_law(params: ConsumptionParams) -> ControlLaw:
 
 
 def consumption_truncated_costate(params: ConsumptionParams, horizon: float):
-    """Exact costate of the zero-terminal problem on [0, horizon].
+    """The time factor g of the zero-terminal problem's exact costate on [0, horizon].
 
-    Returns (y_fn, z_fn, g_fn) with y(t, x) = g(t)/x, z(t, x) = -sigma g/x
-    and g(t) = (1 - e^{-beta (horizon - t)}) / beta.
+    The costate is y(t, x) = g(t)/x, with z(t, x) = -sigma g(t)/x and
+    g(t) = (1 - e^{-beta (horizon - t)}) / beta; returns g.
     """
     beta = params.resolved_beta()
-    sigma = params.sigma
 
     def g_fn(t):
         return (1.0 - np.exp(-beta * (horizon - np.asarray(t)))) / beta
 
-    def y_fn(t, x):
-        return g_fn(t) / np.asarray(x)
-
-    def z_fn(t, x):
-        return -sigma * g_fn(t) / np.asarray(x)
-
-    return y_fn, z_fn, g_fn
+    return g_fn
 
 
 def consumption_competitors(params: ConsumptionParams) -> Dict[str, ControlLaw]:
@@ -306,32 +299,16 @@ class ProductionPlanningParams:
             raise ValueError("empty control box")
 
 
-def production_riccati_constants(params: ProductionPlanningParams):
-    """Stationary Riccati data (phi, psi, offset) of the quadratic value.
-
-    V(x) = phi x^2 / 2 + psi x + offset solves the stationary equation
-    beta V = (u1 - eta) V' + V'^2/(4c) + sigma^2 phi / 2 - h (x - x1)^2;
-    phi is the concave root of phi^2 - 2 c beta phi - 4 c h = 0.
-    """
-    c, h, beta = params.c, params.h, params.beta
-    phi = c * beta - math.sqrt(c * c * beta * beta + 4.0 * c * h)
-    psi = (phi * (params.u1 - params.eta) + 2.0 * h * params.x1) / (
-        beta - phi / (2.0 * c)
-    )
-    offset = (
-        (params.u1 - params.eta) * psi
-        + psi * psi / (4.0 * c)
-        + 0.5 * params.sigma**2 * phi
-        - h * params.x1**2
-    ) / beta
-    return phi, psi, offset
-
-
-@dataclass(frozen=True)
 class RiccatiOracle:
-    """The finite-horizon Riccati pair in time-to-go s, from zero data.
+    """Production's quadratic value in closed form, stationary and in time-to-go.
 
-    phi' = phi^2/(2c) - beta phi - 2h has roots r1 = phi_inf <= 0 < r2, and
+    The stationary value V(x) = phi_inf x^2 / 2 + psi_inf x + offset
+    (:meth:`value`) solves
+    beta V = (u1 - eta) V' + V'^2/(4c) + sigma^2 phi_inf / 2 - h (x - x1)^2;
+    phi_inf is the concave root of phi^2 - 2 c beta phi - 4 c h = 0.
+
+    The finite-horizon pair from zero data, in time-to-go s: the Riccati
+    equation phi' = phi^2/(2c) - beta phi - 2h has roots r1 = phi_inf <= 0 < r2, and
     w = (phi - r1)/(phi - r2) solves w' = -k w with k = (r2 - r1)/(2c), so
 
         phi(s) = r1 - r1 E (r2 - r1) / (r2 - r1 E),   E = e^{-k s}.
@@ -347,16 +324,32 @@ class RiccatiOracle:
     constants at s = 40/beta, far past the settling time.
     """
 
-    params: ProductionPlanningParams
+    def __init__(self, params: ProductionPlanningParams) -> None:
+        c, h, beta = params.c, params.h, params.beta
+        drift = params.u1 - params.eta
+        root = math.sqrt(c * c * beta * beta + 4.0 * c * h)
+        self.params = params
+        # the roots r1 = phi_inf and r2 of r^2/(2c) - beta r - 2h, and k = (r2 - r1)/(2c)
+        phi = self.phi_inf = c * beta - root
+        self._r2, self._k = c * beta + root, root / c
+        psi = self.psi_inf = (phi * drift + 2.0 * h * params.x1) / (beta - phi / (2.0 * c))
+        self.offset = (
+            drift * psi + psi * psi / (4.0 * c) + 0.5 * params.sigma**2 * phi - h * params.x1**2
+        ) / beta
+
+    def value(self, x) -> Array:
+        """The stationary value V(x)."""
+        x = np.asarray(x, dtype=float)
+        return 0.5 * self.phi_inf * x * x + self.psi_inf * x + self.offset
 
     def phi_at(self, s):
-        r1, r2, k = _riccati_roots(self.params)
+        r1, r2, k = self.phi_inf, self._r2, self._k
         e = np.exp(-k * np.asarray(s, dtype=float))
         return r1 - r1 * e * (r2 - r1) / (r2 - r1 * e)
 
     def psi_at(self, s):
         p = self.params
-        r1, r2, k = _riccati_roots(p)
+        r1, r2, k = self.phi_inf, self._r2, self._k
         a = -0.5 * (p.beta + k)
         drift, pull = p.u1 - p.eta, 2.0 * p.h * p.x1
         c0, c1 = drift * r1 + pull, drift * r2 + pull
@@ -366,37 +359,17 @@ class RiccatiOracle:
 
     @property
     def phi_agreement(self) -> float:
-        phi_inf = production_riccati_constants(self.params)[0]
-        return abs(float(self.phi_at(40.0 / self.params.beta)) - phi_inf)
+        return abs(float(self.phi_at(40.0 / self.params.beta)) - self.phi_inf)
 
     @property
     def psi_agreement(self) -> float:
-        psi_inf = production_riccati_constants(self.params)[1]
-        return abs(float(self.psi_at(40.0 / self.params.beta)) - psi_inf)
+        return abs(float(self.psi_at(40.0 / self.params.beta)) - self.psi_inf)
 
     @property
     def stationary_residual(self) -> float:
         c, h, beta = self.params.c, self.params.h, self.params.beta
-        phi = production_riccati_constants(self.params)[0]
+        phi = self.phi_inf
         return abs(phi * phi - 2.0 * c * beta * phi - 4.0 * c * h)
-
-
-def _riccati_roots(params: ProductionPlanningParams):
-    """Roots r1 <= 0 < r2 of r^2/(2c) - beta r - 2h and the rate k = (r2 - r1)/(2c)."""
-    c, h, beta = params.c, params.h, params.beta
-    root = math.sqrt(c * c * beta * beta + 4.0 * c * h)
-    return c * beta - root, c * beta + root, root / c
-
-
-def riccati_oracle(params: ProductionPlanningParams) -> RiccatiOracle:
-    """The finite-horizon Riccati pair and its agreement with the stationary limit."""
-    return RiccatiOracle(params)
-
-
-def production_value(params: ProductionPlanningParams, x) -> Array:
-    phi, psi, offset = production_riccati_constants(params)
-    x = np.asarray(x, dtype=float)
-    return 0.5 * phi * x * x + psi * x + offset
 
 
 def production_problem(params: ProductionPlanningParams) -> DiscountedProblem:
@@ -445,7 +418,8 @@ def production_problem(params: ProductionPlanningParams) -> DiscountedProblem:
 
 
 def production_optimal_law(params: ProductionPlanningParams) -> ControlLaw:
-    phi, psi, _ = production_riccati_constants(params)
+    oracle = RiccatiOracle(params)
+    phi, psi = oracle.phi_inf, oracle.psi_inf
 
     def fn(t, x):
         u = params.u1 + (phi * x[:, 0] + psi) / (2.0 * params.c)
@@ -478,7 +452,7 @@ def production_sigma_zero_cost(params: ProductionPlanningParams):
         return float(costing.total[0])
 
     value = 2.0 * cost(2000) - cost(1000)
-    exact = float(production_value(frozen, frozen.x0))
+    exact = float(RiccatiOracle(frozen).value(frozen.x0))
     rel = abs(value - exact) / max(1e-12, abs(exact))
     return value, exact, rel
 
@@ -514,7 +488,8 @@ def production_sample_spec(params: ProductionPlanningParams) -> SampleSpec:
 
 
 def production_concavity_specs(params: ProductionPlanningParams) -> List[ConcavitySpec]:
-    phi, psi, _ = production_riccati_constants(params)
+    oracle = RiccatiOracle(params)
+    phi, psi = oracle.phi_inf, oracle.psi_inf
     z_level = params.sigma * phi
     y_levels = (phi * (params.x1 - 3.0) + psi, psi * 0.5, phi * (params.x1 + 3.0) + psi)
     samples = tuple(
@@ -660,15 +635,40 @@ class PicardError(RuntimeError):
 
 @dataclass
 class PicardResult:
+    """The closed loop's last pass: its law, the ensemble simulated under the
+    law before it, and the costate solved there; ``residuals`` holds one
+    entry per pass."""
+
     problem: DiscountedProblem
-    grid: TimeGrid
     law: ControlLaw
     ensemble: PathEnsemble
     solution: BsdeSolution
-    iterations: int
     residuals: List[float]
     converged: bool
-    report: VerificationReport = field(default=None)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.ensemble.grid
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
+
+    @property
+    def report(self) -> VerificationReport:
+        return VerificationReport(
+            check="picard_fixed_point",
+            status=PASS if self.converged else FAIL,
+            statistic=self.residuals[-1],
+            tolerance=PICARD_TOL,
+            n_samples=self.ensemble.n_paths,
+            details={
+                "iterations": self.iterations,
+                "max_iterations": PICARD_MAX_ITERATIONS,
+                "residuals": [float(r) for r in self.residuals],
+            },
+            notes="sup-norm change of the costate surface per pass",
+        )
 
 
 def logistic_picard_solve(
@@ -705,13 +705,11 @@ def logistic_picard_solve(
     residuals: List[float] = []
     converged = False
     increases = 0
-    iterations = 0
     for _ in range(PICARD_MAX_ITERATIONS):
         ens_new = simulate_forward(problem, law, grid, n_paths, seed, noise=ens.noise)
         if np.array_equal(ens_new.controls, ens.controls):
             # the same controls on the same noise give the same states, so
             # the solve and the residual would repeat the last pass to the bit
-            iterations += 1
             residuals.append(0.0)
             law = AdjointFeedbackControl(sol, rule)
             converged = True
@@ -721,7 +719,6 @@ def logistic_picard_solve(
         for i in range(grid.steps):
             x_i = ens_new.states[:, i, :]
             res = max(res, float(np.abs(sol_new.y_at(i, x_i) - sol.y_at(i, x_i)).max()))
-        iterations += 1
         residuals.append(res)
         fresh = AdjointFeedbackControl(sol_new, rule)
         if len(residuals) >= 2 and res > residuals[-2]:
@@ -739,29 +736,8 @@ def logistic_picard_solve(
             converged = True
             break
 
-    report = VerificationReport(
-        check="picard_fixed_point",
-        status=PASS if converged else FAIL,
-        statistic=residuals[-1] if residuals else math.inf,
-        tolerance=PICARD_TOL,
-        n_samples=n_paths,
-        details={
-            "iterations": iterations,
-            "max_iterations": PICARD_MAX_ITERATIONS,
-            "residuals": [float(r) for r in residuals],
-        },
-        notes="sup-norm change of the costate surface per pass",
-    )
     return PicardResult(
-        problem=problem,
-        grid=grid,
-        law=law,
-        ensemble=ens,
-        solution=sol,
-        iterations=iterations,
-        residuals=residuals,
-        converged=converged,
-        report=report,
+        problem=problem, law=law, ensemble=ens, solution=sol, residuals=residuals, converged=converged
     )
 
 
@@ -982,7 +958,7 @@ def _pointwise_max(run: ExperimentRun) -> List[VerificationReport]:
     d, c = run.definition, run.candidate
     max_time = d.pointwise_window(run.grid.horizon)
     return [check_pointwise_max(
-        run.problem, c.ensemble, c.solution, seed=run.seed + 4, tol=d.pointwise_tol, max_time=max_time
+        run.problem, c.solution, seed=run.seed + 4, tol=d.pointwise_tol, max_time=max_time
     )]
 
 
@@ -1010,7 +986,7 @@ def _tvc(run: ExperimentRun) -> List[VerificationReport]:
     law = run.definition.competitors(run.params)[name]
     # the competitor is costed in the same pass, for costs to read
     costing = PathCostSum(run.problem, run.grid)
-    report = check_tvc(run.problem, c.ensemble, c.solution, law, costing)
+    report = check_tvc(run.problem, c.solution, law, costing)
     counts = {k: report.details[k] for k in ("clipped_paths", "exploded_paths")}
     run.competitor_costs[name] = costing.total, counts
     return [report]
@@ -1082,7 +1058,7 @@ def list_experiments() -> List[ExperimentDefinition]:
 def _consumption_oracle(run: ExperimentRun) -> List[VerificationReport]:
     # Y X = g(t) exactly, so the product curve isolates the solver error
     params, grid, c = run.params, run.grid, run.candidate
-    _, _, g_fn = consumption_truncated_costate(params, grid.horizon)
+    g_fn = consumption_truncated_costate(params, grid.horizon)
     times = grid.times()
     prod = (c.solution.Y[:, :, 0] * c.ensemble.states[:, :, 0]).mean(axis=0)
     g = np.asarray(g_fn(times))
@@ -1167,7 +1143,7 @@ def _consumption_integrability(run: ExperimentRun) -> List[VerificationReport]:
 
 def _consumption_scalars(run: ExperimentRun) -> None:
     params, beta = run.params, run.problem.beta
-    _, _, g_fn = consumption_truncated_costate(params, run.grid.horizon)
+    g_fn = consumption_truncated_costate(params, run.grid.horizon)
     run.scalars["y0_exact"] = float(g_fn(0.0) / params.x0)
     run.scalars["stationary_policy"] = min(beta, params.cap)
     run.scalars["beta"] = beta
@@ -1209,7 +1185,7 @@ register_experiment(
 
 def _production_oracle(run: ExperimentRun) -> List[VerificationReport]:
     params, grid, c = run.params, run.grid, run.candidate
-    oracle = riccati_oracle(params)
+    oracle = RiccatiOracle(params)
     s = grid.horizon - grid.times()
     phi_s, psi_s = oracle.phi_at(s), oracle.psi_at(s)
     # mean relative gap per time node, one node at a time: no (P, N+1)
@@ -1257,12 +1233,12 @@ def _production_oracle(run: ExperimentRun) -> List[VerificationReport]:
 
 def _production_scalars(run: ExperimentRun) -> None:
     params = run.params
-    phi, psi, _ = production_riccati_constants(params)
-    run.scalars["phi_inf"] = phi
-    run.scalars["psi_inf"] = psi
-    run.scalars["value_at_x0"] = float(production_value(params, params.x0))
+    oracle = RiccatiOracle(params)
+    run.scalars["phi_inf"] = oracle.phi_inf
+    run.scalars["psi_inf"] = oracle.psi_inf
+    run.scalars["value_at_x0"] = float(oracle.value(params.x0))
     # the stationary costate is affine, y(x) = phi x + psi
-    run.scalars["y0_exact"] = phi * params.x0 + psi
+    run.scalars["y0_exact"] = oracle.phi_inf * params.x0 + oracle.psi_inf
 
 
 register_experiment(
@@ -1307,8 +1283,8 @@ def _logistic_lyapunov(run: ExperimentRun) -> List[VerificationReport]:
 def _logistic_scalars(run: ExperimentRun) -> None:
     residuals = run.computed("residuals")
     if residuals is not None:
-        run.scalars["picard_iterations"] = run.computed("iterations")
-        run.scalars["picard_residual"] = residuals[-1] if residuals else math.inf
+        run.scalars["picard_iterations"] = len(residuals)
+        run.scalars["picard_residual"] = residuals[-1]
         run.scalars["mean_policy_at_0"] = float(run.computed("ensemble").controls[:, 0, 0].mean())
 
 

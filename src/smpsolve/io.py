@@ -79,14 +79,14 @@ def save_ensemble(prefix, ensemble: PathEnsemble) -> List[Path]:
     return paths
 
 
-def save_costates(prefix, solution: BsdeSolution, ensemble: PathEnsemble) -> List[Path]:
-    """Write Y and Z, solved on ``ensemble``; returns the paths.
+def save_costates(prefix, solution: BsdeSolution) -> List[Path]:
+    """Write Y and Z; returns the paths.
 
     The solution keeps no Z table, so the (P, N, n, d) table is built from
-    :meth:`BsdeSolution.z_at` at the ensemble's states, step by step, only
-    for the write.
+    :meth:`BsdeSolution.z_at` at the states of the paths it was solved on,
+    step by step, only for the write.
     """
-    solution.check_paths(ensemble)
+    states = solution.ensemble.states
     prefix = Path(prefix)
     paths = [
         prefix.with_name(prefix.name + "_y.smp"),
@@ -96,7 +96,7 @@ def save_costates(prefix, solution: BsdeSolution, ensemble: PathEnsemble) -> Lis
     P, steps, n = solution.Y.shape[0], solution.grid.steps, solution.Y.shape[2]
     Z = time_major(P, steps, n, solution.z_coeffs[0].shape[1] // n)
     for i in range(steps):
-        Z[:, i] = solution.z_at(i, ensemble.states[:, i, :])
+        Z[:, i] = solution.z_at(i, states[:, i, :])
     write_array(paths[1], Z, KIND_Z)
     return paths
 

@@ -90,7 +90,6 @@ def path_costs(problem: DiscountedProblem, ensemble: PathEnsemble) -> Array:
 
 def check_pointwise_max(
     problem: DiscountedProblem,
-    ensemble: PathEnsemble,
     solution: BsdeSolution,
     n_points: int = 10_000,
     tol: float = 1e-6,
@@ -109,12 +108,12 @@ def check_pointwise_max(
     boundary layer near the horizon where the two legitimately disagree;
     excluding the layer certifies the stationary region on its own.
 
-    Y is read from the stored nodes.  Z is evaluated one sampled step at a
-    time, on all paths of the step as the solve itself evaluated it, and
-    then read at the sampled paths.  ``solution`` must belong to the paths
-    and grid of ``ensemble``.
+    The nodes are those of the paths the costate was solved on
+    (``solution.ensemble``).  Y is read from the stored nodes.  Z is
+    evaluated one sampled step at a time, on all paths of the step as the
+    solve itself evaluated it, and then read at the sampled paths.
     """
-    solution.check_paths(ensemble)
+    ensemble = solution.ensemble
     grid = ensemble.grid
     n_steps = grid.steps
     if max_time is not None:
@@ -170,7 +169,6 @@ def check_pointwise_max(
 
 def check_tvc(
     problem: DiscountedProblem,
-    ensemble: PathEnsemble,
     solution: BsdeSolution,
     law: ControlLaw,
     *visitors,
@@ -178,7 +176,8 @@ def check_tvc(
     """Transversality statistic against a competitor law on the same noise.
 
     Tracks m(t) = E[e^{-beta t} <Y_t, X'_t - X_t>] on the shared grid, where
-    X' is ``law`` stepped on the candidate's noise by
+    X is the candidate's paths, those the costate was solved on
+    (``solution.ensemble``), and X' is ``law`` stepped on their noise by
     :func:`stream_competitor`: m and its SE are gathered one window at a
     time, and further ``visitors`` (say a :class:`PathCostSum`) see the same
     pass.  A node whose SE is at most ``DETERMINISTIC_SE`` times its mean
@@ -198,7 +197,7 @@ def check_tvc(
     node 0, where both ensembles start at x0; a grid with no node in between
     is inconclusive.
     """
-    solution.check_paths(ensemble)
+    ensemble = solution.ensemble
     grid, n_paths = ensemble.grid, ensemble.n_paths
     times = grid.times()[:-1]
     m, se, scale = np.empty(grid.steps), np.empty(grid.steps), np.empty(grid.steps)

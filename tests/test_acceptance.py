@@ -13,6 +13,7 @@ import pytest
 from smpsolve import (
     ConstantControl,
     RegressionBasis,
+    RiccatiOracle,
     TimeGrid,
     check_identities,
     check_pointwise_max,
@@ -23,7 +24,6 @@ from smpsolve import (
     maximize_hamiltonian_in_u,
     path_costs,
     positivity_check,
-    riccati_oracle,
     run_experiment,
     simulate_forward,
     solve_bsde_lsmc,
@@ -45,7 +45,6 @@ from smpsolve.experiments import (
     logistic_sample_spec,
     production_optimal_law,
     production_problem,
-    production_riccati_constants,
     production_sample_spec,
     production_sigma_zero_cost,
 )
@@ -109,11 +108,10 @@ def test_criterion_1_consumption_oracle(capsys):
 
 def test_criterion_2_production_riccati(capsys):
     params = ProductionPlanningParams()
-    oracle = riccati_oracle(params)
+    oracle = RiccatiOracle(params)
     ode_gap = max(oracle.phi_agreement, oracle.psi_agreement)
 
-    phi, psi, _ = production_riccati_constants(params)
-    target = phi * params.x0 + psi
+    target = oracle.phi_inf * params.x0 + oracle.psi_inf
     problem = production_problem(params)
     grid = TimeGrid.auto(params.beta, 400)
     ens = simulate_forward(problem, production_optimal_law(params), grid, 20_000, seed=3)
@@ -224,7 +222,7 @@ def test_criterion_6_logistic_closed_loop(logistic_fixed_point, capsys):
     converged = result.converged and result.iterations <= 20 and result.residuals[-1] <= 1e-4
 
     pointwise = check_pointwise_max(
-        problem, result.ensemble, result.solution, n_points=10_000, tol=1e-6, seed=9
+        problem, result.solution, n_points=10_000, tol=1e-6, seed=9
     )
 
     constants = {

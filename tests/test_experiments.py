@@ -19,7 +19,6 @@ from smpsolve import (
     list_experiments,
     logistic_picard_solve,
     register_experiment,
-    riccati_oracle,
     run_experiment,
     simulate_forward,
 )
@@ -28,14 +27,13 @@ from smpsolve.experiments import (
     ExperimentDefinition,
     LogisticParams,
     ProductionPlanningParams,
+    RiccatiOracle,
     certified_consumption_threshold,
     consumption_optimal_law,
     consumption_problem,
     consumption_truncated_costate,
     logistic_region_constants,
-    production_riccati_constants,
     production_sigma_zero_cost,
-    production_value,
 )
 from smpsolve.cli import main
 from smpsolve.reports import FAIL, PASS
@@ -169,18 +167,18 @@ class TestRiccatiOracle:
         # c = h = beta = 1, u1 = eta, x1 = 1: the quadratic has exact
         # surd-form roots, frozen here independently of the implementation
         params = ProductionPlanningParams(c=1.0, h=1.0, beta=1.0, u1=1.0, eta=1.0, x1=1.0)
-        phi, psi, offset = production_riccati_constants(params)
-        assert phi == pytest.approx(1.0 - math.sqrt(5.0), abs=1e-14)
-        assert psi == pytest.approx(math.sqrt(5.0) - 1.0, abs=1e-14)
+        oracle = RiccatiOracle(params)
+        assert oracle.phi_inf == pytest.approx(1.0 - math.sqrt(5.0), abs=1e-14)
+        assert oracle.psi_inf == pytest.approx(math.sqrt(5.0) - 1.0, abs=1e-14)
 
     def test_default_constants(self):
-        phi, psi, offset = production_riccati_constants(ProductionPlanningParams())
-        assert phi == pytest.approx(-1.0, abs=1e-14)
-        assert psi == pytest.approx(2.0, abs=1e-14)
-        assert offset == pytest.approx(-2.25, abs=1e-14)
+        oracle = RiccatiOracle(ProductionPlanningParams())
+        assert oracle.phi_inf == pytest.approx(-1.0, abs=1e-14)
+        assert oracle.psi_inf == pytest.approx(2.0, abs=1e-14)
+        assert oracle.offset == pytest.approx(-2.25, abs=1e-14)
 
     def test_ode_settles_on_algebraic_limit(self):
-        oracle = riccati_oracle(ProductionPlanningParams())
+        oracle = RiccatiOracle(ProductionPlanningParams())
         assert oracle.phi_agreement <= 1e-6
         assert oracle.psi_agreement <= 1e-6
         assert oracle.stationary_residual <= 1e-10
@@ -195,7 +193,7 @@ class TestRiccatiOracle:
     )
     def test_pair_matches_a_finer_rk4_at_the_grid_nodes(self, kw):
         params = ProductionPlanningParams(**kw)
-        oracle = riccati_oracle(params)
+        oracle = RiccatiOracle(params)
         grid = TimeGrid.auto(params.beta, 400)
         s = grid.horizon - grid.times()
         reference = _riccati_rk4(params, s, 1000)
@@ -206,7 +204,7 @@ class TestRiccatiOracle:
         assert oracle.psi_agreement <= 1e-6
 
     def test_value_at_default_start(self):
-        assert float(production_value(ProductionPlanningParams(), 1.0)) == pytest.approx(-0.75)
+        assert float(RiccatiOracle(ProductionPlanningParams()).value(1.0)) == pytest.approx(-0.75)
 
     @pytest.mark.parametrize(
         "kw, bound", [({}, 1e-4), (dict(sigma=1.5, h=2.0, beta=0.2), 1e-3)], ids=["default", "stiff"]
@@ -214,7 +212,7 @@ class TestRiccatiOracle:
     def test_sigma_zero_cost_track(self, kw, bound):
         params = ProductionPlanningParams(**kw)
         value, exact, rel = production_sigma_zero_cost(params)
-        assert exact == pytest.approx(float(production_value(dataclasses.replace(params, sigma=0.0), params.x0)))
+        assert exact == pytest.approx(float(RiccatiOracle(dataclasses.replace(params, sigma=0.0)).value(params.x0)))
         assert rel == pytest.approx(abs(value - exact) / abs(exact))
         assert rel <= bound
 
@@ -222,7 +220,8 @@ class TestRiccatiOracle:
     def _oracle(params, gain=1.0, n_paths=2000, steps=200, seed=3):
         definition = get_experiment("production")
         if gain != 1.0:
-            phi, psi, _ = production_riccati_constants(params)
+            oracle = RiccatiOracle(params)
+            phi, psi = oracle.phi_inf, oracle.psi_inf
             law = FeedbackControl(lambda t, x: np.clip(
                 params.u1 + gain * (phi * x[:, 0] + psi) / (2.0 * params.c), params.u_low, params.u_high
             ))
@@ -293,14 +292,11 @@ class TestConsumptionOracles:
     def test_truncated_costate_identity(self):
         params = ConsumptionParams()
         beta = params.resolved_beta()
-        y_fn, z_fn, g_fn = consumption_truncated_costate(params, horizon=10.0)
+        g_fn = consumption_truncated_costate(params, horizon=10.0)
         t = np.linspace(0.0, 10.0, 7)
         g = g_fn(t)
         assert np.allclose(g, (1.0 - np.exp(-beta * (10.0 - t))) / beta)
         assert g_fn(10.0) == pytest.approx(0.0)
-        x = np.array([0.5, 1.0, 2.0])
-        assert np.allclose(y_fn(0.0, x), g_fn(0.0) / x)
-        assert np.allclose(z_fn(0.0, x), -params.sigma * g_fn(0.0) / x)
 
     def test_certified_threshold(self):
         params = ConsumptionParams()

@@ -99,7 +99,7 @@ class TestEnsembleDump:
     def test_save_ensemble_and_costates(self, tmp_path):
         ens, sol = _small_run()
         efiles = save_ensemble(tmp_path / "run", ens)
-        cfiles = save_costates(tmp_path / "run", sol, ens)
+        cfiles = save_costates(tmp_path / "run", sol)
         kinds = {}
         for f in efiles + cfiles:
             kind, arr = read_array(f)
@@ -110,12 +110,6 @@ class TestEnsembleDump:
         z = np.stack([sol.z_at(i, ens.states[:, i, :]) for i in range(ens.grid.steps)], axis=1)
         assert z.shape == (ens.n_paths, ens.grid.steps, 1, 1)
         assert np.array_equal(kinds[KIND_Z], z)
-
-    def test_costates_of_other_paths_rejected(self, tmp_path):
-        ens, sol = _small_run()
-        other, _ = _small_run(n_paths=80)
-        with pytest.raises(ValueError):
-            save_costates(tmp_path / "run", sol, other)
 
     def test_time_major_dump_is_path_major_on_disk(self, tmp_path):
         ens, _ = _small_run()
