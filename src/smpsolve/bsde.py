@@ -321,8 +321,6 @@ def solve_bsde_lsmc(
             raise RegressionError(
                 f"step {i}: {bad_fraction:.1%} of regression targets are non-finite"
             )
-        if not valid.any():
-            raise RegressionError(f"step {i}: no usable paths remain")
         mask = None if valid.all() else valid
 
         design, transform = basis.fit(x_i, valid=mask)

@@ -36,9 +36,6 @@ _SECTION_KEYS = {
     "output": {"dir"},
 }
 
-# accepted spellings for a few checks whose internal names differ
-_CHECK_ALIASES = {"cost_compare": "costs", "consistency": "cylinder"}
-
 
 class ConfigError(Exception):
     pass
@@ -127,7 +124,7 @@ def _canonical_checks(checks):
         return None
     if isinstance(checks, str):
         checks = [part.strip() for part in checks.split(",") if part.strip()]
-    return [_CHECK_ALIASES.get(str(c), str(c)) for c in checks]
+    return [str(c) for c in checks]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -201,18 +201,14 @@ def consumption_optimal_law(params: ConsumptionParams) -> ControlLaw:
     return ConstantControl([rate])
 
 
-def consumption_truncated_costate(params: ConsumptionParams, horizon: float):
-    """The time factor g of the zero-terminal problem's exact costate on [0, horizon].
+def consumption_truncated_costate(params: ConsumptionParams, horizon: float, t):
+    """g(t) = (1 - e^{-beta (horizon - t)}) / beta, at the times ``t``.
 
-    The costate is y(t, x) = g(t)/x, with z(t, x) = -sigma g(t)/x and
-    g(t) = (1 - e^{-beta (horizon - t)}) / beta; returns g.
+    The zero-terminal problem on [0, horizon] has the exact costate
+    y(t, x) = g(t)/x, with z(t, x) = -sigma g(t)/x.
     """
     beta = params.resolved_beta()
-
-    def g_fn(t):
-        return (1.0 - np.exp(-beta * (horizon - np.asarray(t)))) / beta
-
-    return g_fn
+    return (1.0 - np.exp(-beta * (horizon - np.asarray(t)))) / beta
 
 
 def consumption_competitors(params: ConsumptionParams) -> Dict[str, ControlLaw]:
@@ -367,8 +363,7 @@ class RiccatiOracle:
 
     @property
     def stationary_residual(self) -> float:
-        c, h, beta = self.params.c, self.params.h, self.params.beta
-        phi = self.phi_inf
+        c, h, beta, phi = self.params.c, self.params.h, self.params.beta, self.phi_inf
         return abs(phi * phi - 2.0 * c * beta * phi - 4.0 * c * h)
 
 
@@ -1058,10 +1053,9 @@ def list_experiments() -> List[ExperimentDefinition]:
 def _consumption_oracle(run: ExperimentRun) -> List[VerificationReport]:
     # Y X = g(t) exactly, so the product curve isolates the solver error
     params, grid, c = run.params, run.grid, run.candidate
-    g_fn = consumption_truncated_costate(params, grid.horizon)
     times = grid.times()
     prod = (c.solution.Y[:, :, 0] * c.ensemble.states[:, :, 0]).mean(axis=0)
-    g = np.asarray(g_fn(times))
+    g = consumption_truncated_costate(params, grid.horizon, times)
     keep = np.exp(-run.problem.beta * (grid.horizon - times)) <= 0.5
     rel = np.abs(prod[keep] - g[keep]) / g[keep]
     stat = float(rel.max())
@@ -1075,7 +1069,7 @@ def _consumption_oracle(run: ExperimentRun) -> List[VerificationReport]:
             n_samples=run.n_paths,
             details={
                 "y0_estimate": float(c.solution.y0()[0]),
-                "y0_exact": float(g_fn(0.0) / params.x0),
+                "y0_exact": float(g[0] / params.x0),
                 "nodes_compared": int(keep.sum()),
             },
             notes="mean of Y X against the closed-form curve g(t)",
@@ -1143,13 +1137,13 @@ def _consumption_integrability(run: ExperimentRun) -> List[VerificationReport]:
 
 def _consumption_scalars(run: ExperimentRun) -> None:
     params, beta = run.params, run.problem.beta
-    g_fn = consumption_truncated_costate(params, run.grid.horizon)
-    run.scalars["y0_exact"] = float(g_fn(0.0) / params.x0)
+    g = consumption_truncated_costate(params, run.grid.horizon, run.grid.times())
+    run.scalars["y0_exact"] = float(g[0] / params.x0)
     run.scalars["stationary_policy"] = min(beta, params.cap)
     run.scalars["beta"] = beta
     run.scalars["beta_threshold"] = beta_threshold(run.problem)
     run.scalars["certified_threshold"] = certified_consumption_threshold(params)
-    run.curves["g_exact"] = np.asarray(g_fn(run.grid.times()))
+    run.curves["g_exact"] = g
 
 
 register_experiment(

@@ -101,7 +101,9 @@ def check_pointwise_max(
     Samples (path, step) nodes, recomputes the maximizer there with the
     realized costate pair, and reports the 99.9th percentile of the
     relative gap (H* - H_exec) / max(1, |H*|).  Negative gaps (the numeric
-    maximizer losing to the executed value) count as zero.
+    maximizer losing to the executed value) count as zero, so a maximizer
+    short of the maximum lowers the reference: when its own certificate
+    ``maximizer_gap_bound`` is below -``tol`` the check is inconclusive.
 
     ``max_time`` restricts sampling to nodes before it.  A stationary
     candidate policy certified against the zero-terminal costate keeps a
@@ -147,7 +149,9 @@ def check_pointwise_max(
     gap = np.maximum(h_star - h_exec, 0.0)
     rel = gap / np.maximum(1.0, np.abs(h_star))
     stat = float(np.percentile(rel, 99.9))
-    status = PASS if stat <= tol else FAIL
+    status, notes = PASS if stat <= tol else FAIL, "99.9th percentile of the relative Hamiltonian gap"
+    if cert.gap < -tol:
+        status, notes = INCONCLUSIVE, f"not applicable: a reference grid beats the maximizer by {-cert.gap:.3g}"
     return VerificationReport(
         check="pointwise_max",
         status=status,
@@ -163,7 +167,7 @@ def check_pointwise_max(
             "steps_sampled": n_steps,
             "max_time": max_time,
         },
-        notes="99.9th percentile of the relative Hamiltonian gap",
+        notes=notes,
     )
 
 
@@ -191,6 +195,11 @@ def check_tvc(
     a subsequence, so the condition is implied; the report then passes with
     a note and carries the fitted tail decay rate (compare against -beta).
     A non-finite costate fails both routes through m(t) itself.
+
+    ``details.route`` names the deciding rule.  The direct route, and a
+    failure, report m, 3 SE and SE at ``best_node`` as statistic, tolerance
+    and standard error; the implied route (``integrability``) reports the
+    decay rate against tolerance 0.  Node N-1's m and SE are in the details.
 
     The terminal node is excluded: Y vanishes there by the truncation's
     terminal condition, which would satisfy the criterion vacuously.  So is
@@ -232,6 +241,9 @@ def check_tvc(
         "tail_nodes": n_tail,
         "best_node": i_best,
         "best_margin": float(score.min()),
+        "last_node_m": float(m[-1]),
+        "last_node_se": float(se[-1]),
+        "route": "direct",
         "strictly_discounted": problem.is_strictly_discounted(),
         **degenerate_paths(flags),
     }
@@ -243,6 +255,7 @@ def check_tvc(
         decay_rate = float(fit[0])
         details["tail_decay_rate"] = decay_rate
 
+    stat, tol, stat_se = float(m[i_best]), float(3.0 * se[i_best]), float(se[i_best])
     if direct:
         status, notes = PASS, "tail node within 3 SE of zero"
     elif problem.is_strictly_discounted() and decay_rate is not None and decay_rate < 0:
@@ -252,16 +265,17 @@ def check_tvc(
             "discounting force the statistic to zero"
         )
         details["route"] = "integrability"
+        stat, tol, stat_se = decay_rate, 0.0, None
     else:
         status, notes = FAIL, "tail statistic stays positive without a decay certificate"
 
     return VerificationReport(
         check="transversality",
         status=status,
-        statistic=float(m[-1]),
-        tolerance=float(3.0 * se[-1]),
+        statistic=stat,
+        tolerance=tol,
         n_samples=n_paths,
-        standard_error=float(se[-1]),
+        standard_error=stat_se,
         details=details,
         notes=notes,
     )
@@ -321,6 +335,12 @@ def cost_dominance(
     )
 
 
+def _relative_gap(approx, exact) -> float:
+    """max |approx - exact| / (1 + |exact|)."""
+    exact = np.asarray(exact, dtype=float)
+    return float(np.max(np.abs(approx - exact) / (1.0 + np.abs(exact))))
+
+
 def check_identities(
     problem: DiscountedProblem,
     spec: SampleSpec,
@@ -328,10 +348,15 @@ def check_identities(
 ) -> VerificationReport:
     """Analytic state gradient of the Hamiltonian against finite differences.
 
-    At random (x, u, y, z) samples the statistic is
-    max |grad_x H - FD| / (1 + |grad_x H|), with FD the central difference
-    of :func:`finite_diff_grad_x`; pass within ``GRADIENT_TOL`` = 1e-6.  A
-    wrong ``grad_drift``, ``grad_diffusion`` or ``grad_cost`` shows here.
+    At random (x, u, y, z) samples the gradient gap is
+    max |FD - grad_x H| / (1 + |grad_x H|), with FD the central difference
+    of :func:`finite_diff_grad_x`.  A wrong ``grad_drift``,
+    ``grad_diffusion`` or ``grad_cost`` shows here.  The forward stepper
+    steps a :class:`~smpsolve.problems.MultiplicativeStructure` in place of
+    the drift and diffusion, so ``split_gap`` (in the details) compares
+    linear_rate(u) x + residual(x, u) with the drift and volatility x with
+    the diffusion in the same relative measure.  The statistic is the
+    larger gap; pass within ``GRADIENT_TOL`` = 1e-6.
     """
     rng = np.random.default_rng(spec.seed)
     n, d = problem.state_dim, problem.noise_dim
@@ -340,14 +365,23 @@ def check_identities(
     y = rng.standard_normal((n_points, n))
     z = rng.standard_normal((n_points, n, d))
 
-    g = grad_x_hamiltonian(x, u, y, z, problem)
-    g_fd = finite_diff_grad_x(x, u, y, z, problem)
-    gap = float(np.max(np.abs(g - g_fd) / (1.0 + np.abs(g))))
+    gap = _relative_gap(finite_diff_grad_x(x, u, y, z, problem), grad_x_hamiltonian(x, u, y, z, problem))
+    details = {}
+    mult, c = problem.multiplicative, problem.coefficients
+    if mult is not None:
+        drift = np.reshape(mult.linear_rate(u), (n_points, 1)) * x
+        if mult.residual is not None:
+            drift = drift + np.reshape(mult.residual(x, u), (n_points, 1))
+        details["split_gap"] = max(
+            _relative_gap(drift, c.drift(x, u)), _relative_gap(mult.volatility * x[:, :, None], c.diffusion(x, u))
+        )
+        gap = max(gap, details["split_gap"])
     return VerificationReport(
         check="identities",
         status=PASS if gap <= GRADIENT_TOL else FAIL,
         statistic=gap,
         tolerance=GRADIENT_TOL,
         n_samples=n_points,
+        details=details,
         notes="analytic grad_x H vs central finite differences",
     )

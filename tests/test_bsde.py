@@ -10,6 +10,7 @@ from smpsolve import (
     AdjointFeedbackControl,
     ConstantControl,
     RegressionBasis,
+    RegressionError,
     TimeGrid,
     cylinder_consistency_check,
     simulate_forward,
@@ -151,6 +152,25 @@ class TestSolveInvariances:
         params, problem, ens = _consumption_setup(steps=10, n_paths=50)
         with pytest.raises(ValueError):
             solve_bsde_lsmc(problem, ens, CONS_BASIS, terminal=np.zeros((7, 1)))
+
+
+class TestNonFiniteTargets:
+    def test_more_than_one_percent_aborts(self):
+        params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=200)
+        terminal = np.zeros((200, 1))
+        terminal[:3] = np.nan
+        with pytest.raises(RegressionError, match="step 19: 1.5% of regression targets"):
+            solve_bsde_lsmc(problem, ens, PROD_BASIS, terminal=terminal)
+
+    def test_non_finite_companion_target_aborts(self):
+        # one bad row of 200 would be masked in the costate, but a companion
+        # shares the costate's rows
+        params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=200)
+        terminal = np.zeros((200, 1))
+        terminal[5] = np.inf
+        companion = bsde.Companion(problem, terminal, lambda i, column, costate: None)
+        with pytest.raises(RegressionError, match="step 19: non-finite companion targets"):
+            solve_bsde_lsmc(problem, ens, PROD_BASIS, companions=(companion,))
 
 
 class TestZSurfaces:

@@ -14,6 +14,7 @@ import pytest
 
 import smpsolve
 from smpsolve.cli import _build_parser, main
+from smpsolve import experiments
 from smpsolve.experiments import _GENERIC_CHECKS, list_experiments
 from smpsolve.io import KIND_Z, read_array
 
@@ -284,34 +285,19 @@ class TestConfigFiles:
         assert json.loads((out2 / "results.json").read_text())["n_paths"] == 300
 
 
-class TestCheckAliases:
-    def test_cost_compare_spelling(self, tmp_path):
-        code = _run(
-            "run", "-e", "consumption",
-            "--check", "cost_compare",
-            "--paths", "400", "--steps", "100", "--horizon", "10",
-            "--out", str(tmp_path),
-        )
-        assert code == 0
-        payload = json.loads((tmp_path / "results.json").read_text())
-        assert {r["check"] for r in payload["reports"]} == {"cost_dominance"}
-
-    def test_consistency_spelling(self, tmp_path):
-        code = _run(
-            "run", "-e", "logistic",
-            "--check", "consistency",
-            "--paths", "400", "--steps", "40", "--horizon", "2",
-            "--out", str(tmp_path),
-        )
-        assert code == 0
-        payload = json.loads((tmp_path / "results.json").read_text())
-        assert {r["check"] for r in payload["reports"]} == {"cylinder_consistency"}
+class TestCheckNames:
+    # the old alias spellings are not check names
+    @pytest.mark.parametrize("experiment,name", [("consumption", "cost_compare"), ("logistic", "consistency")])
+    def test_former_alias_is_unknown(self, tmp_path, capsys, experiment, name):
+        code = _run("run", "-e", experiment, "--check", name, "--out", str(tmp_path))
+        assert code == 1
+        assert name in capsys.readouterr().err
 
     def test_check_unavailable_for_experiment(self, tmp_path, capsys):
         # cylinder consistency belongs to the fixed-point model; asking for
         # it elsewhere is an error rather than a silent no-op
         code = _run(
-            "run", "-e", "consumption", "--check", "consistency", "--out", str(tmp_path)
+            "run", "-e", "consumption", "--check", "cylinder", "--out", str(tmp_path)
         )
         assert code == 1
         assert "cylinder" in capsys.readouterr().err
@@ -350,13 +336,21 @@ class TestReadme:
                 assert args.experiment in names, line
 
     def test_library_example_certifies_the_optimal_candidate(self):
-        code = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+        code = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)[0]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             exec(compile(code, str(README), "exec"), {})
         y0, status = out.getvalue().splitlines()
         assert float(y0.strip("[]")) > 0
         assert status == "pass"
+
+    def test_adding_an_experiment_example_registers_a_runnable_model(self, monkeypatch):
+        code = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)[1]
+        # a copy of the registry, restored afterwards: the example's entry goes with it
+        monkeypatch.setattr(experiments, "_REGISTRY", dict(experiments._REGISTRY))
+        exec(compile(code, str(README), "exec"), {})
+        result = experiments.run_experiment("toy", n_paths=2000)
+        assert [(r.check, r.status) for r in result.reports] == [("steady_state", "pass"), ("assumptions", "pass")]
 
     def test_check_lists_match_the_registry(self):
         text = README.read_text()

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from smpsolve import (
+    BlendedControl,
     FeedbackControl,
     NoiseBatch,
+    PicardError,
     RegressionBasis,
     TimeGrid,
     VerificationReport,
@@ -292,11 +294,10 @@ class TestConsumptionOracles:
     def test_truncated_costate_identity(self):
         params = ConsumptionParams()
         beta = params.resolved_beta()
-        g_fn = consumption_truncated_costate(params, horizon=10.0)
         t = np.linspace(0.0, 10.0, 7)
-        g = g_fn(t)
+        g = consumption_truncated_costate(params, 10.0, t)
         assert np.allclose(g, (1.0 - np.exp(-beta * (10.0 - t))) / beta)
-        assert g_fn(10.0) == pytest.approx(0.0)
+        assert consumption_truncated_costate(params, 10.0, 10.0) == pytest.approx(0.0)
 
     def test_certified_threshold(self):
         params = ConsumptionParams()
@@ -384,6 +385,50 @@ class TestLogisticStructure:
         assert len(solves) == result.iterations
         fresh = solve(result.problem, result.ensemble, RegressionBasis(degree=4))
         assert np.array_equal(result.solution.Y, fresh.Y)
+
+
+class _ConstantSurface:
+    """A stand-in costate: one value at every state and step."""
+
+    def __init__(self, ensemble, value):
+        self.ensemble, self.value = ensemble, value
+
+    @property
+    def grid(self):
+        return self.ensemble.grid
+
+    def y_at(self, step, x):
+        return np.full((x.shape[0], 1), self.value)
+
+
+class TestPicardSafeguards:
+    # surfaces that flip sign with a growing scale: each pass moves the
+    # costate further than the one before, and the controls never repeat
+    @staticmethod
+    def _solve(monkeypatch, values):
+        surfaces = iter(values)
+        monkeypatch.setattr(
+            experiments, "solve_bsde_lsmc", lambda problem, ens, basis: _ConstantSurface(ens, next(surfaces))
+        )
+        return logistic_picard_solve(LogisticParams(), TimeGrid(horizon=2.0, steps=10), n_paths=50, seed=0)
+
+    def test_a_residual_rise_blends_the_laws(self, monkeypatch):
+        blends = []
+
+        class Blend(BlendedControl):
+            def __init__(self, laws, weights):
+                super().__init__(laws, weights)
+                blends.append(self.weights.tolist())
+
+        monkeypatch.setattr(experiments, "BlendedControl", Blend)
+        result = self._solve(monkeypatch, [1.0, -2.0, 3.0, 3.0])
+        assert result.residuals == [3.0, 5.0, 0.0]
+        assert result.converged and result.iterations == 3
+        assert blends == [[0.5, 0.5]]
+
+    def test_three_rises_in_a_row_abort(self, monkeypatch):
+        with pytest.raises(PicardError, match=r"3 times in a row: \[3.0, 5.0, 7.0, 9.0\]"):
+            self._solve(monkeypatch, [1.0, -2.0, 3.0, -4.0, 5.0])
 
 
 class TestRunExperiment:

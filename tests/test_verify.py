@@ -171,11 +171,18 @@ class TestStreamedCompetitors:
         def close(got, want, scale):
             assert abs(got - want) <= 1e-12 * scale
 
-        close(report.statistic, m[-1], abs(m[-1]))
-        close(report.standard_error, se[-1], se[-1])
-        close(report.tolerance, 3.0 * se[-1], se[-1])
+        best = int(np.argmin(score)) + m.size - n_tail
+        close(report.details["last_node_m"], m[-1], abs(m[-1]))
+        close(report.details["last_node_se"], se[-1], se[-1])
         close(report.details["best_margin"], score.min(), np.abs(m[-n_tail:]).max() + 3.0 * se.max())
-        assert report.details["best_node"] == int(np.argmin(score)) + m.size - n_tail
+        assert report.details["best_node"] == best
+        if report.details["route"] == "direct":
+            close(report.statistic, m[best], abs(m[best]))
+            close(report.standard_error, se[best], se[best])
+            close(report.tolerance, 3.0 * se[best], se[best])
+        else:
+            assert report.statistic == report.details["tail_decay_rate"]
+            assert report.tolerance == 0.0 and report.standard_error is None
 
     def test_peak_memory_is_window_sized(self):
         # one competitor costed through a window: no (P, N) table of it
@@ -279,6 +286,23 @@ class TestPointwiseMax:
         assert report.statistic > 0.01
 
 
+    # y/(2c) scaled: the stated maximizer falls short of the maximum, and
+    # clamping its negative gaps to zero would let the wrong law pass
+    @pytest.mark.parametrize("scale", [2.0, 0.5])
+    def test_wrong_maximizer_is_inconclusive(self, scale):
+        params = ProductionPlanningParams()
+        problem = production_problem(params)
+        grid = TimeGrid(horizon=8.0, steps=160)
+        ens = simulate_forward(problem, production_optimal_law(params), grid, 2000, seed=3)
+        sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
+        wrong = dataclasses.replace(
+            problem, stationary_control=lambda x, y, z: params.u1 + scale * y[..., 0:1] / (2.0 * params.c)
+        )
+        report = check_pointwise_max(wrong, sol, n_points=4000, tol=1e-3, max_time=6.0)
+        assert report.details["maximizer_gap_bound"] < -1e-3
+        assert report.status == INCONCLUSIVE
+
+
 class TestTransversality:
     def _setup(self, n_paths=2000, horizon=8.0, steps=160):
         params = ConsumptionParams()
@@ -292,7 +316,10 @@ class TestTransversality:
         params, problem, grid, ens, sol = self._setup()
         report = check_tvc(problem, sol, ConstantControl([params.cap]))
         assert report.status == "pass"
-        assert "route" not in report.details
+        assert report.details["route"] == "direct"
+        # the verdict is read at the best tail node, whatever node N-1 shows
+        assert report.statistic <= report.tolerance
+        assert report.statistic - report.tolerance == report.details["best_margin"]
 
     def test_implied_route_with_lighter_consumption(self):
         params, problem, grid, ens, sol = self._setup()
@@ -301,6 +328,9 @@ class TestTransversality:
         assert report.status == "pass"
         assert report.details.get("route") == "integrability"
         assert report.details["tail_decay_rate"] < 0.0
+        # the implied route decides on the decay rate, against 0
+        assert report.statistic == report.details["tail_decay_rate"]
+        assert report.tolerance == 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_costate_fails(self, bad):
@@ -337,9 +367,9 @@ class TestTransversality:
         # roundoff: SE 0, and the positive tail passes by the implied route
         params, problem, grid, ens, sol = self._setup()
         report = check_tvc(problem, sol, ConstantControl([0.25 * params.resolved_beta()]))
-        assert report.standard_error == 0.0
-        assert report.tolerance == 0.0
-        assert report.statistic > 0.0
+        assert report.details["last_node_se"] == 0.0
+        assert report.details["last_node_m"] > 0.0
+        assert report.details["best_margin"] > 0.0
         assert report.status == "pass"
         assert report.details["route"] == "integrability"
 
@@ -437,6 +467,9 @@ class TestIdentities:
         assert report.status == "pass"
         assert report.tolerance == 1e-6
         assert report.statistic <= 1e-6
+        # the stepper's multiplicative split restates the drift and diffusion
+        assert ("split_gap" in report.details) == (problem.multiplicative is not None)
+        assert report.details.get("split_gap", 0.0) <= 1e-15
 
     # every gradient field that is not identically zero, scaled by 1.01
     @pytest.mark.parametrize(
@@ -459,3 +492,23 @@ class TestIdentities:
         report = check_identities(dataclasses.replace(problem, coefficients=wrong), spec)
         assert report.status == "fail"
         assert report.statistic > 1e-6
+
+    def test_wrong_multiplicative_residual_is_caught(self):
+        problem, spec = _IDENTITY_CASES["logistic"]
+        mult = problem.multiplicative
+        wrong = dataclasses.replace(mult, residual=lambda x, u: 1.01 * mult.residual(x, u))
+        report = check_identities(dataclasses.replace(problem, multiplicative=wrong), spec)
+        assert report.status == "fail"
+        assert report.details["split_gap"] > 1e-6
+
+    def test_stepper_without_the_ito_term_is_caught(self):
+        # the integrability test's mutant: a rate that restores the -sigma^2/2
+        # of the log step no longer matches the drift
+        problem, spec = _IDENTITY_CASES["consumption"]
+        mult = problem.multiplicative
+        wrong = dataclasses.replace(
+            mult, linear_rate=lambda u: mult.linear_rate(u) + 0.5 * mult.volatility**2
+        )
+        report = check_identities(dataclasses.replace(problem, multiplicative=wrong), spec)
+        assert report.status == "fail"
+        assert report.details["split_gap"] > 1e-6
