@@ -827,53 +827,26 @@ def logistic_concavity_specs(params: LogisticParams) -> List[ConcavitySpec]:
 # registry and runner
 
 
-class ClosedFormCandidate:
-    """A candidate given by a known law; its paths and costate are computed on first use.
-
-    When the run has a ``stability_column``, the costate's solve carries the
-    stability check's column, kept in ``stability_gap`` for the check to read.
-    """
-
-    def __init__(self, run: "ExperimentRun", law: ControlLaw) -> None:
-        # no reference to the run: a cycle would keep the run and its
-        # candidate's paths alive past the run
-        self.law = law
-        self.problem, self.grid, self.basis = run.problem, run.grid, run.basis
-        self.n_paths, self.seed = run.n_paths, run.seed
-        self.carry_stability = run.stability_column
-        self.stability_gap: TerminalStabilityGap | None = None
-
-    @cached_property
-    def ensemble(self) -> PathEnsemble:
-        return simulate_forward(self.problem, self.law, self.grid, self.n_paths, self.seed)
-
-    @cached_property
-    def solution(self) -> BsdeSolution:
-        ens = self.ensemble
-        companions = ()
-        if self.carry_stability:
-            self.stability_gap = TerminalStabilityGap(self.problem, ens, self.basis, ens.states[:, -1, :])
-            companions = (self.stability_gap.companion,)
-        return solve_bsde_lsmc(self.problem, ens, self.basis, companions=companions)
-
-
 @dataclass
 class ExperimentRun:
-    """One run of an experiment, passed to the callables of its definition.
+    """One run of an experiment: what its definition's callables receive and
+    what :func:`run_experiment` returns.
 
-    ``candidate`` is computed on first use and shared by every check.
-    Companion flows are never stored: ``tvc``, ``costs``, ``comparison``
-    and ``integrability`` step each one through a window on the candidate's
-    noise (:func:`stream_competitor`).  ``competitor_costs`` keeps the per-path
+    ``candidate`` is the policy under audit, computed on first use.  A law's
+    paths and costate, ``ensemble`` and ``solution``, are simulated and
+    solved the first time a check reads them; a closed loop
+    (:class:`PicardResult`) brings its own.  Companion flows are never
+    stored: ``tvc``, ``costs``, ``comparison`` and ``integrability`` step
+    each one through a window on the candidate's noise
+    (:func:`stream_competitor`).  ``competitor_costs`` keeps the per-path
     costs of the competitors already stepped, with their flow's
     :func:`degenerate_paths` counts, so the tvc competitor is stepped once
     when both checks run.  Backward columns are never stored either:
-    ``stability_column`` is set when the ``stability`` check is selected
-    and its premise beta >= 2 mu2 + 2 M^2 holds, and a candidate that has
-    not yet solved its costate (:class:`ClosedFormCandidate`) then carries
-    the check's column in that one backward pass.  Entries added to
-    ``scalars``, ``curves`` and ``costs`` end up in the
-    :class:`ExperimentResult`.
+    ``stability_column`` is set when the ``stability`` check is selected and
+    its premise beta >= 2 mu2 + 2 M^2 holds, and a law's one backward solve
+    then carries the check's column, kept in ``stability_gap``.  After the
+    run, ``ensemble`` and ``solution`` are None unless a check computed them
+    or the candidate is a closed loop.
     """
 
     definition: "ExperimentDefinition"
@@ -884,20 +857,62 @@ class ExperimentRun:
     seed: int
     basis: RegressionBasis
     stability_column: bool = False
+    reports: List[VerificationReport] = field(default_factory=list)
     scalars: Dict[str, float] = field(default_factory=dict)
     curves: Dict[str, Array] = field(default_factory=dict)
     costs: Dict[str, CostEstimate] = field(default_factory=dict)
     competitor_costs: Dict[str, tuple[Array, dict]] = field(default_factory=dict)
+    stability_gap: TerminalStabilityGap | None = None
 
     @cached_property
-    def candidate(self):
-        """The policy under audit: an object with ``law``, ``ensemble`` and ``solution``."""
+    def candidate(self) -> ControlLaw | PicardResult:
+        """The policy under audit: a law, or a closed loop."""
         return self.definition.candidate(self)
 
-    def computed(self, attr: str):
-        """The candidate's ``attr`` if it has been computed already, else None."""
-        candidate = vars(self).get("candidate")
-        return None if candidate is None else vars(candidate).get(attr)
+    @cached_property
+    def ensemble(self) -> PathEnsemble:
+        candidate = self.candidate
+        if isinstance(candidate, PicardResult):
+            return candidate.ensemble
+        return simulate_forward(self.problem, candidate, self.grid, self.n_paths, self.seed)
+
+    @cached_property
+    def solution(self) -> BsdeSolution:
+        if isinstance(self.candidate, PicardResult):
+            return self.candidate.solution
+        ens, companions = self.ensemble, ()
+        if self.stability_column:
+            self.stability_gap = TerminalStabilityGap(self.problem, ens, self.basis, ens.states[:, -1, :])
+            companions = (self.stability_gap.companion,)
+        return solve_bsde_lsmc(self.problem, ens, self.basis, companions=companions)
+
+    @property
+    def name(self) -> str:
+        return self.definition.name
+
+    @property
+    def all_passed(self) -> bool:
+        return all(r.status != FAIL for r in self.reports)
+
+    def report_by_name(self, check: str) -> VerificationReport:
+        for r in self.reports:
+            if r.check == check:
+                return r
+        raise KeyError(f"no report named {check!r}")
+
+    def to_dict(self) -> dict:
+        return {
+            "experiment": self.name,
+            "params": dataclasses.asdict(self.params),
+            "grid": {"horizon": self.grid.horizon, "steps": self.grid.steps},
+            "n_paths": self.n_paths,
+            "seed": self.seed,
+            "basis": {"degree": self.basis.degree, "reciprocal": self.basis.reciprocal},
+            "scalars": {k: float(v) for k, v in sorted(self.scalars.items())},
+            "reports": [r.to_dict() for r in self.reports],
+            "costs": {k: v.to_dict() for k, v in sorted(self.costs.items())},
+            "all_passed": self.all_passed,
+        }
 
 
 def _before_terminal_layer(width: float, short: float, fraction: float):
@@ -912,10 +927,12 @@ class ExperimentDefinition:
     ``problem``, ``competitors``, ``sample_spec`` and ``concavity_specs`` map
     a ``params_type`` instance to the problem (whose beta sets the default
     horizon), the named laws the candidate must beat, and the audit sampling
-    plans.  ``candidate(run)`` returns the policy under audit, an object with
-    ``law``, ``ensemble`` and ``solution`` (a :class:`ClosedFormCandidate`,
-    or a :class:`PicardResult`).  ``scalars(run)`` records reference figures
-    in ``run.scalars`` and ``run.curves``.  ``checks`` maps the experiment's
+    plans.  ``candidate(run)`` returns the policy under audit: a
+    :class:`ControlLaw`, whose paths and costate the run simulates and
+    solves, or a closed loop (:class:`PicardResult`) that brings its own.
+    ``scalars(run)`` records reference figures in ``run.scalars`` and
+    ``run.curves``; it runs after the checks, when ``run.ensemble`` and
+    ``run.solution`` are None unless the run computed them.  ``checks`` maps the experiment's
     own check names to ``check(run) -> [reports]``; they run before the
     generic ones.  ``pointwise_window`` maps the horizon to the last time the
     pointwise check samples (None: the whole grid).
@@ -930,7 +947,7 @@ class ExperimentDefinition:
     tvc_competitor: str
     basis: RegressionBasis
     problem: Callable[[object], DiscountedProblem]
-    candidate: Callable[[ExperimentRun], object]
+    candidate: Callable[[ExperimentRun], ControlLaw | PicardResult]
     competitors: Callable[[object], Dict[str, ControlLaw]]
     sample_spec: Callable[[object], SampleSpec]
     concavity_specs: Callable[[object], List[ConcavitySpec]]
@@ -950,10 +967,10 @@ class ExperimentDefinition:
 
 
 def _pointwise_max(run: ExperimentRun) -> List[VerificationReport]:
-    d, c = run.definition, run.candidate
+    d = run.definition
     max_time = d.pointwise_window(run.grid.horizon)
     return [check_pointwise_max(
-        run.problem, c.solution, seed=run.seed + 4, tol=d.pointwise_tol, max_time=max_time
+        run.problem, run.solution, seed=run.seed + 4, tol=d.pointwise_tol, max_time=max_time
     )]
 
 
@@ -967,28 +984,27 @@ def _stability(run: ExperimentRun) -> List[VerificationReport]:
                 notes=f"not applicable: beta {run.problem.beta:g} is below 2 mu2 + 2 M^2 = {threshold:g}",
             )
         ]
-    c = run.candidate
-    if isinstance(c, ClosedFormCandidate):
-        c.solution  # the candidate's one backward pass fills its stability_gap
-        return [c.stability_gap.report()]
-    # a costate solved before any check ran (Picard): the column takes a solve of its own
-    ens = c.ensemble
+    if not isinstance(run.candidate, PicardResult):
+        run.solution  # the law's one backward pass fills stability_gap
+        return [run.stability_gap.report()]
+    # a costate solved before any check ran: the column takes a solve of its own
+    ens = run.ensemble
     return [terminal_stability_gap(run.problem, ens, run.basis, ens.states[:, -1, :])]
 
 
 def _tvc(run: ExperimentRun) -> List[VerificationReport]:
-    c, name = run.candidate, run.definition.tvc_competitor
+    name = run.definition.tvc_competitor
     law = run.definition.competitors(run.params)[name]
     # the competitor is costed in the same pass, for costs to read
     costing = PathCostSum(run.problem, run.grid)
-    report = check_tvc(run.problem, c.solution, law, costing)
+    report = check_tvc(run.problem, run.solution, law, costing)
     counts = {k: report.details[k] for k in ("clipped_paths", "exploded_paths")}
     run.competitor_costs[name] = costing.total, counts
     return [report]
 
 
 def _costs(run: ExperimentRun) -> List[VerificationReport]:
-    ens = run.candidate.ensemble
+    ens = run.ensemble
     costs, degenerate = {"candidate": path_costs(run.problem, ens)}, {}
     for name, law in run.definition.competitors(run.params).items():
         if name not in run.competitor_costs:
@@ -1010,7 +1026,7 @@ _GENERIC_CHECKS = {
         concavity_probe(run.problem, spec) for spec in run.definition.concavity_specs(run.params)
     ],
     "pointwise_max": _pointwise_max,
-    "positivity": lambda run: [positivity_check(run.candidate.ensemble)],
+    "positivity": lambda run: [positivity_check(run.ensemble)],
     "stability": _stability,
     "tvc": _tvc,
     "costs": _costs,
@@ -1052,9 +1068,9 @@ def list_experiments() -> List[ExperimentDefinition]:
 
 def _consumption_oracle(run: ExperimentRun) -> List[VerificationReport]:
     # Y X = g(t) exactly, so the product curve isolates the solver error
-    params, grid, c = run.params, run.grid, run.candidate
+    params, grid = run.params, run.grid
     times = grid.times()
-    prod = (c.solution.Y[:, :, 0] * c.ensemble.states[:, :, 0]).mean(axis=0)
+    prod = (run.solution.Y[:, :, 0] * run.ensemble.states[:, :, 0]).mean(axis=0)
     g = consumption_truncated_costate(params, grid.horizon, times)
     keep = np.exp(-run.problem.beta * (grid.horizon - times)) <= 0.5
     rel = np.abs(prod[keep] - g[keep]) / g[keep]
@@ -1068,7 +1084,7 @@ def _consumption_oracle(run: ExperimentRun) -> List[VerificationReport]:
             tolerance=0.05,
             n_samples=run.n_paths,
             details={
-                "y0_estimate": float(c.solution.y0()[0]),
+                "y0_estimate": float(run.solution.y0()[0]),
                 "y0_exact": float(g[0] / params.x0),
                 "nodes_compared": int(keep.sum()),
             },
@@ -1115,7 +1131,7 @@ def _consumption_integrability(run: ExperimentRun) -> List[VerificationReport]:
             inv_sq = 1.0 / np.square(x[:, nodes[k] - s, 0])
             mc[k], sd[k] = inv_sq.mean(), inv_sq.std(ddof=1)
 
-    ens = run.candidate.ensemble
+    ens = run.ensemble
     flags = stream_competitor(run.problem, ens, ConstantControl([u_val]), moments)
     se = sd / math.sqrt(ens.n_paths)
     exact = params.x0**-2 * np.exp(exponent * times)
@@ -1160,7 +1176,7 @@ register_experiment(
         tvc_competitor="constant_quarter",
         basis=RegressionBasis(degree=4, reciprocal=True),
         problem=lambda params: consumption_problem(params),
-        candidate=lambda run: ClosedFormCandidate(run, consumption_optimal_law(run.params)),
+        candidate=lambda run: consumption_optimal_law(run.params),
         competitors=lambda params: consumption_competitors(params),
         sample_spec=lambda params: consumption_sample_spec(params),
         concavity_specs=lambda params: consumption_concavity_specs(params),
@@ -1178,14 +1194,14 @@ register_experiment(
 
 
 def _production_oracle(run: ExperimentRun) -> List[VerificationReport]:
-    params, grid, c = run.params, run.grid, run.candidate
+    params, grid = run.params, run.grid
     oracle = RiccatiOracle(params)
     s = grid.horizon - grid.times()
     phi_s, psi_s = oracle.phi_at(s), oracle.psi_at(s)
     # mean relative gap per time node, one node at a time: no (P, N+1)
     # temporaries; the nodes whose control sits on the box are counted alongside
-    x, y = c.ensemble.states[:, :, 0], c.solution.Y[:, :, 0]
-    u, lower, upper = c.ensemble.controls, run.problem.domain.lower, run.problem.domain.upper
+    x, y = run.ensemble.states[:, :, 0], run.solution.Y[:, :, 0]
+    u, lower, upper = run.ensemble.controls, run.problem.domain.lower, run.problem.domain.upper
     node_gap = np.empty(grid.steps + 1)
     on_box = 0
     for i in range(grid.steps + 1):
@@ -1249,7 +1265,7 @@ register_experiment(
         tvc_competitor="constant_high",
         basis=RegressionBasis(degree=4),
         problem=lambda params: production_problem(params),
-        candidate=lambda run: ClosedFormCandidate(run, production_optimal_law(run.params)),
+        candidate=lambda run: production_optimal_law(run.params),
         competitors=lambda params: production_competitors(params),
         sample_spec=lambda params: production_sample_spec(params),
         concavity_specs=lambda params: production_concavity_specs(params),
@@ -1275,11 +1291,12 @@ def _logistic_lyapunov(run: ExperimentRun) -> List[VerificationReport]:
 
 
 def _logistic_scalars(run: ExperimentRun) -> None:
-    residuals = run.computed("residuals")
-    if residuals is not None:
+    # the closed loop's costate is there once the loop has run
+    if run.solution is not None:
+        residuals = run.candidate.residuals
         run.scalars["picard_iterations"] = len(residuals)
         run.scalars["picard_residual"] = residuals[-1]
-        run.scalars["mean_policy_at_0"] = float(run.computed("ensemble").controls[:, 0, 0].mean())
+        run.scalars["mean_policy_at_0"] = float(run.ensemble.controls[:, 0, 0].mean())
 
 
 register_experiment(
@@ -1305,9 +1322,9 @@ register_experiment(
         scalars=_logistic_scalars,
         checks={
             "picard": lambda run: [run.candidate.report],
-            "comparison": lambda run: [comparison_check(run.problem, run.candidate.ensemble)],
+            "comparison": lambda run: [comparison_check(run.problem, run.ensemble)],
             "cylinder": lambda run: [cylinder_consistency_check(
-                run.problem, run.candidate.ensemble, run.basis,
+                run.problem, run.ensemble, run.basis,
                 truncation_m=10.0, truncation_p=50.0, cylinder=5.0,
             )],
             "lyapunov": _logistic_lyapunov,
@@ -1321,49 +1338,6 @@ register_experiment(
 )
 
 
-@dataclass
-class ExperimentResult:
-    """Everything one run produced: reports, costs, scalars, artifacts."""
-
-    name: str
-    params: object
-    grid: TimeGrid
-    n_paths: int
-    seed: int
-    basis: RegressionBasis
-    reports: List[VerificationReport]
-    costs: Dict[str, CostEstimate]
-    scalars: Dict[str, float]
-    curves: Dict[str, Array]
-    ensemble: PathEnsemble | None
-    solution: BsdeSolution | None
-    law: ControlLaw | None
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.status != FAIL for r in self.reports)
-
-    def report_by_name(self, check: str) -> VerificationReport:
-        for r in self.reports:
-            if r.check == check:
-                return r
-        raise KeyError(f"no report named {check!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.name,
-            "params": dataclasses.asdict(self.params),
-            "grid": {"horizon": self.grid.horizon, "steps": self.grid.steps},
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "basis": {"degree": self.basis.degree, "reciprocal": self.basis.reciprocal},
-            "scalars": {k: float(v) for k, v in sorted(self.scalars.items())},
-            "reports": [r.to_dict() for r in self.reports],
-            "costs": {k: v.to_dict() for k, v in sorted(self.costs.items())},
-            "all_passed": self.all_passed,
-        }
-
-
 def run_experiment(
     name: str,
     params=None,
@@ -1372,17 +1346,17 @@ def run_experiment(
     seed: int = 0,
     basis: RegressionBasis | None = None,
     checks=None,
-) -> ExperimentResult:
-    """Build, solve and audit one registered experiment.
+) -> ExperimentRun:
+    """Build, solve and audit one registered experiment; returns the run.
 
     ``params`` may be a params instance or a mapping of field overrides.
     ``checks`` selects which reports to produce (default: the experiment's
     registered list); an empty selection, a name outside the experiment's
     check table and ``n_paths`` below 2 are errors.  The forward simulation
     and the backward solve only run when a selected check needs them, so
-    problem-level audits stay cheap; the ensemble / solution / law are None.
-    A selected ``stability`` check whose premise holds rides the candidate's
-    first backward solve as a companion column
+    problem-level audits stay cheap and leave ``ensemble`` and ``solution``
+    None.  A selected ``stability`` check whose premise holds rides the
+    candidate's first backward solve as a companion column
     (``ExperimentRun.stability_column``).
     """
     definition = get_experiment(name)
@@ -1409,13 +1383,20 @@ def run_experiment(
     basis = definition.basis if basis is None else basis
     stability_column = "stability" in selected and problem.beta >= stability_threshold(problem)
     run = ExperimentRun(definition, params, problem, grid, n_paths, seed, basis, stability_column)
-    reports: List[VerificationReport] = []
     for check, produce in table.items():
         if check in selected:
-            reports.extend(produce(run))
+            run.reports.extend(produce(run))
+
+    # the checks are done: a closed loop keeps its own paths and costate, and
+    # what no check computed stays None instead of being computed on a read
+    loop = vars(run).get("candidate")
+    if isinstance(loop, PicardResult):
+        run.ensemble, run.solution = loop.ensemble, loop.solution
+    vars(run).setdefault("ensemble", None)
+    vars(run).setdefault("solution", None)
 
     definition.scalars(run)
-    ens, sol = run.computed("ensemble"), run.computed("solution")
+    ens, sol = run.ensemble, run.solution
     run.curves["times"] = grid.times()
     if ens is not None:
         run.curves["mean_state"] = ens.states[:, :, 0].mean(axis=0)
@@ -1426,8 +1407,4 @@ def run_experiment(
         run.scalars["condition_number_median"] = float(np.median(sol.condition_numbers))
         run.scalars["ridge_steps"] = len(sol.ridge_steps)
         run.curves["mean_costate"] = sol.Y[:, :, 0].mean(axis=0)
-
-    return ExperimentResult(
-        name, params, grid, n_paths, seed, basis, reports, run.costs, run.scalars, run.curves,
-        ensemble=ens, solution=sol, law=run.computed("law"),
-    )
+    return run

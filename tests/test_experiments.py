@@ -103,7 +103,7 @@ class TestRegistry:
 
 def steady_state(run):
     """The optimal inventory reverts to the target x1 (u1 = eta makes x1 its mean)."""
-    ens = run.candidate.ensemble
+    ens = run.ensemble
     gap = abs(float(ens.states[:, -1, 0].mean()) - run.params.x1)
     return [
         VerificationReport(
@@ -228,7 +228,7 @@ class TestRiccatiOracle:
                 params.u1 + gain * (phi * x[:, 0] + psi) / (2.0 * params.c), params.u_low, params.u_high
             ))
             definition = dataclasses.replace(
-                definition, candidate=lambda run: experiments.ClosedFormCandidate(run, law)
+                definition, candidate=lambda run: law
             )
         problem = definition.problem(params)
         grid = TimeGrid.auto(problem.beta, steps)
@@ -261,7 +261,7 @@ class TestRiccatiOracle:
         problem = definition.problem(params)
         grid = TimeGrid.auto(problem.beta, steps)
         run = experiments.ExperimentRun(definition, params, problem, grid, n_paths, 3, definition.basis)
-        run.candidate.solution  # simulated and solved before tracing starts
+        run.solution  # simulated and solved before tracing starts
         tracemalloc.start()
         try:
             (report,) = definition.checks["oracle"](run)
@@ -692,6 +692,6 @@ def test_only_the_candidate_flows_draw_noise():
     calls = _calls_in_package("generate", "simulate_forward")
     assert calls["generate"] == {("forward", "simulate_forward")}
     assert calls["simulate_forward"] == {
-        ("experiments", "ClosedFormCandidate.ensemble"),
+        ("experiments", "ExperimentRun.ensemble"),
         ("experiments", "logistic_picard_solve"),
     }
