@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -117,6 +118,18 @@ def _as_float(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {json.dumps(value)}")
     return float(value)
+
+
+def _build_params(params_type, values: dict):
+    """``params_type(**values)``; each value given must be a finite number, or
+    null where the field defaults to None.  Unknown keys are left to the constructor."""
+    for f in dataclasses.fields(params_type):
+        value = values.get(f.name, 0.0)  # an absent field keeps its default
+        if value is None and f.default is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"{f.name} must be a finite number, got {json.dumps(value)}")
+    return params_type(**values)
 
 
 def _canonical_checks(checks):
@@ -245,9 +258,15 @@ def _command_run(args) -> int:
 
     params_cfg = config.get(name, {})
     try:
-        params = definition.params_type(**params_cfg)
-    except (TypeError, ValueError) as exc:
+        params = _build_params(definition.params_type, params_cfg)
+    except (TypeError, ValueError, OverflowError) as exc:
         print(f"error: bad parameters for {name!r}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {str(out)!r}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     try:
@@ -277,7 +296,6 @@ def _command_run(args) -> int:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": 1,
         **result.to_dict(),

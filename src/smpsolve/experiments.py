@@ -316,8 +316,7 @@ class RiccatiOracle:
 
     with a = -(beta + k)/2, w0 = r1/r2, C0 = (u1 - eta) r1 + 2 h x1 and
     C1 = (u1 - eta) r2 + 2 h x1.  No divisor is small: -a >= beta/2, r2 > 0
-    and 1 - w0 E >= 1.  The agreements are the gaps to the algebraic
-    constants at s = 40/beta, far past the settling time.
+    and 1 - w0 E >= 1.
     """
 
     def __init__(self, params: ProductionPlanningParams) -> None:
@@ -352,19 +351,6 @@ class RiccatiOracle:
         s = np.asarray(s, dtype=float)
         ea, e = np.exp(a * s), np.exp(-k * s)
         return (c0 * (1.0 - ea) / -a + 2.0 * p.c * c1 / r2 * (ea - e)) / (1.0 - r1 / r2 * e)
-
-    @property
-    def phi_agreement(self) -> float:
-        return abs(float(self.phi_at(40.0 / self.params.beta)) - self.phi_inf)
-
-    @property
-    def psi_agreement(self) -> float:
-        return abs(float(self.psi_at(40.0 / self.params.beta)) - self.psi_inf)
-
-    @property
-    def stationary_residual(self) -> float:
-        c, h, beta, phi = self.params.c, self.params.h, self.params.beta, self.phi_inf
-        return abs(phi * phi - 2.0 * c * beta * phi - 4.0 * c * h)
 
 
 def production_problem(params: ProductionPlanningParams) -> DiscountedProblem:
@@ -932,10 +918,10 @@ class ExperimentDefinition:
     solves, or a closed loop (:class:`PicardResult`) that brings its own.
     ``scalars(run)`` records reference figures in ``run.scalars`` and
     ``run.curves``; it runs after the checks, when ``run.ensemble`` and
-    ``run.solution`` are None unless the run computed them.  ``checks`` maps the experiment's
-    own check names to ``check(run) -> [reports]``; they run before the
-    generic ones.  ``pointwise_window`` maps the horizon to the last time the
-    pointwise check samples (None: the whole grid).
+    ``run.solution`` are None unless the run computed them.  ``checks`` maps
+    the experiment's own check names to ``check(run) -> [reports]``; they run
+    before the generic ones.  ``pointwise_window`` maps the horizon to the
+    last time the pointwise check samples (None: the whole grid).
     """
 
     name: str
@@ -1212,7 +1198,6 @@ def _production_oracle(run: ExperimentRun) -> List[VerificationReport]:
     stat = float(node_gap.max())
     box_share = on_box / u.size
     det_value, det_exact, det_rel = production_sigma_zero_cost(params)
-    # phi and psi are closed forms, so their agreements are reported but decide nothing
     ok = stat <= 0.05 and det_rel <= 0.005
     status = PASS if ok else FAIL
     notes = "costate vs the Riccati curve, plus the noise-free value point"
@@ -1228,9 +1213,6 @@ def _production_oracle(run: ExperimentRun) -> List[VerificationReport]:
             tolerance=0.05,
             n_samples=run.n_paths,
             details={
-                "phi_agreement": oracle.phi_agreement,
-                "psi_agreement": oracle.psi_agreement,
-                "stationary_residual": oracle.stationary_residual,
                 "sigma_zero_cost": det_value,
                 "sigma_zero_exact": det_exact,
                 "sigma_zero_rel_error": det_rel,

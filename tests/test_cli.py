@@ -176,6 +176,38 @@ class TestExitCodes:
         assert code == 1
         assert "bad parameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            'consumption.mu="0.05"', 'production.eta="x"', "production.sigma=null", "consumption.beta=true",
+            # NaN and Infinity are not JSON, and pass every range check of the params;
+            # an integer past the float range cannot be tested for finiteness
+            "production.c=NaN", "production.h=Infinity", "consumption.mu=1" + "0" * 400,
+        ],
+    )
+    def test_parameter_that_is_not_a_finite_number_exits_one(self, assignment, tmp_path, capsys):
+        experiment = assignment.split(".")[0]
+        code = _run("run", "-e", experiment, "--set", assignment, "--check", "assumptions", "--out", str(tmp_path))
+        assert code == 1
+        assert f"error: bad parameters for {experiment!r}" in capsys.readouterr().err
+
+    def test_null_parameter_keeps_a_none_default(self, tmp_path):
+        code = _run("run", "-e", "consumption", "--set", "consumption.beta=null", "--check", "assumptions",
+                    "--out", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "results.json").read_text())
+        assert payload["params"]["beta"] is None
+
+    def test_output_path_that_is_a_file_exits_one_before_simulating(self, monkeypatch, tmp_path, capsys):
+        simulated = []
+        monkeypatch.setattr(experiments, "simulate_forward", lambda *args, **kwargs: simulated.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = _run("run", "-e", "production", "--check", "costs", "--paths", "2000", "--out", str(taken))
+        assert code == 1
+        assert "error: cannot create output directory" in capsys.readouterr().err
+        assert simulated == []
+
     def test_solver_failure_exits_one(self, tmp_path, capsys):
         # growth rate 50 drives every path past the explosion guard
         code = _run(

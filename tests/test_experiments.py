@@ -164,6 +164,18 @@ def _riccati_rk4(params, s, substeps_per_rate):
     return out
 
 
+def _settling_gaps(oracle):
+    """|phi(40/beta) - phi_inf|, |psi(40/beta) - psi_inf|, far past the settling
+    time, and the residual of phi_inf in phi^2 - 2 c beta phi - 4 c h = 0."""
+    p, phi = oracle.params, oracle.phi_inf
+    s = 40.0 / p.beta
+    return (
+        abs(float(oracle.phi_at(s)) - phi),
+        abs(float(oracle.psi_at(s)) - oracle.psi_inf),
+        abs(phi * phi - 2.0 * p.c * p.beta * phi - 4.0 * p.c * p.h),
+    )
+
+
 class TestRiccatiOracle:
     def test_frozen_symmetric_constants(self):
         # c = h = beta = 1, u1 = eta, x1 = 1: the quadratic has exact
@@ -181,9 +193,10 @@ class TestRiccatiOracle:
 
     def test_ode_settles_on_algebraic_limit(self):
         oracle = RiccatiOracle(ProductionPlanningParams())
-        assert oracle.phi_agreement <= 1e-6
-        assert oracle.psi_agreement <= 1e-6
-        assert oracle.stationary_residual <= 1e-10
+        phi_gap, psi_gap, residual = _settling_gaps(oracle)
+        assert phi_gap <= 1e-6
+        assert psi_gap <= 1e-6
+        assert residual <= 1e-10
         # time-to-go zero carries the terminal data
         assert float(oracle.phi_at(0.0)) == 0.0
         assert float(oracle.psi_at(0.0)) == 0.0
@@ -202,8 +215,9 @@ class TestRiccatiOracle:
         assert np.abs(oracle.phi_at(s) - reference[:, 0]).max() <= 1e-9
         assert np.abs(oracle.psi_at(s) - reference[:, 1]).max() <= 1e-9
         assert float(oracle.phi_at(0.0)) == float(oracle.psi_at(0.0)) == 0.0
-        assert oracle.phi_agreement <= 1e-6
-        assert oracle.psi_agreement <= 1e-6
+        phi_gap, psi_gap, _ = _settling_gaps(oracle)
+        assert phi_gap <= 1e-6
+        assert psi_gap <= 1e-6
 
     def test_value_at_default_start(self):
         assert float(RiccatiOracle(ProductionPlanningParams()).value(1.0)) == pytest.approx(-0.75)
@@ -270,24 +284,6 @@ class TestRiccatiOracle:
             tracemalloc.stop()
         assert report.status == PASS
         assert peak <= 0.5 * n_paths * (steps + 1) * 8
-
-    def test_phi_agreement_is_reported_but_decides_nothing(self, monkeypatch):
-        # phi and psi are closed forms, so their agreements read roundoff and decide nothing
-        definition = get_experiment("production")
-        params = definition.params_type()
-        problem = definition.problem(params)
-        grid = TimeGrid.auto(problem.beta, 200)
-        run = experiments.ExperimentRun(definition, params, problem, grid, 2000, 3, definition.basis)
-        sigma_zero = experiments.production_sigma_zero_cost(params)
-        monkeypatch.setattr(experiments, "production_sigma_zero_cost", lambda params: sigma_zero)
-        statuses = {}
-        for premise in ("phi_agreement", "psi_agreement"):
-            with monkeypatch.context() as patch:
-                patch.setattr(experiments.RiccatiOracle, premise, property(lambda self: 1.0))
-                (report,) = definition.checks["oracle"](run)
-            assert report.details[premise] == 1.0
-            statuses[premise] = report.status
-        assert statuses == {"phi_agreement": PASS, "psi_agreement": PASS}
 
 
 class TestConsumptionOracles:
@@ -447,6 +443,44 @@ class TestRunExperiment:
         assert {r.check for r in result.reports} == {"assumptions", "identities"}
         assert result.all_passed
         assert "condition_number_max" not in result.scalars
+
+    @staticmethod
+    def _count_calls(monkeypatch, *names):
+        """Count the calls of each named experiments function; returns {name: [call, ...]}."""
+        calls = {}
+        for name in names:
+            original = getattr(experiments, name)
+            calls[name] = []
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name].append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, spy)
+        return calls
+
+    def test_path_checks_simulate_once_and_solve_nothing(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, "simulate_forward", "solve_bsde_lsmc")
+        run = run_experiment(
+            "production", grid=TimeGrid(horizon=8.0, steps=80), n_paths=500, checks=("costs", "positivity")
+        )
+        assert len(calls["simulate_forward"]) == 1 and calls["solve_bsde_lsmc"] == []
+        assert run.ensemble is not None and run.solution is None
+        assert "mean_state" in run.curves and "mean_costate" not in run.curves
+
+    def test_picard_check_alone_records_the_loops_paths_and_costate(self):
+        run = run_experiment("logistic", grid=TimeGrid(horizon=2.0, steps=20), n_paths=300, checks=("picard",))
+        loop = run.candidate
+        assert run.ensemble is loop.ensemble and run.solution is loop.solution
+        assert run.scalars["y0_estimate"] == float(loop.solution.y0()[0])
+        assert np.array_equal(run.curves["mean_costate"], loop.solution.Y[:, :, 0].mean(axis=0))
+        assert run.scalars["picard_iterations"] == loop.iterations
+
+    def test_reading_the_paths_after_a_problem_only_run_simulates_nothing(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, "simulate_forward", "solve_bsde_lsmc")
+        run = run_experiment("consumption", checks=("assumptions",))
+        assert run.ensemble is None and run.solution is None
+        assert calls == {"simulate_forward": [], "solve_bsde_lsmc": []}
 
     def test_params_mapping_override(self):
         result = run_experiment(
