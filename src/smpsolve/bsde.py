@@ -310,7 +310,7 @@ def solve_bsde_lsmc(
 
     for i in range(N - 1, -1, -1):
         x_i = ensemble.states[:, i, :]
-        u_i = ensemble.controls[:, i, :]
+        u_i = ensemble.control(i)
         dW = ensemble.noise.increments[:, i, :]
         target_y = Y[:, i + 1, :]
 

@@ -307,11 +307,19 @@ def _command_run(args) -> int:
     write_results_json(out / "results.json", payload)
     write_reports_csv(out / "reports.csv", result.reports)
     write_curves_csv(out / "curves.csv", result.curves)
-    if args.dump_paths and result.ensemble is not None:
-        write_paths_csv(out / "paths.csv", result.ensemble)
-        save_ensemble(out / name, result.ensemble)
-        if result.solution is not None:
-            save_costates(out / name, result.solution)
+    if args.dump_paths:
+        if result.ensemble is None:
+            print("note: --dump-paths wrote nothing: no selected check simulated paths", file=sys.stderr)
+        else:
+            write_paths_csv(out / "paths.csv", result.ensemble)
+            save_ensemble(out / name, result.ensemble)
+            if result.solution is None:
+                print(
+                    "note: --dump-paths wrote no costate (_y, _z) files: no selected check solved it",
+                    file=sys.stderr,
+                )
+            else:
+                save_costates(out / name, result.solution)
 
     for report in result.reports:
         print(report.summary_line())

@@ -652,6 +652,23 @@ class PicardResult:
         )
 
 
+def _applies_same_controls(law: ControlLaw, ens: PathEnsemble) -> bool:
+    """Whether ``law``, clipped to the box, gives ``ens``'s controls to the
+    bit at every step of ``ens``'s own states; stops at the first step that
+    differs.
+
+    Stepped from the same x0 on the same noise, ``law`` would then retrace
+    ``ens``: by induction on the step, the same states meet the same
+    controls.  So this is the test of simulating ``law`` and comparing the
+    two controls tables, without the simulation.
+    """
+    times = ens.grid.times()
+    return all(
+        np.array_equal(ens.domain.clip(law.control_at(times[i], ens.states[:, i])), ens.control(i))
+        for i in range(ens.grid.steps)
+    )
+
+
 def logistic_picard_solve(
     params: LogisticParams,
     grid: TimeGrid,
@@ -668,9 +685,13 @@ def logistic_picard_solve(
     of the change in the costate surface, evaluated on the freshly simulated
     states; it converges at ``PICARD_TOL`` = 1e-4 within 20 passes.  A
     residual increase blends the new policy into the old one with weight
-    0.5; three consecutive increases abort.  A pass whose controls repeat
-    the last pass's exactly is a fixed point: it records residual 0 and
-    stops without solving again.
+    0.5; three consecutive increases abort.  A policy that applies the last
+    pass's controls on the last pass's states is a fixed point
+    (:func:`_applies_same_controls`): it records residual 0 and stops
+    without simulating or solving again.  One pass is held at a time: the
+    last pass's paths and costate are released before the next pass
+    simulates, and the residual reads the last costate surface through its
+    law.
     """
     problem = logistic_problem(params)
     if basis is None:
@@ -681,38 +702,41 @@ def logistic_picard_solve(
 
     ens = simulate_forward(problem, initial_law, grid, n_paths, seed)
     sol = solve_bsde_lsmc(problem, ens, basis)
-    law: ControlLaw = AdjointFeedbackControl(sol, rule)
+    # the law of the last costate surface; law adds the damping to it
+    surface = AdjointFeedbackControl(sol, rule)
+    law: ControlLaw = surface
 
     residuals: List[float] = []
     converged = False
     increases = 0
     for _ in range(PICARD_MAX_ITERATIONS):
-        ens_new = simulate_forward(problem, law, grid, n_paths, seed, noise=ens.noise)
-        if np.array_equal(ens_new.controls, ens.controls):
-            # the same controls on the same noise give the same states, so
-            # the solve and the residual would repeat the last pass to the bit
+        if _applies_same_controls(law, ens):
             residuals.append(0.0)
-            law = AdjointFeedbackControl(sol, rule)
+            law = surface
             converged = True
             break
-        sol_new = solve_bsde_lsmc(problem, ens_new, basis)
+        noise = ens.noise
+        # one pass at a time: the last pass's paths and costate are released
+        # before this pass allocates its own
+        ens = sol = None
+        ens = simulate_forward(problem, law, grid, n_paths, seed, noise=noise)
+        sol = solve_bsde_lsmc(problem, ens, basis)
         res = 0.0
         for i in range(grid.steps):
-            x_i = ens_new.states[:, i, :]
-            res = max(res, float(np.abs(sol_new.y_at(i, x_i) - sol.y_at(i, x_i)).max()))
+            x_i = ens.states[:, i, :]
+            res = max(res, float(np.abs(sol.y_at(i, x_i) - surface.y_at(i, x_i)).max()))
         residuals.append(res)
-        fresh = AdjointFeedbackControl(sol_new, rule)
+        surface = AdjointFeedbackControl(sol, rule)
         if len(residuals) >= 2 and res > residuals[-2]:
             increases += 1
             if increases >= 3:
                 raise PicardError(
                     f"residual increased {increases} times in a row: {residuals}"
                 )
-            law = BlendedControl([law, fresh], [0.5, 0.5])
+            law = BlendedControl([law, surface], [0.5, 0.5])
         else:
             increases = 0
-            law = fresh
-        ens, sol = ens_new, sol_new
+            law = surface
         if res <= PICARD_TOL:
             converged = True
             break
@@ -1186,17 +1210,19 @@ def _production_oracle(run: ExperimentRun) -> List[VerificationReport]:
     phi_s, psi_s = oracle.phi_at(s), oracle.psi_at(s)
     # mean relative gap per time node, one node at a time: no (P, N+1)
     # temporaries; the nodes whose control sits on the box are counted alongside
-    x, y = run.ensemble.states[:, :, 0], run.solution.Y[:, :, 0]
-    u, lower, upper = run.ensemble.controls, run.problem.domain.lower, run.problem.domain.upper
+    ens = run.ensemble
+    x, y = ens.states[:, :, 0], run.solution.Y[:, :, 0]
+    lower, upper = run.problem.domain.lower, run.problem.domain.upper
     node_gap = np.empty(grid.steps + 1)
     on_box = 0
     for i in range(grid.steps + 1):
         exact = phi_s[i] * x[:, i] + psi_s[i]
         node_gap[i] = (np.abs(y[:, i] - exact) / (1.0 + np.abs(exact))).mean()
         if i < grid.steps:
-            on_box += np.count_nonzero((u[:, i] <= lower) | (u[:, i] >= upper))
+            u = ens.control(i)
+            on_box += np.count_nonzero((u <= lower) | (u >= upper))
     stat = float(node_gap.max())
-    box_share = on_box / u.size
+    box_share = on_box / (ens.n_paths * grid.steps * ens.domain.dim)
     det_value, det_exact, det_rel = production_sigma_zero_cost(params)
     ok = stat <= 0.05 and det_rel <= 0.005
     status = PASS if ok else FAIL
@@ -1278,7 +1304,7 @@ def _logistic_scalars(run: ExperimentRun) -> None:
         residuals = run.candidate.residuals
         run.scalars["picard_iterations"] = len(residuals)
         run.scalars["picard_residual"] = residuals[-1]
-        run.scalars["mean_policy_at_0"] = float(run.ensemble.controls[:, 0, 0].mean())
+        run.scalars["mean_policy_at_0"] = float(run.ensemble.control(0)[:, 0].mean())
 
 
 register_experiment(
@@ -1382,7 +1408,7 @@ def run_experiment(
     run.curves["times"] = grid.times()
     if ens is not None:
         run.curves["mean_state"] = ens.states[:, :, 0].mean(axis=0)
-        run.curves["mean_control"] = ens.controls[:, :, 0].mean(axis=0)
+        run.curves["mean_control"] = np.array([ens.control(i)[:, 0].mean() for i in range(grid.steps)])
     if sol is not None:
         run.scalars["y0_estimate"] = float(sol.y0()[0])
         run.scalars["condition_number_max"] = float(sol.condition_numbers.max())

@@ -15,20 +15,22 @@ A flow that only accompanies an ensemble (a competitor, a sandwich envelope)
 is stepped on its noise by :func:`stream_competitor` through
 one reused window and never stored.
 
-Per-step arrays (states, controls, noise increments, costates) have the
-logical shape (paths, steps, ...) but are stored time-major by
-:func:`time_major`, so the slice ``a[:, i]`` that every step reads and writes
-is contiguous.
+Per-step arrays (states, noise increments, costates) have the logical shape
+(paths, steps, ...) but are stored time-major by :func:`time_major`, so the
+slice ``a[:, i]`` that every step reads and writes is contiguous.  A stored
+ensemble keeps no controls: they are a function of its states, and
+:meth:`PathEnsemble.control` recomputes them from the law that applied them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .problems import DiscountedProblem, StateRegion
+from .problems import ControlDomain, DiscountedProblem, StateRegion
 from .reports import FAIL, PASS, VerificationReport
 
 if TYPE_CHECKING:
@@ -44,6 +46,9 @@ SANDWICH_MARGIN = 1e-9
 SANDWICH_MAX_FRACTION = 1e-3
 # paths per noise draw buffer: 256 paths x 250 steps is 0.5 MB
 NOISE_BLOCK = 256
+# a surface evaluated on part of an ensemble's rows is evaluated on the whole
+# chunks of this many rows that hold them (see _row_chunks)
+ROW_ALIGN = 64
 
 
 class SimulationError(RuntimeError):
@@ -58,6 +63,32 @@ def time_major(n_paths: int, steps: int, *tail: int) -> Array:
     ``np.ascontiguousarray``.
     """
     return np.empty((steps, n_paths, *tail)).swapaxes(0, 1)
+
+
+def _row_chunks(rows, n_rows: int) -> tuple:
+    """The whole ``ROW_ALIGN``-row chunks of ``range(n_rows)`` that hold
+    ``rows`` (a slice or row indices), and where ``rows`` sit among them.
+
+    A surface's matrix product takes a row through a kernel path that
+    depends on the row's place among the rows it is evaluated with: on a
+    subset, the tail rows can differ from the full-width product in the last
+    bit.  Evaluated on the covering chunks, each row keeps its place modulo
+    ``ROW_ALIGN`` and the last chunk its short tail, and the rows match the
+    full-width product to the bit.  Returns (cover, where), so that
+    ``f(x[cover])[where]`` is ``f(x)[rows]``; a slice covers with a slice.
+    """
+    if isinstance(rows, slice):
+        start, stop, stride = rows.indices(n_rows)
+        if stride != 1:
+            raise ValueError("rows must be a contiguous slice or row indices")
+        lo = start - start % ROW_ALIGN
+        hi = min(n_rows, -(-stop // ROW_ALIGN) * ROW_ALIGN)
+        return slice(lo, hi), slice(start - lo, stop - lo)
+    rows = np.asarray(rows)
+    chunks = np.unique(rows // ROW_ALIGN)
+    cover = (chunks[:, None] * ROW_ALIGN + np.arange(ROW_ALIGN)).ravel()
+    cover = cover[cover < n_rows]
+    return cover, np.searchsorted(cover, rows)
 
 
 def _take_paths(a: Array, index: Array) -> Array:
@@ -86,9 +117,15 @@ class TimeGrid:
         return self.horizon / self.steps
 
     def times(self) -> Array:
+        """The N + 1 grid times, built once per grid and read-only."""
+        return self._times
+
+    @cached_property
+    def _times(self) -> Array:
         # i * T / N; the product can round past T at i = N, so t_N is set to T
         t = np.arange(self.steps + 1) * (self.horizon / self.steps)
         t[-1] = self.horizon
+        t.flags.writeable = False
         return t
 
     def step_at(self, t: float) -> int:
@@ -206,7 +243,9 @@ class AdjointFeedbackControl(ControlLaw):
     """Feedback through a solved costate: u = law(t, x, y(t, x)).
 
     y(t, x) is the costate surface of ``solution`` at the step of its own
-    grid that holds t; times outside that grid raise ``ValueError``.
+    grid that holds t; times outside that grid raise ``ValueError``.  The
+    law keeps the surfaces only, the solve's grid, basis, per-step transforms
+    and ``y_coeffs``, and not the solution with its paths and Y table.
     """
 
     def __init__(
@@ -214,11 +253,19 @@ class AdjointFeedbackControl(ControlLaw):
         solution: BsdeSolution,
         law: Callable[[float, Array, Array], Array],
     ) -> None:
-        self.solution = solution
+        self.grid, self.basis = solution.grid, solution.basis
+        self.transforms, self.y_coeffs = solution.transforms, solution.y_coeffs
         self.law = law
 
+    def y_at(self, step: int, x: Array) -> Array:
+        """The costate surface of step ``step``, 0 <= step < N, at states x,
+        to the bit as :meth:`smpsolve.bsde.BsdeSolution.y_at` evaluates it."""
+        if not 0 <= step < self.grid.steps:
+            raise ValueError(f"no costate surface at step {step} of a {self.grid.steps}-step grid")
+        return self.basis.design(np.asarray(x, dtype=float), self.transforms[step]) @ self.y_coeffs[step]
+
     def control_at(self, t: float, x: Array) -> Array:
-        y = self.solution.y_at(self.solution.grid.step_at(t), x)
+        y = self.y_at(self.grid.step_at(t), x)
         u = np.asarray(self.law(t, x, y), dtype=float)
         if u.ndim == 1:
             u = u[:, None]
@@ -246,10 +293,12 @@ class BlendedControl(ControlLaw):
 
 @dataclass
 class PathEnsemble:
-    """Simulated ensemble: states, applied controls, noise, exit flags.
+    """Simulated ensemble: states, noise, exit flags, and the law that drove it.
 
-    ``states`` has shape (P, N+1, n), ``controls`` (P, N, k), both stored
-    time-major (see :func:`time_major`).  Flags are per
+    ``states`` has shape (P, N+1, n), stored time-major (see
+    :func:`time_major`).  No controls table is stored: step i applied
+    ``law.control_at(t_i, X_i)`` clipped to the box ``domain``, a function of
+    the stored states, and :meth:`control` recomputes it.  Flags are per
     path: ``euler_crossed`` marks paths whose raw Euler candidate went
     nonpositive at some step (diagnostic, the actual scheme may have stayed
     positive), ``floor_clipped`` marks paths clipped at the positivity floor,
@@ -259,7 +308,8 @@ class PathEnsemble:
 
     grid: TimeGrid
     states: Array
-    controls: Array
+    law: ControlLaw
+    domain: ControlDomain
     noise: NoiseBatch
     euler_crossed: Array
     floor_clipped: Array
@@ -273,11 +323,39 @@ class PathEnsemble:
     def state_dim(self) -> int:
         return self.states.shape[2]
 
+    def control(self, i: int, rows=slice(None)) -> Array:
+        """The controls step i applied on the paths ``rows`` (a slice or path
+        indices), shape (rows, k).
+
+        This is the expression :func:`step_forward` applied, on the same
+        states, so the values match to the bit.  Part of the paths is
+        evaluated on the whole row chunks that hold it (:func:`_row_chunks`),
+        so that a surface law keeps the bits of its full-width call.
+        """
+        cover, where = _row_chunks(rows, self.n_paths)
+        u = self.domain.clip(self.law.control_at(self.grid.times()[i], self.states[cover, i]))
+        return u[where]
+
+    @property
+    def controls(self) -> Array:
+        """The whole (P, N, k) controls table, time-major, built on every read
+        from :meth:`control`; for tests and small ensembles."""
+        table = time_major(self.n_paths, self.grid.steps, self.domain.dim)
+        for i in range(self.grid.steps):
+            table[:, i] = self.control(i)
+        return table
+
     def take_paths(self, index: Array) -> "PathEnsemble":
+        """The paths ``index`` (a mask or path indices) as an ensemble of their
+        own, under the same law.  Its controls are recomputed on its own
+        states, where a row's place among the rows changes: under a surface
+        law they may differ from the parent's in the last bit (see
+        :func:`_row_chunks`)."""
         return PathEnsemble(
             grid=self.grid,
             states=_take_paths(self.states, index),
-            controls=_take_paths(self.controls, index),
+            law=self.law,
+            domain=self.domain,
             noise=self.noise.take_paths(index),
             euler_crossed=self.euler_crossed[index],
             floor_clipped=self.floor_clipped[index],
@@ -306,19 +384,21 @@ def step_forward(
     grid: TimeGrid,
     noise: NoiseBatch,
     states: Array,
-    controls: Array,
+    controls: Array | None = None,
     visitors: Sequence[Callable[[int, Array, Array], None]] = (),
     x0=None,
 ) -> tuple[Array, Array, Array]:
     """Step the controlled SDE over ``grid`` through a caller-owned window.
 
-    ``controls`` holds W steps and ``states`` their W + 1 nodes, both
-    time-major (see :func:`time_major`).  The steps are taken W at a time:
-    when the window holding steps s..e-1 is full, each visitor is called as
-    ``visit(s, states[:, :e-s+1], controls[:, :e-s])``, seeing nodes s..e
-    and the controls of those steps, and the window is then reused, its last
-    node carried to its first slot.  A window of ``grid.steps`` steps is the
-    whole table, stepped in one pass.
+    ``states`` holds the W + 1 nodes of W steps and ``controls`` their W
+    controls, both time-major (see :func:`time_major`).  The steps are taken
+    W at a time: when the window holding steps s..e-1 is full, each visitor
+    is called as ``visit(s, states[:, :e-s+1], controls[:, :e-s])``, seeing
+    nodes s..e and the controls of those steps, and the window is then
+    reused, its last node carried to its first slot.  A window of
+    ``grid.steps`` steps is the whole table, stepped in one pass.  Without
+    ``controls``, which only visitors read, each step's controls go to a
+    one-step buffer.
 
     Step i applies ``law.control_at(t_i, x)``, clipped to the problem's box.
     On the half-line, states are clipped at ``POSITIVITY_FLOOR`` and flagged.
@@ -332,8 +412,14 @@ def step_forward(
         raise ValueError("noise batch shape does not match the requested run")
     if abs(noise.dt - grid.dt) > 1e-15 * max(1.0, grid.dt):
         raise ValueError("noise batch dt does not match the grid")
-    window = controls.shape[1]
-    if controls.shape[0] != n_paths or states.shape[:2] != (n_paths, window + 1):
+    window = states.shape[1] - 1
+    if window < 1 or states.shape[0] != n_paths:
+        raise ValueError("the window must hold W steps and their W + 1 nodes for every path")
+    if controls is None:
+        if visitors:
+            raise ValueError("visitors read the window's controls: pass a controls window")
+        u = np.empty((n_paths, problem.control_dim))
+    elif controls.shape[:2] != (n_paths, window):
         raise ValueError("the window must hold W steps and their W + 1 nodes for every path")
 
     dt = grid.dt
@@ -359,7 +445,8 @@ def step_forward(
             # the visited window is reused from its last node on
             states[:, 0] = states[:, window]
             x = states[:, 0]
-        u = controls[:, j]
+        if controls is not None:
+            u = controls[:, j]
         np.clip(law.control_at(times[i], x), lower, upper, out=u)
         dW = noise.increments[:, i, :]
         x_new = states[:, j + 1]
@@ -428,22 +515,23 @@ def simulate_forward(
 ) -> PathEnsemble:
     """Simulate the controlled SDE over ``grid`` and record the ensemble.
 
-    This is :func:`step_forward` with one window the size of the grid, so
-    the ensemble keeps every node; see there for the scheme, the clipping
-    and the explosion guard.  Without ``noise`` the batch is drawn from
-    ``seed``.
+    This is :func:`step_forward` with one window of states the size of the
+    grid, so the ensemble keeps every node, and no controls window: the
+    ensemble keeps ``law`` instead (see :meth:`PathEnsemble.control`).  See
+    :func:`step_forward` for the scheme, the clipping and the explosion
+    guard.  Without ``noise`` the batch is drawn from ``seed``.
     """
     if noise is None:
         noise = NoiseBatch.generate(seed, n_paths, grid.steps, problem.noise_dim, grid.dt)
     elif noise.n_paths != n_paths:
         raise ValueError("noise batch shape does not match the requested run")
     states = time_major(n_paths, grid.steps + 1, problem.state_dim)
-    controls = time_major(n_paths, grid.steps, problem.control_dim)
-    crossed, clipped, exploded = step_forward(problem, law, grid, noise, states, controls, x0=x0)
+    crossed, clipped, exploded = step_forward(problem, law, grid, noise, states, x0=x0)
     return PathEnsemble(
         grid=grid,
         states=states,
-        controls=controls,
+        law=law,
+        domain=problem.domain,
         noise=noise,
         euler_crossed=crossed,
         floor_clipped=clipped,

@@ -2,19 +2,22 @@
 
 The binary format is deliberately minimal: magic ``SMP1``, then version,
 kind and shape as little-endian uint32, then the payload as little-endian
-float64.  One array per file.
+float64.  One array per file.  Tables that are not stored (an ensemble's
+controls, the costate's Z) are computed for their dump a block of paths at
+a time, and no whole table is ever held.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from .bsde import BsdeSolution
-from .forward import PathEnsemble, time_major
+from .forward import ROW_ALIGN, PathEnsemble, time_major
 from .reports import VerificationReport
 
 Array = np.ndarray
@@ -29,21 +32,57 @@ KIND_COSTATE = 3
 KIND_Z = 4
 
 WRITE_BLOCK_BYTES = 1 << 20
+# the block size of a table computed for its dump: each block costs one
+# evaluation per step, so its blocks are larger than the copies written
+COMPUTED_BLOCK_BYTES = 16 << 20
 
 
 def write_array(path, arr: Array, kind: int = KIND_GENERIC) -> None:
-    # asarray keeps a 0-d shape.  The payload is C order whatever the layout:
-    # a C-contiguous array is written as it is, any other a block of leading
-    # rows at a time, so a time-major array is never copied whole.
+    # asarray keeps a 0-d shape
     arr = np.asarray(arr, dtype="<f8")
-    header = np.array([FORMAT_VERSION, kind, arr.ndim, *arr.shape], dtype="<u4")
     rows = np.atleast_1d(arr)
-    block = max(1, WRITE_BLOCK_BYTES * len(rows) // max(rows.nbytes, 1))
+    write_rows(path, arr.shape, kind, lambda block: rows[block], WRITE_BLOCK_BYTES)
+
+
+def write_rows(
+    path, shape: tuple, kind: int, rows_of: Callable[[slice], Array], block_bytes: int | None = None
+) -> None:
+    """Write an array of ``shape`` that ``rows_of(rows)`` hands out a slice of
+    leading rows at a time.
+
+    The slices hold about ``block_bytes`` (default ``COMPUTED_BLOCK_BYTES``)
+    and start at multiples of ``ROW_ALIGN`` rows, so a surface evaluated on
+    a block gives the rows of a full-width evaluation to the bit (see
+    :func:`smpsolve.forward._row_chunks`).  The payload is C order
+    whatever the layout of a block: a C-contiguous block is written as it
+    is, any other ``WRITE_BLOCK_BYTES`` at a time, so a time-major block is
+    never copied whole.
+    """
+    block_bytes = COMPUTED_BLOCK_BYTES if block_bytes is None else block_bytes
+    header = np.array([FORMAT_VERSION, kind, len(shape), *shape], dtype="<u4")
+    n_rows = shape[0] if shape else 1
+    row_bytes = max(8 * math.prod(shape[1:]), 1)
+    block = max(ROW_ALIGN, block_bytes // row_bytes // ROW_ALIGN * ROW_ALIGN)
+    copy = max(1, WRITE_BLOCK_BYTES // row_bytes)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header.tobytes())
-        for start in range(0, len(rows), block):
-            fh.write(np.ascontiguousarray(rows[start:start + block]).data)
+        for start in range(0, n_rows, block):
+            rows = rows_of(slice(start, start + block))
+            for part in range(0, len(rows), copy):
+                fh.write(np.ascontiguousarray(rows[part : part + copy], dtype="<f8").data)
+            # released before the next block is computed, not after
+            del rows
+
+
+def _by_step(steps: int, at: Callable[[int], Array]) -> Array:
+    """The (rows, steps, ...) block, time-major, whose step i is ``at(i)``."""
+    first = at(0)
+    block = time_major(first.shape[0], steps, *first.shape[1:])
+    block[:, 0] = first
+    for i in range(1, steps):
+        block[:, i] = at(i)
+    return block
 
 
 def read_array(path):
@@ -68,23 +107,30 @@ def _read_exactly(fh, count: int, dtype: str, path) -> Array:
 
 
 def save_ensemble(prefix, ensemble: PathEnsemble) -> List[Path]:
-    """Write states and controls next to each other; returns the paths."""
+    """Write states and controls next to each other; returns the paths.
+
+    The ensemble keeps no controls table: the (P, N, k) controls are
+    recomputed (:meth:`PathEnsemble.control`) a block of paths at a time.
+    """
     prefix = Path(prefix)
     paths = [
         prefix.with_name(prefix.name + "_states.smp"),
         prefix.with_name(prefix.name + "_controls.smp"),
     ]
     write_array(paths[0], ensemble.states, KIND_STATES)
-    write_array(paths[1], ensemble.controls, KIND_CONTROLS)
+    shape = (ensemble.n_paths, ensemble.grid.steps, ensemble.domain.dim)
+    write_rows(
+        paths[1], shape, KIND_CONTROLS, lambda rows: _by_step(shape[1], lambda i: ensemble.control(i, rows))
+    )
     return paths
 
 
 def save_costates(prefix, solution: BsdeSolution) -> List[Path]:
     """Write Y and Z; returns the paths.
 
-    The solution keeps no Z table, so the (P, N, n, d) table is built from
-    :meth:`BsdeSolution.z_at` at the states of the paths it was solved on,
-    step by step, only for the write.
+    The solution keeps no Z table, so the (P, N, n, d) table is evaluated
+    from :meth:`BsdeSolution.z_at` at the states of the paths it was solved
+    on, a block of paths at a time, only for the write.
     """
     states = solution.ensemble.states
     prefix = Path(prefix)
@@ -94,10 +140,10 @@ def save_costates(prefix, solution: BsdeSolution) -> List[Path]:
     ]
     write_array(paths[0], solution.Y, KIND_COSTATE)
     P, steps, n = solution.Y.shape[0], solution.grid.steps, solution.Y.shape[2]
-    Z = time_major(P, steps, n, solution.z_coeffs[0].shape[1] // n)
-    for i in range(steps):
-        Z[:, i] = solution.z_at(i, states[:, i, :])
-    write_array(paths[1], Z, KIND_Z)
+    shape = (P, steps, n, solution.z_coeffs[0].shape[1] // n)
+    write_rows(
+        paths[1], shape, KIND_Z, lambda rows: _by_step(steps, lambda i: solution.z_at(i, states[rows, i, :]))
+    )
     return paths
 
 
@@ -119,23 +165,23 @@ def write_paths_csv(path, ensemble: PathEnsemble, max_paths: int = 100) -> None:
     """Long-format trajectory dump of the first ``max_paths`` paths."""
     P = min(ensemble.n_paths, max_paths)
     n = ensemble.state_dim
-    k = ensemble.controls.shape[2]
+    k = ensemble.domain.dim
     header = ["path", "step", "time"]
     header += [f"x{j}" for j in range(n)]
     header += [f"u{j}" for j in range(k)]
-    # csv writes a float as its repr, so rows of Python floats keep every digit
+    # csv writes a float as its repr, so rows of Python floats keep every
+    # digit; they are built one path at a time
     times = ensemble.grid.times().tolist()
-    states = ensemble.states[:P].tolist()
-    controls = ensemble.controls[:P].tolist()
+    controls = _by_step(ensemble.grid.steps, lambda i: ensemble.control(i, slice(0, P)))
     # the terminal node has no control
     blank = [""] * k
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for p in range(P):
+            states, applied = ensemble.states[p].tolist(), controls[p].tolist()
             writer.writerows(
-                [p, i, t, *x, *u]
-                for i, (t, x, u) in enumerate(zip(times, states[p], controls[p] + [blank]))
+                [p, i, t, *x, *u] for i, (t, x, u) in enumerate(zip(times, states, applied + [blank]))
             )
 
 

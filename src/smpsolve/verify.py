@@ -21,7 +21,9 @@ from .forward import (
     TimeGrid,
     _block_steps,
     degenerate_paths,
+    _row_chunks,
     stream_competitor,
+    time_major,
 )
 from .problems import (
     DiscountedProblem,
@@ -76,15 +78,19 @@ def path_costs(problem: DiscountedProblem, ensemble: PathEnsemble) -> Array:
     The stored nodes are fed to :class:`PathCostSum` in blocks of about
     ``PATH_COST_BLOCK`` nodes, the same blocks in which
     :func:`stream_competitor` steps a competitor, so a streamed and a stored
-    ensemble of the same paths cost the same to the bit.
+    ensemble of the same paths cost the same to the bit.  Each block's
+    controls are recomputed (:meth:`PathEnsemble.control`) into one reused
+    window.
     """
-    x, u = ensemble.states, ensemble.controls
-    steps = ensemble.grid.steps
+    x, steps = ensemble.states, ensemble.grid.steps
     block = _block_steps(ensemble.n_paths, steps)
+    u = time_major(ensemble.n_paths, block, ensemble.domain.dim)
     total = PathCostSum(problem, ensemble.grid)
     for s in range(0, steps, block):
         e = min(s + block, steps)
-        total(s, x[:, s : e + 1], u[:, s:e])
+        for i in range(s, e):
+            u[:, i - s] = ensemble.control(i)
+        total(s, x[:, s : e + 1], u[:, : e - s])
     return total.total
 
 
@@ -111,9 +117,10 @@ def check_pointwise_max(
     excluding the layer certifies the stationary region on its own.
 
     The nodes are those of the paths the costate was solved on
-    (``solution.ensemble``).  Y is read from the stored nodes.  Z is
-    evaluated one sampled step at a time, on all paths of the step as the
-    solve itself evaluated it, and then read at the sampled paths.
+    (``solution.ensemble``).  Y is read from the stored nodes.  Z and the
+    executed control are evaluated one sampled step at a time, on the whole
+    row chunks that hold the step's sampled paths (:func:`_row_chunks`), so
+    they are the solve's Z_i and the applied controls to the bit.
     """
     ensemble = solution.ensemble
     grid = ensemble.grid
@@ -136,12 +143,14 @@ def check_pointwise_max(
     i_idx = flat % n_steps
 
     x = ensemble.states[p_idx, i_idx, :]
-    u_exec = ensemble.controls[p_idx, i_idx, :]
     y = solution.Y[p_idx, i_idx, :]
+    u_exec = np.empty((count, problem.control_dim))
     z = np.empty((count, problem.state_dim, problem.noise_dim))
     for i in np.unique(i_idx):
         rows = np.flatnonzero(i_idx == i)
-        z[rows] = solution.z_at(int(i), ensemble.states[:, i, :])[p_idx[rows]]
+        u_exec[rows] = ensemble.control(int(i), p_idx[rows])
+        cover, where = _row_chunks(p_idx[rows], ensemble.n_paths)
+        z[rows] = solution.z_at(int(i), ensemble.states[cover, i, :])[where]
 
     u_star, cert = maximize_hamiltonian_in_u(x, y, z, problem)
     h_star = hamiltonian(x, u_star, y, z, problem)

@@ -393,7 +393,56 @@ class TestReadme:
             assert set(re.findall(r"`(\w+)`", line)) == set(definition.checks), definition.name
 
 
+_WORKLOADS = json.loads((README.parent / "bench" / "workloads.json").read_text())["workloads"]
+_NO_TABLE_RUNS = {
+    **{name: spec["argv"] for name, spec in _WORKLOADS.items()},
+    **{f"default-{name}": ["run", "-e", name, "--dump-paths"] for name in ("consumption", "production", "logistic")},
+}
+
+
+class TestNoControlsTable:
+    """An ensemble keeps no controls table, and no run builds one: every
+    reader recomputes the controls step by step."""
+
+    @pytest.mark.parametrize("argv", list(_NO_TABLE_RUNS.values()), ids=list(_NO_TABLE_RUNS))
+    def test_runs_read_no_controls_table(self, tmp_path, monkeypatch, argv):
+        from smpsolve.forward import PathEnsemble
+
+        def table(self):
+            raise AssertionError("the whole controls table was built")
+
+        monkeypatch.setattr(PathEnsemble, "controls", property(table))
+        # the run reaches its verdicts; at 1500 paths some of them are not
+        # those of the default size, which is not what this test is about
+        assert _run(*argv, "--paths", "1500", "--seed", "3", "--out", str(tmp_path)) in (0, 2, 3)
+        assert (tmp_path / "results.json").exists()
+        name = argv[argv.index("-e") + 1]
+        assert (tmp_path / f"{name}_controls.smp").exists() == ("--dump-paths" in argv)
+
+
 class TestArtifacts:
+    def test_dump_paths_says_what_it_did_not_write(self, tmp_path, capsys):
+        assert _run("run", "-e", "production", "--check", "assumptions", "--dump-paths", "--out", str(tmp_path)) == 0
+        assert "note: --dump-paths wrote nothing" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curves.csv", "reports.csv", "results.json"]
+        out = tmp_path / "costs"
+        code = _run(
+            "run", "-e", "production", "--check", "positivity",
+            "--paths", "200", "--steps", "20", "--horizon", "2", "--dump-paths", "--out", str(out),
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "note: --dump-paths wrote no costate" in err and "wrote nothing" not in err
+        assert (out / "paths.csv").exists() and (out / "production_controls.smp").exists()
+        assert not (out / "production_y.smp").exists() and not (out / "production_z.smp").exists()
+
+    def test_a_costate_dump_prints_no_note(self, tmp_path, capsys):
+        code = _run(
+            "run", "-e", "consumption", "--check", "oracle",
+            "--paths", "300", "--steps", "60", "--horizon", "3", "--dump-paths", "--out", str(tmp_path),
+        )
+        assert code == 0 and "note:" not in capsys.readouterr().err
+
     def test_dump_paths_writes_binary_and_csv(self, tmp_path):
         code = _run(
             "run", "-e", "consumption",

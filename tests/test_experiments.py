@@ -37,6 +37,7 @@ from smpsolve.experiments import (
     logistic_region_constants,
     production_sigma_zero_cost,
 )
+from smpsolve.bsde import BasisTransform, BsdeSolution
 from smpsolve.cli import main
 from smpsolve.reports import FAIL, PASS
 
@@ -365,36 +366,86 @@ class TestLogisticStructure:
         assert np.allclose(u, LogisticParams().u1)
 
     def test_picard_stops_at_an_exact_fixed_point(self, monkeypatch):
-        solves = []
-        solve = experiments.solve_bsde_lsmc
+        solves, simulations = [], []
+        solve, simulate = experiments.solve_bsde_lsmc, experiments.simulate_forward
 
         def spy(*args, **kwargs):
             solves.append(solve(*args, **kwargs))
             return solves[-1]
 
+        def simulate_spy(*args, **kwargs):
+            simulations.append(args)
+            return simulate(*args, **kwargs)
+
         monkeypatch.setattr(experiments, "solve_bsde_lsmc", spy)
+        monkeypatch.setattr(experiments, "simulate_forward", simulate_spy)
         result = logistic_picard_solve(
             LogisticParams(), TimeGrid(horizon=2.0, steps=50), n_paths=1500, seed=0
         )
-        # the last pass repeats the controls of the one before: no solve for it
+        # the last pass repeats the controls of the one before: it neither
+        # simulates nor solves
         assert result.converged and result.residuals[-1] == 0.0
-        assert len(solves) == result.iterations
+        assert len(solves) == len(simulations) == result.iterations
         fresh = solve(result.problem, result.ensemble, RegressionBasis(degree=4))
         assert np.array_equal(result.solution.Y, fresh.Y)
+        # the last law, simulated, retraces the returned paths
+        again = simulate(result.problem, result.law, result.grid, 1500, 0, noise=result.ensemble.noise)
+        assert np.array_equal(again.states, result.ensemble.states)
+        assert np.array_equal(again.controls, result.ensemble.controls)
+
+    def test_picard_holds_one_pass_at_a_time(self, monkeypatch):
+        import weakref
+
+        passes = []  # weak references to each pass's ensemble and costate
+        solve, simulate = experiments.solve_bsde_lsmc, experiments.simulate_forward
+
+        def simulate_spy(*args, **kwargs):
+            ens = simulate(*args, **kwargs)
+            passes.append([weakref.ref(ens)])
+            return ens
+
+        def spy(problem, ens, basis):
+            # every earlier pass's paths and costate are gone when a solve
+            # starts, released without waiting for the cycle collector
+            assert not any(ref() is not None for earlier in passes[:-1] for ref in earlier)
+            sol = solve(problem, ens, basis)
+            passes[-1].append(weakref.ref(sol))
+            return sol
+
+        monkeypatch.setattr(experiments, "solve_bsde_lsmc", spy)
+        monkeypatch.setattr(experiments, "simulate_forward", simulate_spy)
+        result = logistic_picard_solve(
+            LogisticParams(), TimeGrid(horizon=2.0, steps=50), n_paths=1500, seed=0
+        )
+        assert result.converged and len(passes) == result.iterations >= 2
+        assert passes[-1][0]() is result.ensemble and passes[-1][1]() is result.solution
+
+    def test_a_law_that_differs_only_at_the_last_step_is_no_fixed_point(self):
+        problem = experiments.logistic_problem(LogisticParams())
+        grid = TimeGrid(horizon=2.0, steps=20)
+        law = FeedbackControl(lambda t, x: 0.2 + 0.1 * x[:, 0])
+        ens = simulate_forward(problem, law, grid, 300, seed=1)
+        last = grid.times()[-2]
+        shifted = FeedbackControl(lambda t, x: 0.2 + 0.1 * x[:, 0] + (1e-12 if t == last else 0.0))
+        assert experiments._applies_same_controls(law, ens)
+        assert not experiments._applies_same_controls(shifted, ens)
 
 
-class _ConstantSurface:
-    """A stand-in costate: one value at every state and step."""
-
-    def __init__(self, ensemble, value):
-        self.ensemble, self.value = ensemble, value
-
-    @property
-    def grid(self):
-        return self.ensemble.grid
-
-    def y_at(self, step, x):
-        return np.full((x.shape[0], 1), self.value)
+def _constant_surface(ensemble, value):
+    """A stand-in costate: one value at every state and step, as a solution
+    whose every step's basis is the constant alone."""
+    steps = ensemble.grid.steps
+    constant = BasisTransform(shift=np.zeros(1), scale=np.ones(1), degenerate=True)
+    return BsdeSolution(
+        ensemble=ensemble,
+        Y=None,
+        basis=RegressionBasis(degree=1),
+        transforms=[constant] * steps,
+        y_coeffs=[np.array([[value]])] * steps,
+        z_coeffs=[np.zeros((1, 1))] * steps,
+        condition_numbers=np.ones(steps),
+        ridge_steps=[],
+    )
 
 
 class TestPicardSafeguards:
@@ -404,7 +455,7 @@ class TestPicardSafeguards:
     def _solve(monkeypatch, values):
         surfaces = iter(values)
         monkeypatch.setattr(
-            experiments, "solve_bsde_lsmc", lambda problem, ens, basis: _ConstantSurface(ens, next(surfaces))
+            experiments, "solve_bsde_lsmc", lambda problem, ens, basis: _constant_surface(ens, next(surfaces))
         )
         return logistic_picard_solve(LogisticParams(), TimeGrid(horizon=2.0, steps=10), n_paths=50, seed=0)
 
@@ -619,12 +670,12 @@ class TestSharedWork:
             alive.append(weakref.ref(ens))
             return ens
 
-        def step_spy(problem, law, grid, noise, states, controls, *args, **kwargs):
-            # a streamed flow steps through a window shorter than the grid;
-            # count the stored ensembles alive meanwhile
-            if controls.shape[1] < grid.steps:
+        def step_spy(problem, law, grid, noise, states, *args, **kwargs):
+            # a streamed flow steps through a window of states shorter than
+            # the grid; count the stored ensembles alive meanwhile
+            if states.shape[1] < grid.steps + 1:
                 passes.append(sum(ref() is not None for ref in alive))
-            return step(problem, law, grid, noise, states, controls, *args, **kwargs)
+            return step(problem, law, grid, noise, states, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "simulate_forward", simulate_spy)
         monkeypatch.setattr(forward, "step_forward", step_spy)

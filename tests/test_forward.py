@@ -20,11 +20,15 @@ from smpsolve import (
     simulate_forward,
     step_forward,
 )
+from smpsolve.bsde import BsdeSolution, RegressionBasis, solve_bsde_lsmc
 from smpsolve.forward import (
     EXPLOSION_GUARD,
     POSITIVITY_FLOOR,
+    ROW_ALIGN,
     SANDWICH_MARGIN,
     SANDWICH_MAX_FRACTION,
+    AdjointFeedbackControl,
+    PathEnsemble,
     RegionConstants,
     time_major,
 )
@@ -45,6 +49,7 @@ from smpsolve.experiments import (
     logistic_problem,
     logistic_region_constants,
     logistic_sample_spec,
+    production_optimal_law,
     production_problem,
 )
 
@@ -72,6 +77,13 @@ def _halfline_problem(drift_value: float) -> DiscountedProblem:
 
 
 class TestTimeGrid:
+    def test_times_are_built_once_and_read_only(self):
+        grid = TimeGrid(horizon=3.0, steps=7)
+        assert grid.times() is grid.times()
+        with pytest.raises(ValueError):
+            grid.times()[1] = 0.0
+        assert grid == TimeGrid(horizon=3.0, steps=7)
+
     def test_auto_horizon_covers_discount_tail(self):
         grid = TimeGrid.auto(beta=0.68, steps=200)
         assert grid.horizon == float(math.ceil(math.log(1e4) / 0.68))
@@ -196,7 +208,89 @@ class TestControlLaws:
         assert np.allclose(u, 0.75)
 
 
+class TestRecomputedControls:
+    """An ensemble stores no controls table: ``ens.control(i, rows)``
+    recomputes the controls the stepper applied from the stored states."""
+
+    P = 1000  # not a multiple of ROW_ALIGN, so the last chunk is short
+
+    @staticmethod
+    def _costate_law(problem, params, grid, n_paths):
+        # the production maximizer u1 + y / (2c) stays inside the box, so
+        # every bit of the fitted costate reaches the control
+        ens = simulate_forward(problem, production_optimal_law(params), grid, n_paths, seed=2)
+        sol = solve_bsde_lsmc(problem, ens, RegressionBasis(degree=4))
+        return AdjointFeedbackControl(sol, lambda t, x, y: params.u1 + y[:, 0] / (2.0 * params.c)), sol
+
+    @pytest.mark.parametrize("kind", ["constant", "feedback", "blended", "costate"])
+    def test_control_is_the_applied_control_to_the_bit(self, kind):
+        params = ProductionPlanningParams()
+        problem = production_problem(params)
+        grid = TimeGrid(horizon=2.0, steps=30)
+        feedback = production_optimal_law(params)
+        law = {
+            "constant": lambda: ConstantControl([2.5]),
+            "feedback": lambda: feedback,
+            "blended": lambda: BlendedControl([feedback, ConstantControl([0.3])], [0.7, 0.3]),
+            "costate": lambda: self._costate_law(problem, params, grid, 700)[0],
+        }[kind]()
+        ens = simulate_forward(problem, law, grid, self.P, seed=3)
+        # the table the stepper applied, kept in a whole-grid controls window
+        states, applied = time_major(self.P, grid.steps + 1, 1), time_major(self.P, grid.steps, 1)
+        step_forward(problem, law, grid, ens.noise, states, applied, [lambda s, x, u: None])
+        assert np.array_equal(states, ens.states)
+        if kind != "constant":
+            inside = (applied > problem.domain.lower) & (applied < problem.domain.upper)
+            assert inside.mean() > 0.9
+        P = self.P
+        rng = np.random.default_rng(4)
+        for i in range(grid.steps):
+            assert np.array_equal(ens.control(i), applied[:, i])
+            for rows in (slice(0, 100), slice(3, 101), slice(ROW_ALIGN, 10 * ROW_ALIGN + 1), slice(P - 5, P),
+                         slice(P - 1, None), slice(10, 10)):
+                assert np.array_equal(ens.control(i, rows), applied[rows, i])
+            # sampled paths, in any order, and the last path
+            for rows in (rng.choice(P, size=40, replace=False), np.sort(rng.choice(P, size=7, replace=False)),
+                         np.array([P - 1, 5])):
+                assert np.array_equal(ens.control(i, rows), applied[rows, i])
+        assert np.array_equal(ens.controls, applied)
+
+    def test_rows_must_be_a_contiguous_slice(self):
+        problem = production_problem(ProductionPlanningParams())
+        ens = simulate_forward(problem, ConstantControl([1.0]), TimeGrid(horizon=1.0, steps=4), 10, seed=0)
+        with pytest.raises(ValueError):
+            ens.control(0, slice(0, 10, 2))
+
+    def test_a_costate_law_keeps_surfaces_alone(self):
+        import weakref
+
+        params = ProductionPlanningParams()
+        problem = production_problem(params)
+        law, sol = self._costate_law(problem, params, TimeGrid(horizon=2.0, steps=30), 300)
+        held = [sol, sol.ensemble, sol.Y]
+        refs = [weakref.ref(sol), weakref.ref(sol.ensemble)]
+        assert not any(isinstance(v, (BsdeSolution, PathEnsemble)) for v in vars(law).values())
+        x = np.linspace(0.0, 3.0, 11)[:, None]
+        assert np.array_equal(law.y_at(7, x), sol.y_at(7, x))
+        del held, sol
+        assert [ref() for ref in refs] == [None, None]
+        with pytest.raises(ValueError):
+            law.y_at(30, x)
+
+
 class TestSimulateForward:
+    def test_the_ensemble_stores_states_and_noise_alone(self):
+        params = ProductionPlanningParams()
+        problem = production_problem(params)
+        grid = TimeGrid.auto(problem.beta, 400)
+        tracemalloc.start()
+        try:
+            ens = simulate_forward(problem, production_optimal_law(params), grid, 4000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (ens.states.nbytes + ens.noise.increments.nbytes)
+
     def test_consumption_mean_matches_lognormal(self):
         params = ConsumptionParams()
         problem = consumption_problem(params)

@@ -13,7 +13,8 @@ from smpsolve.experiments import (
     consumption_optimal_law,
     consumption_problem,
 )
-from smpsolve.forward import time_major
+from smpsolve import io as smp_io
+from smpsolve.forward import ROW_ALIGN, time_major
 from smpsolve.io import (
     FORMAT_VERSION,
     KIND_CONTROLS,
@@ -119,6 +120,22 @@ class TestEnsembleDump:
         assert states.read_bytes() == (tmp_path / "ref.smp").read_bytes()
         write_array(tmp_path / "ref.smp", np.ascontiguousarray(ens.controls), KIND_CONTROLS)
         assert controls.read_bytes() == (tmp_path / "ref.smp").read_bytes()
+
+    @pytest.mark.parametrize("n_paths", [ROW_ALIGN, 3 * ROW_ALIGN + 5])
+    def test_computed_tables_dump_as_the_whole_tables_would(self, tmp_path, monkeypatch, n_paths):
+        # the controls and Z are computed a block of paths at a time; with
+        # blocks of one aligned chunk the files are those of the whole tables
+        ens, sol = _small_run(n_paths=n_paths, steps=12)
+        monkeypatch.setattr(smp_io, "COMPUTED_BLOCK_BYTES", 1)
+        _, controls = save_ensemble(tmp_path / "run", ens)
+        _, z_file = save_costates(tmp_path / "run", sol)
+        write_array(tmp_path / "ref.smp", ens.controls, KIND_CONTROLS)
+        assert controls.read_bytes() == (tmp_path / "ref.smp").read_bytes()
+        z = time_major(n_paths, 12, 1, 1)
+        for i in range(12):
+            z[:, i] = sol.z_at(i, ens.states[:, i, :])
+        write_array(tmp_path / "ref.smp", z, KIND_Z)
+        assert z_file.read_bytes() == (tmp_path / "ref.smp").read_bytes()
 
     def test_time_major_dump_copies_one_block_at_a_time(self, tmp_path):
         states = time_major(2000, 401, 1)
