@@ -162,20 +162,20 @@ def _least_squares(design: Array, valid: Array | None):
 
 @dataclass
 class BsdeSolution:
-    """Backward solve output: node values, surfaces, and fit diagnostics.
+    """Backward solve output: surfaces, node means and fit diagnostics.
 
-    ``ensemble`` is the ensemble the costate was solved on, so the checks
-    that read Y next to the paths take both from here, and ``grid`` is its
-    grid.  ``Y`` has shape (P, N+1, n), stored time-major (see
-    :func:`smpsolve.forward.time_major`): a realized Y_i is not a surface, so
-    it is kept node by node.  Z is not stored.  Per step i < N, ``y_coeffs``
-    holds the fit of the realized Y_i, the costate surface, and ``z_coeffs``
-    the fit of Z_i that the solve itself evaluated; :meth:`y_at` and
-    :meth:`z_at` evaluate them.
+    ``ensemble`` is the ensemble the costate was solved on, and ``grid`` is
+    its grid.  No (P, N+1, n) table of the realized Y is stored: the solve
+    hands each node to its visitors (:class:`CostateVisitor`) and keeps only
+    ``y_means``, the path mean of Y_i at every node i = 0..N, shape (N+1, n).
+    Z is not stored either.  Per step i < N, ``y_coeffs`` holds the fit of
+    the realized Y_i, the costate surface, and ``z_coeffs`` the fit of Z_i
+    that the solve itself evaluated; :meth:`y_at` and :meth:`z_at` evaluate
+    them.
     """
 
     ensemble: PathEnsemble
-    Y: Array
+    y_means: Array
     basis: RegressionBasis
     transforms: list
     y_coeffs: list
@@ -189,7 +189,7 @@ class BsdeSolution:
 
     def y0(self) -> Array:
         """Costate at time zero, averaged over paths."""
-        return self.Y[:, 0, :].mean(axis=0)
+        return self.y_means[0]
 
     def y_at(self, step: int, x: Array) -> Array:
         """Evaluate the fitted costate surface of step ``step``, 0 <= step < N, at states x."""
@@ -202,7 +202,7 @@ class BsdeSolution:
         design and the same product.
         """
         z = self._surface(self.z_coeffs, step, x)
-        return z.reshape(z.shape[0], self.Y.shape[2], -1)
+        return z.reshape(z.shape[0], self.ensemble.state_dim, -1)
 
     def _surface(self, coeffs: list, step: int, x: Array) -> Array:
         if not 0 <= step < self.grid.steps:
@@ -212,23 +212,75 @@ class BsdeSolution:
 
 
 @dataclass(frozen=True)
-class Companion:
-    """A second backward column, advanced on the design and factorization of
-    each step of a solve.
+class BackwardNode:
+    """One node of a backward pass, as its visitors see it.
 
-    ``problem`` supplies its driver, grad_x H, ``terminal`` its (P, n) values
-    at the horizon, and ``driver_state_cap`` its own truncation of the state
-    inside the driver (none by default; the costate's cap is not inherited).
-    Its Y and Z are never stored: ``visit(i, column, costate)`` sees each
-    node's (y_i, z_i) pairs of the column and of the costate while they are
-    in hand, from i = N down to 0.  y_i is (P, n) and z_i is (P, n, d); the
-    terminal node has no Z, so both z_N are None.
+    Node ``i`` of the grid holds the states x_i (P, n), the controls u_i
+    (P, k) that step i applied, and the solve's Y_i (P, n) and Z_i
+    (P, n, d).  ``advance(problem, y_next, driver_state_cap=None)`` steps
+    one more column on this step's design and factorization: from the
+    column's (P, n) values at node i+1 it returns its (Y_i, Z_i), with the
+    driver of ``problem`` and its own state cap, on the rows of the
+    costate's regression (a non-finite value there is a
+    :class:`RegressionError`).  The terminal node N has no step: ``u``,
+    ``z`` and ``advance`` are None.  The arrays are the solve's own, valid
+    during the visit: a visitor copies what it keeps.
     """
 
-    problem: DiscountedProblem
-    terminal: Array
-    visit: Callable[[int, tuple, tuple], None]
-    driver_state_cap: float | None = None
+    i: int
+    x: Array
+    u: Array | None
+    y: Array
+    z: Array | None
+    advance: Callable[..., tuple] | None
+
+
+class CostateVisitor:
+    """What a backward solve hands its nodes to, in place of a stored Y.
+
+    :func:`solve_bsde_lsmc` calls ``start(ensemble)`` once, before its first
+    node, with the ensemble it rides, and then the visitor itself with each
+    :class:`BackwardNode`, from N down to 0.  A visitor reused by a later
+    solve starts over, so it holds the values of the last solve it rode.
+    """
+
+    def start(self, ensemble: PathEnsemble) -> None:
+        pass
+
+    def __call__(self, node: BackwardNode) -> None:
+        raise NotImplementedError
+
+
+class CostateTable(CostateVisitor):
+    """Keeps the whole (P, N+1, n) Y table, time-major, as ``Y``.
+
+    The one stored costate table: for a dump of the costate
+    (:func:`smpsolve.io.save_costates`) and for tests.
+    """
+
+    Y: Array | None = None
+
+    def start(self, ensemble: PathEnsemble) -> None:
+        self.Y = time_major(ensemble.n_paths, ensemble.grid.steps + 1, ensemble.state_dim)
+
+    def __call__(self, node: BackwardNode) -> None:
+        self.Y[:, node.i] = node.y
+
+
+class NodeReduction(CostateVisitor):
+    """Keeps ``reduce(node)``, ``width`` numbers per node, as the (N+1, width)
+    ``values``: a per-node figure of Y formed in the pass, not from a table."""
+
+    values: Array | None = None
+
+    def __init__(self, reduce: Callable[[BackwardNode], object], width: int = 1) -> None:
+        self.reduce, self.width = reduce, width
+
+    def start(self, ensemble: PathEnsemble) -> None:
+        self.values = np.full((ensemble.grid.steps + 1, self.width), np.nan)
+
+    def __call__(self, node: BackwardNode) -> None:
+        self.values[node.i] = self.reduce(node)
 
 
 def _backward_step(problem, design, fit, valid, target_y, x_eff, u_i, dW, dt):
@@ -246,11 +298,9 @@ def _backward_step(problem, design, fit, valid, target_y, x_eff, u_i, dW, dt):
     return y_pred + g * dt, z_i, z_coeffs
 
 
-def _terminal_values(terminal, shape, what: str) -> Array:
-    term = np.asarray(terminal, dtype=float)
-    if term.shape != shape:
-        raise ValueError(f"{what} must have shape (n_paths, state_dim)")
-    return term
+def _check_cap(cap) -> None:
+    if cap is not None and not (cap > 0):
+        raise ValueError("driver_state_cap must be positive")
 
 
 def solve_bsde_lsmc(
@@ -259,7 +309,7 @@ def solve_bsde_lsmc(
     basis: RegressionBasis,
     terminal: Array | None = None,
     driver_state_cap: float | None = None,
-    companions: Sequence[Companion] = (),
+    visitors: Sequence[CostateVisitor] = (),
 ) -> BsdeSolution:
     """Solve the adjoint backward equation along a simulated ensemble.
 
@@ -270,36 +320,42 @@ def solve_bsde_lsmc(
     untouched.  It must be positive.
 
     Each step factors its design once; the fits of E[Y_{i+1}|X_i], of Z_i
-    and of the Y_i surface share that factorization.  Y is stored node by
-    node; of Z only each step's coefficients are kept, which
-    :meth:`BsdeSolution.z_at` evaluates.  Exploded paths are
+    and of the Y_i surface share that factorization.  Exploded paths are
     excluded from every regression.  Non-finite targets beyond
     ``MAX_BAD_FRACTION`` of paths abort with :class:`RegressionError`;
     isolated ones are masked out.  A ridge fallback is warned about.
 
-    Each of ``companions`` is one more column on the same designs and
-    factorizations, fitted by calls of its own, so the stored costate is the
-    same to the bit with or without them.  It shares the rows of the
-    costate, and a non-finite target on those rows is a
-    :class:`RegressionError`; its driver takes its own state cap.  Only its
-    visitor sees its values, next to the costate's.
+    No node table is stored.  Each node's (x_i, u_i, Y_i, Z_i) is handed,
+    from N down to 0, to every one of ``visitors`` (:class:`CostateVisitor`),
+    which reduce, gather or keep what their readers need; the solve itself
+    keeps the path mean of each Y_i.  A visitor may step a companion column
+    of its own on each step's design and factorization
+    (:attr:`BackwardNode.advance`); the costate is the same to the bit with
+    or without it.
     """
-    for cap in (driver_state_cap, *(c.driver_state_cap for c in companions)):
-        if cap is not None and not (cap > 0):
-            raise ValueError("driver_state_cap must be positive")
+    _check_cap(driver_state_cap)
     grid = ensemble.grid
     P, N = ensemble.n_paths, grid.steps
     n = problem.state_dim
     dt = grid.dt
 
-    Y = time_major(P, N + 1, n)
     if terminal is None:
-        Y[:, N, :] = 0.0
+        y_next = np.zeros((P, n))
     else:
-        Y[:, N, :] = _terminal_values(terminal, (P, n), "terminal")
-    companion_y = [_terminal_values(c.terminal, (P, n), "companion terminal") for c in companions]
-    for c, y in zip(companions, companion_y):
-        c.visit(N, (y, None), (Y[:, N, :], None))
+        # C order, as the rows of a time-major table are
+        y_next = np.ascontiguousarray(terminal, dtype=float)
+        if y_next.shape != (P, n):
+            raise ValueError("terminal must have shape (n_paths, state_dim)")
+    for v in visitors:
+        v.start(ensemble)
+    y_means = np.empty((N + 1, n))
+
+    def hand(node: BackwardNode) -> None:
+        y_means[node.i] = node.y.mean(axis=0)
+        for v in visitors:
+            v(node)
+
+    hand(BackwardNode(N, ensemble.states[:, N, :], None, y_next, None, None))
 
     transforms: list = [None] * N
     y_coeffs: list = [None] * N
@@ -312,7 +368,7 @@ def solve_bsde_lsmc(
         x_i = ensemble.states[:, i, :]
         u_i = ensemble.control(i)
         dW = ensemble.noise.increments[:, i, :]
-        target_y = Y[:, i + 1, :]
+        target_y = y_next
 
         finite = np.isfinite(target_y).all(axis=1)
         valid = base_valid & finite
@@ -330,22 +386,26 @@ def solve_bsde_lsmc(
             x_eff = x_i if cap is None else np.minimum(x_i, cap)
             return _backward_step(column_problem, design, fit, valid, target, x_eff, u_i, dW, dt)
 
+        def advance(column_problem, y_next, driver_state_cap=None):
+            _check_cap(driver_state_cap)
+            target = np.asarray(y_next, dtype=float)
+            if target.shape != (P, n):
+                raise ValueError("a companion column must have shape (n_paths, state_dim)")
+            if not np.isfinite(target[valid]).all():
+                raise RegressionError(f"step {i}: non-finite companion targets")
+            return step(column_problem, target, driver_state_cap)[:2]
+
         y_i, z_i, z_coeffs[i] = step(problem, target_y, driver_state_cap)
 
-        Y[:, i, :] = y_i
         transforms[i] = transform
         y_coeffs[i] = fit(y_i)
         conds[i] = cond
         if ridged and not transform.degenerate:
             ridge_steps.append(i)
 
-        for k, c in enumerate(companions):
-            if not np.isfinite(companion_y[k][valid]).all():
-                raise RegressionError(f"step {i}: non-finite companion targets")
-            companion_y[k], z_c, _ = step(c.problem, companion_y[k], c.driver_state_cap)
-            c.visit(i, (companion_y[k], z_c), (y_i, z_i))
+        hand(BackwardNode(i, x_i, u_i, y_i, z_i, advance))
         # release this step's Z_i before the next step allocates its own
-        z_i = z_c = None
+        y_next, z_i = y_i, None
 
     if ridge_steps:
         warnings.warn(
@@ -357,7 +417,7 @@ def solve_bsde_lsmc(
 
     return BsdeSolution(
         ensemble=ensemble,
-        Y=Y,
+        y_means=y_means,
         basis=basis,
         transforms=transforms,
         y_coeffs=y_coeffs,
@@ -374,65 +434,76 @@ def stability_threshold(problem: DiscountedProblem) -> float:
     return 2.0 * c.mu2 + 2.0 * c.M**2
 
 
-class TerminalStabilityGap:
-    """The stability check as a companion column of a backward solve.
+class TerminalStabilityGap(CostateVisitor):
+    """The stability check as a visitor of a backward solve.
 
     The xi terminal is projected on the final-step basis (a stand-in for its
     conditional expectation given X_T).  The scheme is affine in (Y, Z) with
     ``grad_cost`` its only free term, so Y^xi - Y^0 solves the same scheme
-    with ``grad_cost`` zero and terminal xi: that is the companion.  Riding
-    the candidate's own solve, it costs one more set of fits per step and
-    stores no second costate.  Its visitor keeps, per node, the mean
-    (``node_means``) and SD over paths of e^{-beta t_i} |Y^0_i - Y^xi_i|^2.
-    The gap is the largest node mean and the reference bound is
-    e^{-beta T} * mean(|xi|^2).  Pass when gap <= bound * (1 + 0.25) + 3 SE.
-    Requires beta >= :func:`stability_threshold`.
+    with ``grad_cost`` zero and terminal xi: the visitor steps that column
+    (:attr:`BackwardNode.advance`).  Riding the candidate's own solve, it
+    costs one more set of fits per step and stores no costate table.  It
+    keeps, per node, the mean (``node_means``) and SD over paths of
+    e^{-beta t_i} |Y^0_i - Y^xi_i|^2.  The gap is the largest node mean and
+    the reference bound is e^{-beta T} * mean(|xi|^2).  Pass when
+    gap <= bound * (1 + 0.25) + 3 SE.  Requires beta >=
+    :func:`stability_threshold`.
+
+    ``xi_values`` is (P, n) or (P,), on the paths of the solve it rides;
+    None takes each solve's own terminal states X_T.
     """
 
     def __init__(
         self,
         problem: DiscountedProblem,
-        ensemble: PathEnsemble,
         basis: RegressionBasis,
-        xi_values: Array,
+        xi_values: Array | None = None,
     ) -> None:
         if problem.beta < stability_threshold(problem):
             raise ValueError("terminal stability needs beta >= 2 mu2 + 2 M^2")
-        xi = np.asarray(xi_values, dtype=float)
+        no_cost = replace(problem.coefficients, grad_cost=lambda x, u: np.zeros_like(x))
+        self.problem = replace(problem, coefficients=no_cost)
+        self.basis, self.xi_values = basis, xi_values
+        self.node_means = None
+
+    def start(self, ensemble: PathEnsemble) -> None:
+        x_T = ensemble.states[:, -1, :]
+        xi = x_T if self.xi_values is None else np.asarray(self.xi_values, dtype=float)
         if xi.ndim == 1:
             xi = xi[:, None]
         P = ensemble.n_paths
-        if xi.shape != (P, problem.state_dim):
+        if xi.shape != (P, self.problem.state_dim):
             raise ValueError("xi_values must have shape (n_paths, state_dim)")
-
-        x_T = ensemble.states[:, -1, :]
         valid = None if not ensemble.exploded.any() else ~ensemble.exploded
-        design, _ = basis.fit(x_T, valid=valid)
+        design, _ = self.basis.fit(x_T, valid=valid)
         fit, _, _ = _least_squares(design, valid)
-        no_cost = replace(problem.coefficients, grad_cost=lambda x, u: np.zeros_like(x))
-        self.companion = Companion(replace(problem, coefficients=no_cost), design @ fit(xi), self.visit)
+        self._y = design @ fit(xi)
 
         grid = ensemble.grid
         self.n_paths, self.horizon = P, grid.horizon
         xi_mean_sq = np.einsum("pn,pn->p", xi, xi).mean()
-        self.bound = float(math.exp(-problem.beta * grid.horizon) * xi_mean_sq)
-        self._weights = np.exp(-problem.beta * grid.times())
+        self.bound = float(math.exp(-self.problem.beta * grid.horizon) * xi_mean_sq)
+        self._weights = np.exp(-self.problem.beta * grid.times())
         self.node_means = np.full(grid.steps + 1, np.nan)
         self._sds = np.zeros(grid.steps + 1)
 
-    def visit(self, i: int, column: tuple, costate: tuple) -> None:
-        y = column[0]
-        weighted = np.einsum("pn,pn->p", y, y) * self._weights[i]
-        self.node_means[i] = weighted.mean()
+    def __call__(self, node: BackwardNode) -> None:
+        y = self._y
+        if node.advance is not None:
+            y, _ = node.advance(self.problem, y)
+        # the column's last values are released with the pass
+        self._y = y if node.i > 0 else None
+        weighted = np.einsum("pn,pn->p", y, y) * self._weights[node.i]
+        self.node_means[node.i] = weighted.mean()
         if self.n_paths > 1:
-            self._sds[i] = weighted.std(ddof=1)
+            self._sds[node.i] = weighted.std(ddof=1)
 
     def report(self) -> VerificationReport:
         """The verdict on the largest node gap; ``details`` add the bound,
         the node-0 gap and the largest gap over nodes 0..N-1 with its node."""
         means = self.node_means
-        if np.isnan(means).any():
-            raise RuntimeError("the stability companion is unsolved or not finite")
+        if means is None or np.isnan(means).any():
+            raise RuntimeError("the stability column is unsolved or not finite")
         i_star = int(np.argmax(means))
         inner = int(np.argmax(means[:-1]))
         gap = float(means[i_star])
@@ -465,14 +536,32 @@ def terminal_stability_gap(
 ) -> VerificationReport:
     """The :class:`TerminalStabilityGap` report, from a solve of its own.
 
-    For a costate that is already solved: the companion rides a solve of
-    ``problem`` on ``ensemble``, whose costate is discarded.  A run whose
-    candidate is still to be solved hands the companion to that solve
-    instead.
+    For a costate that is already solved: the visitor rides a solve of
+    ``problem`` on ``ensemble`` that stores nothing.  A run whose candidate
+    is still to be solved hands the visitor to that solve instead.
     """
-    gap = TerminalStabilityGap(problem, ensemble, basis, xi_values)
-    solve_bsde_lsmc(problem, ensemble, basis, companions=(gap.companion,))
+    gap = TerminalStabilityGap(problem, basis, xi_values)
+    solve_bsde_lsmc(problem, ensemble, basis, visitors=(gap,))
     return gap.report()
+
+
+class _CylinderGaps(CostateVisitor):
+    """Steps a second column under its own state cap and keeps, per node,
+    the largest |Y - Y_cap| and |Z - Z_cap| against the solve's costate."""
+
+    def __init__(self, problem: DiscountedProblem, cap: float) -> None:
+        self.problem, self.cap = problem, cap
+
+    def start(self, ensemble: PathEnsemble) -> None:
+        N = ensemble.grid.steps
+        self._y = np.zeros((ensemble.n_paths, self.problem.state_dim))
+        self.y_gaps, self.z_gaps = np.zeros(N + 1), np.zeros(N)
+
+    def __call__(self, node: BackwardNode) -> None:
+        if node.advance is not None:
+            self._y, z = node.advance(self.problem, self._y, self.cap)
+            self.z_gaps[node.i] = np.abs(node.z - z).max()
+        self.y_gaps[node.i] = np.abs(node.y - self._y).max()
 
 
 def cylinder_consistency_check(
@@ -487,10 +576,9 @@ def cylinder_consistency_check(
 
     Restricts the ensemble to paths with sup_t |X_t| < cylinder and solves
     the backward equation on them once, with two columns: the costate under
-    ``driver_state_cap=truncation_m`` and a :class:`Companion` under
-    ``truncation_p`` (both above the cylinder).  The companion's visitor
-    keeps each node's largest |Y_m - Y_p| and |Z_m - Z_p|; no second Y is
-    stored.  When every path stays inside, the ensemble itself is solved,
+    ``driver_state_cap=truncation_m`` and a second column under
+    ``truncation_p`` (both above the cylinder), stepped by a visitor that
+    keeps each node's largest |Y_m - Y_p| and |Z_m - Z_p|; no Y is stored.  When every path stays inside, the ensemble itself is solved,
     uncopied.  On the subset the two capped drivers coincide pointwise, so
     the columns must agree to roundoff, 1e-8.
     """
@@ -511,19 +599,9 @@ def cylinder_consistency_check(
             notes=f"no path stayed inside the cylinder of radius {cylinder:g}",
         )
     sub = ensemble if kept == P else ensemble.take_paths(mask)
-    y_gaps, z_gaps = np.zeros(N + 1), np.zeros(N)
-
-    def visit(i, column, costate):
-        (y_p, z_p), (y_m, z_m) = column, costate
-        y_gaps[i] = np.abs(y_m - y_p).max()
-        if i < N:
-            z_gaps[i] = np.abs(z_m - z_p).max()
-
-    column_p = Companion(
-        problem, np.zeros((kept, problem.state_dim)), visit, driver_state_cap=truncation_p
-    )
-    solve_bsde_lsmc(problem, sub, basis, driver_state_cap=truncation_m, companions=(column_p,))
-    diff_y = float(y_gaps.max())
+    gaps = _CylinderGaps(problem, truncation_p)
+    solve_bsde_lsmc(problem, sub, basis, driver_state_cap=truncation_m, visitors=(gaps,))
+    diff_y = float(gaps.y_gaps.max())
     status = PASS if diff_y <= CYLINDER_TOL else FAIL
     return VerificationReport(
         check="cylinder_consistency",
@@ -531,6 +609,6 @@ def cylinder_consistency_check(
         statistic=diff_y,
         tolerance=CYLINDER_TOL,
         n_samples=kept,
-        details={"z_difference": float(z_gaps.max()), "kept_fraction": kept / P},
+        details={"z_difference": float(gaps.z_gaps.max()), "kept_fraction": kept / P},
         notes=f"per-subset refit at truncations {truncation_m:g} and {truncation_p:g}",
     )

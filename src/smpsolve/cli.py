@@ -201,7 +201,7 @@ def _command_list() -> int:
 def _command_run(args) -> int:
     from . import experiments
     from .forward import SimulationError, TimeGrid
-    from .bsde import RegressionError
+    from .bsde import CostateTable, RegressionError
     from .experiments import PicardError, get_experiment, run_experiment
     from .io import (
         save_costates,
@@ -280,6 +280,8 @@ def _command_run(args) -> int:
         basis = definition.basis
         if degree is not None:
             basis = dataclasses.replace(basis, degree=degree)
+        # the one Y table: a dump's, kept by the candidate's backward pass
+        table = CostateTable()
         result = run_experiment(
             name,
             params=params,
@@ -288,6 +290,7 @@ def _command_run(args) -> int:
             seed=seed,
             basis=basis,
             checks=checks,
+            visitors=(table,) if args.dump_paths else (),
         )
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -319,7 +322,7 @@ def _command_run(args) -> int:
                     file=sys.stderr,
                 )
             else:
-                save_costates(out / name, result.solution)
+                save_costates(out / name, result.solution, table.Y)
 
     for report in result.reports:
         print(report.summary_line())

@@ -22,18 +22,19 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping
+from typing import Callable, Collection, Dict, List, Mapping, Sequence
 
 import numpy as np
 
 from .bsde import (
     BsdeSolution,
+    CostateVisitor,
+    NodeReduction,
     RegressionBasis,
     TerminalStabilityGap,
     cylinder_consistency_check,
     solve_bsde_lsmc,
     stability_threshold,
-    terminal_stability_gap,
 )
 from .forward import (
     AdjointFeedbackControl,
@@ -71,6 +72,8 @@ from .problems import (
 from .reports import FAIL, INCONCLUSIVE, PASS, CostEstimate, VerificationReport
 from .verify import (
     PathCostSum,
+    PointwiseSample,
+    TailCostate,
     check_identities,
     check_pointwise_max,
     check_tvc,
@@ -676,6 +679,7 @@ def logistic_picard_solve(
     seed: int,
     basis: RegressionBasis | None = None,
     initial_law: ControlLaw | None = None,
+    visitors: Sequence[CostateVisitor] = (),
 ) -> PicardResult:
     """Damped Picard iteration on the control-costate fixed point.
 
@@ -691,7 +695,8 @@ def logistic_picard_solve(
     without simulating or solving again.  One pass is held at a time: the
     last pass's paths and costate are released before the next pass
     simulates, and the residual reads the last costate surface through its
-    law.
+    law.  Every pass's backward solve carries ``visitors``, so they hold the
+    values of the last pass solved, the one returned.
     """
     problem = logistic_problem(params)
     if basis is None:
@@ -701,7 +706,7 @@ def logistic_picard_solve(
     rule = logistic_control_law(params)
 
     ens = simulate_forward(problem, initial_law, grid, n_paths, seed)
-    sol = solve_bsde_lsmc(problem, ens, basis)
+    sol = solve_bsde_lsmc(problem, ens, basis, visitors=visitors)
     # the law of the last costate surface; law adds the damping to it
     surface = AdjointFeedbackControl(sol, rule)
     law: ControlLaw = surface
@@ -720,7 +725,7 @@ def logistic_picard_solve(
         # before this pass allocates its own
         ens = sol = None
         ens = simulate_forward(problem, law, grid, n_paths, seed, noise=noise)
-        sol = solve_bsde_lsmc(problem, ens, basis)
+        sol = solve_bsde_lsmc(problem, ens, basis, visitors=visitors)
         res = 0.0
         for i in range(grid.steps):
             x_i = ens.states[:, i, :]
@@ -851,12 +856,13 @@ class ExperimentRun:
     (:func:`stream_competitor`).  ``competitor_costs`` keeps the per-path
     costs of the competitors already stepped, with their flow's
     :func:`degenerate_paths` counts, so the tvc competitor is stepped once
-    when both checks run.  Backward columns are never stored either:
-    ``stability_column`` is set when the ``stability`` check is selected and
-    its premise beta >= 2 mu2 + 2 M^2 holds, and a law's one backward solve
-    then carries the check's column, kept in ``stability_gap``.  After the
-    run, ``ensemble`` and ``solution`` are None unless a check computed them
-    or the candidate is a closed loop.
+    when both checks run.  No Y table is stored either: when the run is
+    built, each of the selected ``checks`` that reads the costate declares
+    its visitor (:attr:`ExperimentDefinition.visitor_table`), kept by check
+    name in ``visitors``, and the candidate's backward passes carry those
+    and ``extra_visitors`` (``pass_visitors``).  After the run,
+    ``ensemble`` and ``solution`` are None unless a check computed them or
+    the candidate is a closed loop.
     """
 
     definition: "ExperimentDefinition"
@@ -866,13 +872,23 @@ class ExperimentRun:
     n_paths: int
     seed: int
     basis: RegressionBasis
-    stability_column: bool = False
+    checks: Collection[str] = ()
+    extra_visitors: Sequence[CostateVisitor] = ()
     reports: List[VerificationReport] = field(default_factory=list)
     scalars: Dict[str, float] = field(default_factory=dict)
     curves: Dict[str, Array] = field(default_factory=dict)
     costs: Dict[str, CostEstimate] = field(default_factory=dict)
     competitor_costs: Dict[str, tuple[Array, dict]] = field(default_factory=dict)
-    stability_gap: TerminalStabilityGap | None = None
+    visitors: Dict[str, CostateVisitor] = field(init=False)
+
+    def __post_init__(self) -> None:
+        made = {c: make(self) for c, make in self.definition.visitor_table.items() if c in self.checks}
+        self.visitors = {c: v for c, v in made.items() if v is not None}
+
+    @property
+    def pass_visitors(self) -> tuple:
+        """Every visitor the candidate's backward passes carry."""
+        return (*self.visitors.values(), *self.extra_visitors)
 
     @cached_property
     def candidate(self) -> ControlLaw | PicardResult:
@@ -890,11 +906,7 @@ class ExperimentRun:
     def solution(self) -> BsdeSolution:
         if isinstance(self.candidate, PicardResult):
             return self.candidate.solution
-        ens, companions = self.ensemble, ()
-        if self.stability_column:
-            self.stability_gap = TerminalStabilityGap(self.problem, ens, self.basis, ens.states[:, -1, :])
-            companions = (self.stability_gap.companion,)
-        return solve_bsde_lsmc(self.problem, ens, self.basis, companions=companions)
+        return solve_bsde_lsmc(self.problem, self.ensemble, self.basis, visitors=self.pass_visitors)
 
     @property
     def name(self) -> str:
@@ -944,7 +956,10 @@ class ExperimentDefinition:
     ``run.curves``; it runs after the checks, when ``run.ensemble`` and
     ``run.solution`` are None unless the run computed them.  ``checks`` maps
     the experiment's own check names to ``check(run) -> [reports]``; they run
-    before the generic ones.  ``pointwise_window`` maps the horizon to the
+    before the generic ones.  ``visitors`` maps those of them that read the
+    costate to ``make(run)``, the :class:`CostateVisitor` that rides the
+    candidate's backward pass for them (a closed loop's ``candidate`` solves
+    with ``run.pass_visitors``).  ``pointwise_window`` maps the horizon to the
     last time the pointwise check samples (None: the whole grid).
     """
 
@@ -963,6 +978,7 @@ class ExperimentDefinition:
     concavity_specs: Callable[[object], List[ConcavitySpec]]
     scalars: Callable[[ExperimentRun], None] = lambda run: None
     checks: Mapping[str, Callable[[ExperimentRun], list]] = field(default_factory=dict)
+    visitors: Mapping[str, Callable[[ExperimentRun], CostateVisitor | None]] = field(default_factory=dict)
     pointwise_tol: float = 1e-6
     pointwise_window: Callable[[float], float | None] = lambda horizon: None
 
@@ -975,17 +991,24 @@ class ExperimentDefinition:
             table.setdefault(name, check)
         return table
 
+    @property
+    def visitor_table(self) -> Dict[str, Callable[[ExperimentRun], CostateVisitor | None]]:
+        """The costate visitor each check that reads Y declares, by check
+        name: its own checks' first, then the generic ones it does not
+        redefine.  A maker returns None where its check needs no visitor."""
+        table = {name: make for name, make in _GENERIC_VISITORS.items() if name not in self.checks}
+        table.update(self.visitors)
+        return table
+
 
 def _pointwise_max(run: ExperimentRun) -> List[VerificationReport]:
-    d = run.definition
-    max_time = d.pointwise_window(run.grid.horizon)
-    return [check_pointwise_max(
-        run.problem, run.solution, seed=run.seed + 4, tol=d.pointwise_tol, max_time=max_time
-    )]
+    run.solution  # the candidate's backward pass fills the sample
+    return [check_pointwise_max(run.problem, run.visitors["pointwise_max"], tol=run.definition.pointwise_tol)]
 
 
 def _stability(run: ExperimentRun) -> List[VerificationReport]:
-    if not run.stability_column:
+    gap = run.visitors.get("stability")
+    if gap is None:
         threshold = stability_threshold(run.problem)
         return [
             VerificationReport(
@@ -994,20 +1017,17 @@ def _stability(run: ExperimentRun) -> List[VerificationReport]:
                 notes=f"not applicable: beta {run.problem.beta:g} is below 2 mu2 + 2 M^2 = {threshold:g}",
             )
         ]
-    if not isinstance(run.candidate, PicardResult):
-        run.solution  # the law's one backward pass fills stability_gap
-        return [run.stability_gap.report()]
-    # a costate solved before any check ran: the column takes a solve of its own
-    ens = run.ensemble
-    return [terminal_stability_gap(run.problem, ens, run.basis, ens.states[:, -1, :])]
+    run.solution  # the candidate's backward pass steps the column
+    return [gap.report()]
 
 
 def _tvc(run: ExperimentRun) -> List[VerificationReport]:
     name = run.definition.tvc_competitor
     law = run.definition.competitors(run.params)[name]
+    run.solution  # the candidate's backward pass keeps the tail of Y
     # the competitor is costed in the same pass, for costs to read
     costing = PathCostSum(run.problem, run.grid)
-    report = check_tvc(run.problem, run.solution, law, costing)
+    report = check_tvc(run.problem, run.visitors["tvc"], law, costing)
     counts = {k: report.details[k] for k in ("clipped_paths", "exploded_paths")}
     run.competitor_costs[name] = costing.total, counts
     return [report]
@@ -1040,6 +1060,19 @@ _GENERIC_CHECKS = {
     "stability": _stability,
     "tvc": _tvc,
     "costs": _costs,
+}
+
+# the visitors of the generic checks that read the costate
+_GENERIC_VISITORS = {
+    "pointwise_max": lambda run: PointwiseSample(
+        seed=run.seed + 4, max_time=run.definition.pointwise_window(run.grid.horizon)
+    ),
+    # the premise beta >= 2 mu2 + 2 M^2 unmet: the check is inconclusive
+    "stability": lambda run: (
+        TerminalStabilityGap(run.problem, run.basis)
+        if run.problem.beta >= stability_threshold(run.problem) else None
+    ),
+    "tvc": lambda run: TailCostate(),
 }
 
 
@@ -1080,7 +1113,8 @@ def _consumption_oracle(run: ExperimentRun) -> List[VerificationReport]:
     # Y X = g(t) exactly, so the product curve isolates the solver error
     params, grid = run.params, run.grid
     times = grid.times()
-    prod = (run.solution.Y[:, :, 0] * run.ensemble.states[:, :, 0]).mean(axis=0)
+    run.solution  # the candidate's backward pass reduces mean(Y X) node by node
+    prod = run.visitors["oracle"].values[:, 0]
     g = consumption_truncated_costate(params, grid.horizon, times)
     keep = np.exp(-run.problem.beta * (grid.horizon - times)) <= 0.5
     rel = np.abs(prod[keep] - g[keep]) / g[keep]
@@ -1195,6 +1229,7 @@ register_experiment(
             "oracle": _consumption_oracle,
             "integrability": _consumption_integrability,
         },
+        visitors={"oracle": lambda run: NodeReduction(lambda node: (node.y[:, 0] * node.x[:, 0]).mean())},
         # the stationary candidate meets the zero-terminal costate only away
         # from the horizon
         pointwise_tol=1e-3,
@@ -1203,26 +1238,36 @@ register_experiment(
 )
 
 
+def _riccati_phi_psi(run: ExperimentRun) -> tuple[Array, Array]:
+    """The Riccati curves phi and psi at each node's time to go."""
+    oracle = RiccatiOracle(run.params)
+    s = run.grid.horizon - run.grid.times()
+    return oracle.phi_at(s), oracle.psi_at(s)
+
+
+def _production_oracle_visitor(run: ExperimentRun) -> NodeReduction:
+    """Per node, in the backward pass: the mean relative gap of Y to the
+    Riccati costate, and the count of the step's controls on the box."""
+    phi_s, psi_s = _riccati_phi_psi(run)
+    lower, upper = run.problem.domain.lower, run.problem.domain.upper
+
+    def reduce(node):
+        exact = phi_s[node.i] * node.x[:, 0] + psi_s[node.i]
+        gap = (np.abs(node.y[:, 0] - exact) / (1.0 + np.abs(exact))).mean()
+        on_box = 0 if node.u is None else np.count_nonzero((node.u <= lower) | (node.u >= upper))
+        return gap, on_box
+
+    return NodeReduction(reduce, width=2)
+
+
 def _production_oracle(run: ExperimentRun) -> List[VerificationReport]:
     params, grid = run.params, run.grid
-    oracle = RiccatiOracle(params)
-    s = grid.horizon - grid.times()
-    phi_s, psi_s = oracle.phi_at(s), oracle.psi_at(s)
-    # mean relative gap per time node, one node at a time: no (P, N+1)
-    # temporaries; the nodes whose control sits on the box are counted alongside
+    phi_s, _ = _riccati_phi_psi(run)
+    run.solution  # the candidate's backward pass reduces the node gaps
+    node_gap, on_box = run.visitors["oracle"].values.T
     ens = run.ensemble
-    x, y = ens.states[:, :, 0], run.solution.Y[:, :, 0]
-    lower, upper = run.problem.domain.lower, run.problem.domain.upper
-    node_gap = np.empty(grid.steps + 1)
-    on_box = 0
-    for i in range(grid.steps + 1):
-        exact = phi_s[i] * x[:, i] + psi_s[i]
-        node_gap[i] = (np.abs(y[:, i] - exact) / (1.0 + np.abs(exact))).mean()
-        if i < grid.steps:
-            u = ens.control(i)
-            on_box += np.count_nonzero((u <= lower) | (u >= upper))
     stat = float(node_gap.max())
-    box_share = on_box / (ens.n_paths * grid.steps * ens.domain.dim)
+    box_share = int(on_box.sum()) / (ens.n_paths * grid.steps * ens.domain.dim)
     det_value, det_exact, det_rel = production_sigma_zero_cost(params)
     ok = stat <= 0.05 and det_rel <= 0.005
     status = PASS if ok else FAIL
@@ -1281,6 +1326,7 @@ register_experiment(
         checks={
             "oracle": _production_oracle,
         },
+        visitors={"oracle": _production_oracle_visitor},
         # the stationary candidate meets the zero-terminal costate only away
         # from the horizon
         pointwise_tol=1e-3,
@@ -1322,7 +1368,7 @@ register_experiment(
         basis=RegressionBasis(degree=4),
         problem=lambda params: logistic_problem(params),
         candidate=lambda run: logistic_picard_solve(
-            run.params, run.grid, run.n_paths, run.seed, basis=run.basis
+            run.params, run.grid, run.n_paths, run.seed, basis=run.basis, visitors=run.pass_visitors
         ),
         competitors=lambda params: logistic_competitors(params),
         sample_spec=lambda params: logistic_sample_spec(params),
@@ -1354,6 +1400,7 @@ def run_experiment(
     seed: int = 0,
     basis: RegressionBasis | None = None,
     checks=None,
+    visitors: Sequence[CostateVisitor] = (),
 ) -> ExperimentRun:
     """Build, solve and audit one registered experiment; returns the run.
 
@@ -1363,9 +1410,10 @@ def run_experiment(
     check table and ``n_paths`` below 2 are errors.  The forward simulation
     and the backward solve only run when a selected check needs them, so
     problem-level audits stay cheap and leave ``ensemble`` and ``solution``
-    None.  A selected ``stability`` check whose premise holds rides the
-    candidate's first backward solve as a companion column
-    (``ExperimentRun.stability_column``).
+    None.  The selected checks that read the costate declare their
+    visitors before the candidate's first backward pass, and every pass
+    carries them, with ``visitors``, further :class:`CostateVisitor` objects
+    of the caller's (say a :class:`~smpsolve.bsde.CostateTable` for a dump).
     """
     definition = get_experiment(name)
     if params is None:
@@ -1389,8 +1437,7 @@ def run_experiment(
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     basis = definition.basis if basis is None else basis
-    stability_column = "stability" in selected and problem.beta >= stability_threshold(problem)
-    run = ExperimentRun(definition, params, problem, grid, n_paths, seed, basis, stability_column)
+    run = ExperimentRun(definition, params, problem, grid, n_paths, seed, basis, selected, visitors)
     for check, produce in table.items():
         if check in selected:
             run.reports.extend(produce(run))
@@ -1414,5 +1461,5 @@ def run_experiment(
         run.scalars["condition_number_max"] = float(sol.condition_numbers.max())
         run.scalars["condition_number_median"] = float(np.median(sol.condition_numbers))
         run.scalars["ridge_steps"] = len(sol.ridge_steps)
-        run.curves["mean_costate"] = sol.Y[:, :, 0].mean(axis=0)
+        run.curves["mean_costate"] = sol.y_means[:, 0]
     return run

@@ -245,7 +245,7 @@ class AdjointFeedbackControl(ControlLaw):
     y(t, x) is the costate surface of ``solution`` at the step of its own
     grid that holds t; times outside that grid raise ``ValueError``.  The
     law keeps the surfaces only, the solve's grid, basis, per-step transforms
-    and ``y_coeffs``, and not the solution with its paths and Y table.
+    and ``y_coeffs``, and not the solution with its paths.
     """
 
     def __init__(

@@ -4,7 +4,8 @@ The binary format is deliberately minimal: magic ``SMP1``, then version,
 kind and shape as little-endian uint32, then the payload as little-endian
 float64.  One array per file.  Tables that are not stored (an ensemble's
 controls, the costate's Z) are computed for their dump a block of paths at
-a time, and no whole table is ever held.
+a time, and no whole table is ever held; the costate's Y is the one table a
+dump keeps, from its backward pass.
 """
 from __future__ import annotations
 
@@ -125,21 +126,25 @@ def save_ensemble(prefix, ensemble: PathEnsemble) -> List[Path]:
     return paths
 
 
-def save_costates(prefix, solution: BsdeSolution) -> List[Path]:
+def save_costates(prefix, solution: BsdeSolution, Y: Array) -> List[Path]:
     """Write Y and Z; returns the paths.
 
-    The solution keeps no Z table, so the (P, N, n, d) table is evaluated
-    from :meth:`BsdeSolution.z_at` at the states of the paths it was solved
-    on, a block of paths at a time, only for the write.
+    The solution keeps no Y table: ``Y`` is the (P, N+1, n) table a
+    :class:`~smpsolve.bsde.CostateTable` kept from its backward pass.  Nor
+    does it keep a Z table, so the (P, N, n, d) table is evaluated from
+    :meth:`BsdeSolution.z_at` at the states of the paths it was solved on, a
+    block of paths at a time, only for the write.
     """
     states = solution.ensemble.states
+    P, steps, n = states.shape[0], solution.grid.steps, states.shape[2]
+    if np.shape(Y) != (P, steps + 1, n):
+        raise ValueError("Y must be the (n_paths, steps + 1, state_dim) table of the solve")
     prefix = Path(prefix)
     paths = [
         prefix.with_name(prefix.name + "_y.smp"),
         prefix.with_name(prefix.name + "_z.smp"),
     ]
-    write_array(paths[0], solution.Y, KIND_COSTATE)
-    P, steps, n = solution.Y.shape[0], solution.grid.steps, solution.Y.shape[2]
+    write_array(paths[0], Y, KIND_COSTATE)
     shape = (P, steps, n, solution.z_coeffs[0].shape[1] // n)
     write_rows(
         paths[1], shape, KIND_Z, lambda rows: _by_step(steps, lambda i: solution.z_at(i, states[rows, i, :]))

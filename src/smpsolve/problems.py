@@ -356,20 +356,22 @@ def maximize_hamiltonian_in_u(
 
     h_star = ham_at(u_star)
 
-    # Reference grid certificate and curvature probe, per coordinate.
+    # Reference grid certificate and curvature probe, per coordinate, one
+    # grid value at a time: a running NaN-skipping max of H over the grid,
+    # and each second difference from the last three values
     gap = np.full(P, np.inf)
     warn = False
     for j in range(k):
-        grid = np.linspace(dom.lower[j], dom.upper[j], 101)
-        vals = np.empty((grid.size, P))
-        for g_i, g in enumerate(grid):
+        best = rows = None
+        for g in np.linspace(dom.lower[j], dom.upper[j], 101):
             u_try = u_star.copy()
             u_try[:, j] = g
-            vals[g_i] = ham_at(u_try)
-        second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-        if second.size and float(np.nanmax(second)) > 1e-8:
-            warn = True
-        gap = np.minimum(gap, h_star - np.nanmax(vals, axis=0))
+            h = ham_at(u_try)
+            best = h if best is None else np.fmax(best, h)
+            rows = (h,) if rows is None else (*rows[-2:], h)
+            if len(rows) == 3:
+                warn = warn or bool(np.any(rows[2] - 2.0 * rows[1] + rows[0] > 1e-8))
+        gap = np.minimum(gap, h_star - best)
 
     cert = HamiltonianMaxCertificate(gap=float(np.min(gap)), concavity_warning=warn)
     return u_star, cert

@@ -10,18 +10,18 @@ a blunt cross-check.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Dict
 
 import numpy as np
 
-from .bsde import BsdeSolution
+from .bsde import BackwardNode, CostateVisitor
 from .forward import (
     ControlLaw,
     PathEnsemble,
     TimeGrid,
     _block_steps,
     degenerate_paths,
-    _row_chunks,
     stream_competitor,
     time_major,
 )
@@ -94,64 +94,80 @@ def path_costs(problem: DiscountedProblem, ensemble: PathEnsemble) -> Array:
     return total.total
 
 
+class PointwiseSample(CostateVisitor):
+    """Gathers a backward pass's (x, u, y, z) at sampled (path, step) nodes.
+
+    Each solve it rides draws ``n_points`` distinct nodes (all of them if
+    fewer) before its first node, from ``np.random.default_rng(seed)``:
+    steps before ``max_time`` (None: the whole grid, at least one step) on
+    paths that did not explode.  At each sampled step the states, the
+    applied controls and the solve's Y_i and Z_i of the sampled paths are
+    copied out, in sample order, so they are the values the solve formed, to
+    the bit.  ``count`` is the number of nodes drawn and ``steps_sampled``
+    the steps they were drawn from.
+    """
+
+    def __init__(self, n_points: int = 10_000, seed: int = 0, max_time: float | None = None) -> None:
+        self.n_points, self.seed, self.max_time = n_points, seed, max_time
+        self.complete = False
+
+    def start(self, ensemble: PathEnsemble) -> None:
+        grid = ensemble.grid
+        n_steps = grid.steps
+        if self.max_time is not None:
+            n_steps = max(1, min(n_steps, int(math.ceil(self.max_time / grid.dt))))
+        paths = np.flatnonzero(~ensemble.exploded)
+        total = paths.size * n_steps
+        count = min(self.n_points, total)
+        flat = np.random.default_rng(self.seed).choice(total, size=count, replace=False)
+        self._paths, steps = paths[flat // n_steps], flat % n_steps
+        self._rows = {int(i): np.flatnonzero(steps == i) for i in np.unique(steps)}
+        self.count, self.steps_sampled = count, n_steps
+        n, k, d = ensemble.state_dim, ensemble.domain.dim, ensemble.noise.noise_dim
+        self.x, self.u = np.empty((count, n)), np.empty((count, k))
+        self.y, self.z = np.empty((count, n)), np.empty((count, n, d))
+        self.complete = False
+
+    def __call__(self, node: BackwardNode) -> None:
+        rows = self._rows.get(node.i)
+        if rows is not None:
+            p = self._paths[rows]
+            self.x[rows], self.u[rows] = node.x[p], node.u[p]
+            self.y[rows], self.z[rows] = node.y[p], node.z[p]
+        self.complete = node.i == 0
+
+
 def check_pointwise_max(
     problem: DiscountedProblem,
-    solution: BsdeSolution,
-    n_points: int = 10_000,
+    sample: PointwiseSample,
     tol: float = 1e-6,
-    seed: int = 0,
-    max_time: float | None = None,
 ) -> VerificationReport:
     """Executed control vs the Hamiltonian maximizer at sampled path points.
 
-    Samples (path, step) nodes, recomputes the maximizer there with the
-    realized costate pair, and reports the 99.9th percentile of the
-    relative gap (H* - H_exec) / max(1, |H*|).  Negative gaps (the numeric
-    maximizer losing to the executed value) count as zero, so a maximizer
-    short of the maximum lowers the reference: when its own certificate
-    ``maximizer_gap_bound`` is below -``tol`` the check is inconclusive.
+    ``sample`` is the :class:`PointwiseSample` that rode the costate's
+    backward pass.  At its nodes the maximizer is recomputed with the
+    realized costate pair, and the check reports the 99.9th percentile of
+    the relative gap (H* - H_exec) / max(1, |H*|).  Negative gaps (the
+    numeric maximizer losing to the executed value) count as zero, so a
+    maximizer short of the maximum lowers the reference: when its own
+    certificate ``maximizer_gap_bound`` is below -``tol`` the check is
+    inconclusive.
 
-    ``max_time`` restricts sampling to nodes before it.  A stationary
-    candidate policy certified against the zero-terminal costate keeps a
-    boundary layer near the horizon where the two legitimately disagree;
-    excluding the layer certifies the stationary region on its own.
-
-    The nodes are those of the paths the costate was solved on
-    (``solution.ensemble``).  Y is read from the stored nodes.  Z and the
-    executed control are evaluated one sampled step at a time, on the whole
-    row chunks that hold the step's sampled paths (:func:`_row_chunks`), so
-    they are the solve's Z_i and the applied controls to the bit.
+    The sample's ``max_time`` restricts it to nodes before that time.  A
+    stationary candidate policy certified against the zero-terminal costate
+    keeps a boundary layer near the horizon where the two legitimately
+    disagree; excluding the layer certifies the stationary region on its
+    own.
     """
-    ensemble = solution.ensemble
-    grid = ensemble.grid
-    n_steps = grid.steps
-    if max_time is not None:
-        n_steps = max(1, min(n_steps, int(math.ceil(max_time / grid.dt))))
-    keep = ~ensemble.exploded
-    paths = np.flatnonzero(keep)
-    total = paths.size * n_steps
-    if total == 0:
+    if not sample.complete:
+        raise RuntimeError("the pointwise sample did not ride a whole backward pass")
+    if sample.count == 0:
         return VerificationReport(
             check="pointwise_max",
             status=INCONCLUSIVE,
             notes="no usable paths",
         )
-    rng = np.random.default_rng(seed)
-    count = min(n_points, total)
-    flat = rng.choice(total, size=count, replace=False)
-    p_idx = paths[flat // n_steps]
-    i_idx = flat % n_steps
-
-    x = ensemble.states[p_idx, i_idx, :]
-    y = solution.Y[p_idx, i_idx, :]
-    u_exec = np.empty((count, problem.control_dim))
-    z = np.empty((count, problem.state_dim, problem.noise_dim))
-    for i in np.unique(i_idx):
-        rows = np.flatnonzero(i_idx == i)
-        u_exec[rows] = ensemble.control(int(i), p_idx[rows])
-        cover, where = _row_chunks(p_idx[rows], ensemble.n_paths)
-        z[rows] = solution.z_at(int(i), ensemble.states[cover, i, :])[where]
-
+    x, y, z, u_exec = sample.x, sample.y, sample.z, sample.u
     u_star, cert = maximize_hamiltonian_in_u(x, y, z, problem)
     h_star = hamiltonian(x, u_star, y, z, problem)
     h_exec = hamiltonian(x, u_exec, y, z, problem)
@@ -166,44 +182,79 @@ def check_pointwise_max(
         status=status,
         statistic=stat,
         tolerance=tol,
-        n_samples=count,
+        n_samples=sample.count,
         details={
             "max_relative_gap": float(rel.max()),
             "mean_relative_gap": float(rel.mean()),
             "negative_gap_fraction": float((h_star < h_exec).mean()),
             "maximizer_gap_bound": cert.gap,
             "concavity_warning": cert.concavity_warning,
-            "steps_sampled": n_steps,
-            "max_time": max_time,
+            "steps_sampled": sample.steps_sampled,
+            "max_time": sample.max_time,
         },
         notes=notes,
     )
 
 
+class TailCostate(CostateVisitor):
+    """Keeps a backward pass's Y on the transversality tail only.
+
+    ``Y`` holds nodes ``first`` .. N-1, time-major: the last 10% of nodes
+    0..N-1, at least 2 where the grid has them and never node 0, the only
+    nodes :func:`check_tvc` decides on.  ``ensemble`` is the
+    ensemble the pass rode; it is held weakly, so a closed loop's earlier
+    passes are not kept alive by it.
+    """
+
+    Y: Array | None = None
+
+    def start(self, ensemble: PathEnsemble) -> None:
+        steps = ensemble.grid.steps
+        self.first = steps - min(steps - 1, max(2, int(math.ceil(0.1 * steps))))
+        self.Y = time_major(ensemble.n_paths, steps - self.first, ensemble.state_dim)
+        self._ensemble = weakref.ref(ensemble)
+        self.complete = False
+
+    def __call__(self, node: BackwardNode) -> None:
+        if self.first <= node.i < self.first + self.Y.shape[1]:
+            self.Y[:, node.i - self.first] = node.y
+        self.complete = node.i == 0
+
+    @property
+    def ensemble(self) -> PathEnsemble:
+        ensemble = None if self.Y is None else self._ensemble()
+        if ensemble is None or not self.complete:
+            raise RuntimeError("the tail costate did not ride a whole backward pass of live paths")
+        return ensemble
+
+
 def check_tvc(
     problem: DiscountedProblem,
-    solution: BsdeSolution,
+    tail: TailCostate,
     law: ControlLaw,
     *visitors,
 ) -> VerificationReport:
     """Transversality statistic against a competitor law on the same noise.
 
     Tracks m(t) = E[e^{-beta t} <Y_t, X'_t - X_t>] on the shared grid, where
-    X is the candidate's paths, those the costate was solved on
-    (``solution.ensemble``), and X' is ``law`` stepped on their noise by
-    :func:`stream_competitor`: m and its SE are gathered one window at a
-    time, and further ``visitors`` (say a :class:`PathCostSum`) see the same
-    pass.  A node whose SE is at most ``DETERMINISTIC_SE`` times its mean
-    |e^{-beta t} <Y_t, X'_t - X_t>| is roundoff around a deterministic value,
-    and its SE is 0.  The details count the competitor's clipped and
-    exploded paths.  The direct criterion holds when some tail node (the
-    last 10% of nodes, at least 2 where the grid has them) satisfies
-    m <= 3 SE (the limit inferior only needs a subsequence).  When the tail is positive but
+    Y is kept by ``tail`` (a :class:`TailCostate` that rode the costate's
+    backward pass), X is the paths that pass rode, and X' is ``law``
+    stepped on their noise by :func:`stream_competitor`: m and its SE are
+    gathered one window at a time, and further ``visitors`` (say a
+    :class:`PathCostSum`) see the same pass.  A node whose SE is at most
+    ``DETERMINISTIC_SE`` times its mean |e^{-beta t} <Y_t, X'_t - X_t>| is
+    roundoff around a deterministic value, and its SE is 0.  The details
+    count the competitor's clipped and exploded paths.  The direct criterion
+    holds when some tail node (the last 10% of nodes, at least 2 where the
+    grid has them) satisfies m <= 3 SE (the limit inferior only needs a
+    subsequence).  When the tail is positive but
     provably transient, the fallback applies: strict discounting makes the
     weighted norms of state and costate finite, which forces m(t) -> 0 along
     a subsequence, so the condition is implied; the report then passes with
     a note and carries the fitted tail decay rate (compare against -beta).
-    A non-finite costate fails both routes through m(t) itself.
+    A non-finite costate fails both routes through m(t) itself.  m is
+    formed on the tail nodes only, the only ones the verdict and the
+    details read.
 
     ``details.route`` names the deciding rule.  The direct route, and a
     failure, report m, 3 SE and SE at ``best_node`` as statistic, tolerance
@@ -215,20 +266,23 @@ def check_tvc(
     node 0, where both ensembles start at x0; a grid with no node in between
     is inconclusive.
     """
-    ensemble = solution.ensemble
+    ensemble = tail.ensemble
     grid, n_paths = ensemble.grid, ensemble.n_paths
-    times = grid.times()[:-1]
-    m, se, scale = np.empty(grid.steps), np.empty(grid.steps), np.empty(grid.steps)
+    first, n_tail = tail.first, tail.Y.shape[1]
+    times = grid.times()[first : grid.steps]
+    m, se, scale = np.empty(n_tail), np.empty(n_tail), np.empty(n_tail)
 
     def gather(s: int, x: Array, u: Array) -> None:
-        e = s + u.shape[1]
+        a, e = max(s, first), s + u.shape[1]
+        if a >= e:
+            return
         weighted = np.einsum(
-            "pin,pin->pi", solution.Y[:, s:e, :], x[:, :-1, :] - ensemble.states[:, s:e, :]
+            "pin,pin->pi", tail.Y[:, a - first : e - first, :], x[:, a - s : e - s, :] - ensemble.states[:, a:e, :]
         )
-        weighted *= np.exp(-problem.beta * times[s:e])
-        m[s:e] = weighted.mean(axis=0)
-        se[s:e] = weighted.std(axis=0, ddof=1)
-        scale[s:e] = np.abs(weighted, out=weighted).mean(axis=0)
+        weighted *= np.exp(-problem.beta * times[a - first : e - first])
+        m[a - first : e - first] = weighted.mean(axis=0)
+        se[a - first : e - first] = weighted.std(axis=0, ddof=1)
+        scale[a - first : e - first] = np.abs(weighted, out=weighted).mean(axis=0)
 
     flags = stream_competitor(problem, ensemble, law, gather, *visitors)
     if grid.steps < 2:
@@ -240,11 +294,10 @@ def check_tvc(
     # roundoff around a deterministic node value
     se[se <= DETERMINISTIC_SE * scale] = 0.0
 
-    n_tail = min(m.size - 1, max(2, int(math.ceil(0.1 * m.size))))
-    tail = slice(m.size - n_tail, m.size)
-    score = m[tail] - 3.0 * se[tail]
+    score = m - 3.0 * se
     direct = bool((score <= 0.0).any())
-    i_best = int(np.argmin(score)) + (m.size - n_tail)
+    best = int(np.argmin(score))
+    i_best = best + first
 
     details = {
         "tail_nodes": n_tail,
@@ -258,13 +311,12 @@ def check_tvc(
     }
 
     decay_rate = None
-    tail_m = m[tail]
-    if n_tail >= 2 and (tail_m > 0).all():
-        fit = np.polyfit(times[tail], np.log(tail_m), 1)
+    if n_tail >= 2 and (m > 0).all():
+        fit = np.polyfit(times, np.log(m), 1)
         decay_rate = float(fit[0])
         details["tail_decay_rate"] = decay_rate
 
-    stat, tol, stat_se = float(m[i_best]), float(3.0 * se[i_best]), float(se[i_best])
+    stat, tol, stat_se = float(m[best]), float(3.0 * se[best]), float(se[best])
     if direct:
         status, notes = PASS, "tail node within 3 SE of zero"
     elif problem.is_strictly_discounted() and decay_rate is not None and decay_rate < 0:

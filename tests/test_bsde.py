@@ -9,6 +9,8 @@ from smpsolve import bsde
 from smpsolve import (
     AdjointFeedbackControl,
     ConstantControl,
+    CostateTable,
+    CostateVisitor,
     RegressionBasis,
     RegressionError,
     TimeGrid,
@@ -35,6 +37,38 @@ from smpsolve.experiments import (
 
 CONS_BASIS = RegressionBasis(degree=4, reciprocal=True)
 PROD_BASIS = RegressionBasis(degree=4)
+
+
+def _solve_with_y(problem, ens, basis, visitors=(), **kwargs):
+    """A solve whose Y table a :class:`CostateTable` keeps: (solution, Y)."""
+    table = CostateTable()
+    sol = solve_bsde_lsmc(problem, ens, basis, visitors=(*visitors, table), **kwargs)
+    return sol, table.Y
+
+
+class _Column(CostateVisitor):
+    """A companion column stepped on each node's design, from ``terminal``
+    under ``cap``; keeps copies of its (y, z) and of the costate's per node."""
+
+    def __init__(self, problem, terminal, cap=None):
+        self.problem, self.terminal, self.cap = problem, terminal, cap
+        self.seen = {}
+
+    def start(self, ensemble):
+        self.y = self.terminal
+
+    def __call__(self, node):
+        z = None
+        if node.advance is not None:
+            self.y, z = node.advance(self.problem, self.y, self.cap)
+        self.seen[node.i] = [None if a is None else a.copy() for a in (self.y, z, node.y, node.z)]
+
+
+def _projected(basis, ens, xi):
+    """xi projected on the final-step basis, as the stability check projects it."""
+    design, _ = basis.fit(ens.states[:, -1, :])
+    fit, _, _ = bsde._least_squares(design, None)
+    return design @ fit(xi)
 
 
 def _consumption_setup(horizon=4.0, steps=80, n_paths=2000, seed=0, beta=None):
@@ -122,26 +156,26 @@ class TestSolveInvariances:
         problem = _zero_driver_problem()
         grid = TimeGrid(horizon=2.0, steps=40)
         ens = simulate_forward(problem, ConstantControl([0.5]), grid, 500, seed=3)
-        sol = solve_bsde_lsmc(problem, ens, RegressionBasis(degree=2))
-        assert np.all(sol.Y == 0.0)
+        sol, Y = _solve_with_y(problem, ens, RegressionBasis(degree=2))
+        assert np.all(Y == 0.0) and np.all(sol.y_means == 0.0)
         assert all(np.all(c == 0.0) for c in sol.z_coeffs)
         assert all(np.all(sol.z_at(i, ens.states[:, i, :]) == 0.0) for i in range(40))
 
     def test_inactive_truncation_changes_nothing(self):
         params, problem, ens = _consumption_setup(n_paths=1000)
         sup = float(np.abs(ens.states).max())
-        plain = solve_bsde_lsmc(problem, ens, CONS_BASIS)
-        capped_a = solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=2.0 * sup)
-        capped_b = solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=4.0 * sup)
-        assert np.array_equal(capped_a.Y, plain.Y)
+        plain, plain_y = _solve_with_y(problem, ens, CONS_BASIS)
+        capped_a, capped_a_y = _solve_with_y(problem, ens, CONS_BASIS, driver_state_cap=2.0 * sup)
+        capped_b, capped_b_y = _solve_with_y(problem, ens, CONS_BASIS, driver_state_cap=4.0 * sup)
+        assert np.array_equal(capped_a_y, plain_y)
         assert all(np.array_equal(a, b) for a, b in zip(capped_a.z_coeffs, plain.z_coeffs))
-        assert np.array_equal(capped_a.Y, capped_b.Y)
+        assert np.array_equal(capped_a_y, capped_b_y)
 
     def test_active_truncation_moves_the_solution(self):
         params, problem, ens = _consumption_setup(n_paths=1000)
-        plain = solve_bsde_lsmc(problem, ens, CONS_BASIS)
-        tight = solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=0.8)
-        assert float(np.abs(tight.Y - plain.Y).max()) > 0.0
+        _, plain_y = _solve_with_y(problem, ens, CONS_BASIS)
+        _, tight_y = _solve_with_y(problem, ens, CONS_BASIS, driver_state_cap=0.8)
+        assert float(np.abs(tight_y - plain_y).max()) > 0.0
 
     def test_truncation_level_must_be_positive(self):
         params, problem, ens = _consumption_setup(steps=10, n_paths=50)
@@ -168,9 +202,8 @@ class TestNonFiniteTargets:
         params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=200)
         terminal = np.zeros((200, 1))
         terminal[5] = np.inf
-        companion = bsde.Companion(problem, terminal, lambda i, column, costate: None)
         with pytest.raises(RegressionError, match="step 19: non-finite companion targets"):
-            solve_bsde_lsmc(problem, ens, PROD_BASIS, companions=(companion,))
+            solve_bsde_lsmc(problem, ens, PROD_BASIS, visitors=(_Column(problem, terminal),))
 
 
 class TestZSurfaces:
@@ -202,9 +235,9 @@ class TestZSurfaces:
     @pytest.mark.parametrize("step", [0, 17, 38])
     def test_z_at_matches_an_independent_regression(self, step):
         params, problem, ens = _production_setup(horizon=2.0, steps=40, n_paths=2000)
-        sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
+        sol, Y = _solve_with_y(problem, ens, PROD_BASIS)
         x = ens.states[:, step, :]
-        y_next = sol.Y[:, step + 1, :]
+        y_next = Y[:, step + 1, :]
         design, _ = PROD_BASIS.fit(x)
         conditional = design @ np.linalg.lstsq(design, y_next, rcond=None)[0]
         target = (y_next - conditional) * ens.noise.increments[:, step, :] / ens.grid.dt
@@ -219,29 +252,38 @@ class TestZSurfaces:
             with pytest.raises(ValueError):
                 sol.z_at(step, ens.states[:, 0, :])
 
-    def test_solve_stores_one_table(self):
+    def test_solve_stores_no_costate_table(self):
         import tracemalloc
 
         params, problem, ens = _production_setup(horizon=8.0, steps=400, n_paths=4000)
+        one_y = ens.n_paths * (ens.grid.steps + 1) * problem.state_dim * 8
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
+            solve_bsde_lsmc(problem, ens, PROD_BASIS)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * sol.Y.nbytes
+        # a step's design, fits and Z: a few (P, 5) arrays, against 12.8 MB of Y
+        assert peak <= 0.1 * one_y
 
 
 class TestTimeMajorLayout:
     def test_costate_steps_are_contiguous(self):
         params, problem, ens = _consumption_setup(steps=8, n_paths=300)
         sub = ens.take_paths(np.arange(300) < 200)
-        sol = solve_bsde_lsmc(problem, sub, CONS_BASIS)
+        layouts = []
+
+        class Layout(CostateVisitor):
+            def __call__(self, node):
+                layouts.append((node.i, node.y.shape, node.y.flags.c_contiguous))
+
+        sol, Y = _solve_with_y(problem, sub, CONS_BASIS, visitors=(Layout(),))
+        assert layouts == [(i, (200, 1), True) for i in range(8, -1, -1)]
         for i in range(8):
-            assert sol.Y[:, i, :].flags.c_contiguous
+            assert Y[:, i, :].flags.c_contiguous
             assert sol.z_at(i, sub.states[:, i, :]).shape == (200, 1, 1)
-        assert sol.Y[:, 8, :].flags.c_contiguous
+        assert Y[:, 8, :].flags.c_contiguous
         assert len(sol.z_coeffs) == 8
 
 
@@ -283,11 +325,11 @@ class TestSolutionSurface:
 
     def test_y_at_tracks_realized_costate(self):
         params, problem, ens = _consumption_setup(n_paths=3000)
-        sol = solve_bsde_lsmc(problem, ens, CONS_BASIS)
+        sol, Y = _solve_with_y(problem, ens, CONS_BASIS)
         step = 10
         x = ens.states[:200, step, :]
         fitted = sol.y_at(step, x)
-        realized = sol.Y[:200, step, :]
+        realized = Y[:200, step, :]
         rel = np.abs(fitted - realized) / (1.0 + np.abs(realized))
         assert float(np.median(rel)) < 0.05
 
@@ -349,11 +391,11 @@ class TestFactorization:
         x0 = np.where(np.arange(400) % 2 == 0, 0.5, 1.5)[:, None]
         ens = simulate_forward(problem, production_optimal_law(params), grid, 400, 0, x0=x0)
         with pytest.warns(RuntimeWarning, match="ridge fallback used at 20 regression steps"):
-            sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
+            sol, Y = _solve_with_y(problem, ens, PROD_BASIS)
         assert sol.ridge_steps == list(range(20))
-        assert np.isfinite(sol.Y).all()
+        assert np.isfinite(Y).all()
         fit_error = max(
-            float(np.abs(sol.y_at(i, ens.states[:, i, :]) - sol.Y[:, i, :]).max())
+            float(np.abs(sol.y_at(i, ens.states[:, i, :]) - Y[:, i, :]).max())
             for i in range(grid.steps)
         )
         assert fit_error <= 1e-8
@@ -405,15 +447,15 @@ class TestTerminalStability:
             basis = CONS_BASIS
         xi = ens.states[:, -1, :].copy()
         report = terminal_stability_gap(problem, ens, basis, xi)
-        gap = TerminalStabilityGap(problem, ens, basis, xi)
-        solve_bsde_lsmc(problem, ens, basis, companions=(gap.companion,))
+        gap = TerminalStabilityGap(problem, basis, xi)
+        solve_bsde_lsmc(problem, ens, basis, visitors=(gap,))
 
         # reference: both terminals solved in full, xi projected as the check does
         design, _ = basis.fit(ens.states[:, -1, :])
         xi_proj = design @ np.linalg.lstsq(design, xi, rcond=None)[0]
         diff = (
-            solve_bsde_lsmc(problem, ens, basis).Y
-            - solve_bsde_lsmc(problem, ens, basis, terminal=xi_proj).Y
+            _solve_with_y(problem, ens, basis)[1]
+            - _solve_with_y(problem, ens, basis, terminal=xi_proj)[1]
         )
         weighted = np.einsum("pin,pin->pi", diff, diff) * np.exp(-problem.beta * ens.grid.times())
         node_means = weighted.mean(axis=0)
@@ -423,7 +465,7 @@ class TestTerminalStability:
         se = weighted[:, i_star].std(ddof=1) / math.sqrt(ens.n_paths)
         assert report.standard_error == pytest.approx(se, rel=1e-12)
         # every node, not only the argmax (which sits at the terminal node),
-        # from the companion on the candidate's solve and from the check's own
+        # from the visitor on the candidate's solve and from the check's own
         # solve; the reference loses digits to cancellation where the gap is small
         np.testing.assert_allclose(gap.node_means, node_means, rtol=1e-8)
         assert gap.report() == report
@@ -434,19 +476,18 @@ class TestTerminalStability:
 
     def test_companion_visits_every_node_with_the_difference_solve(self):
         params, problem, ens = _production_setup(horizon=4.0, steps=40, n_paths=800)
-        gap = TerminalStabilityGap(problem, ens, PROD_BASIS, ens.states[:, -1, :])
-        seen = {}
-        companion = bsde.Companion(
-            gap.companion.problem,
-            gap.companion.terminal,
-            lambda i, column, costate: seen.setdefault(i, column[0].copy()),
-        )
-        solve_bsde_lsmc(problem, ens, PROD_BASIS, companions=(companion,))
-        # the same column solved as the stored costate of a solve of its own
-        alone = solve_bsde_lsmc(gap.companion.problem, ens, PROD_BASIS, terminal=gap.companion.terminal)
-        assert sorted(seen) == list(range(41))
-        for i, y in seen.items():
-            assert np.array_equal(y, alone.Y[:, i, :])
+        gap = TerminalStabilityGap(problem, PROD_BASIS)
+        terminal = _projected(PROD_BASIS, ens, ens.states[:, -1, :])
+        column = _Column(gap.problem, terminal)
+        solve_bsde_lsmc(problem, ens, PROD_BASIS, visitors=(column, gap))
+        # the same column solved as the costate of a solve of its own
+        _, alone = _solve_with_y(gap.problem, ens, PROD_BASIS, terminal=terminal)
+        assert sorted(column.seen) == list(range(41))
+        for i, (y, *_) in column.seen.items():
+            assert np.array_equal(y, alone[:, i, :])
+        # the stability visitor steps that column: its node means to the bit
+        weighted = np.einsum("pin,pin->pi", alone, alone) * np.exp(-problem.beta * ens.grid.times())
+        assert np.array_equal(gap.node_means, [weighted[:, i].mean() for i in range(41)])
 
     @pytest.mark.parametrize("setup", ["production", "consumption"])
     def test_companion_leaves_the_costate_bit_identical(self, setup):
@@ -456,10 +497,11 @@ class TestTerminalStability:
         else:
             params, problem, ens = _consumption_setup(horizon=4.0, steps=40, n_paths=800)
             basis = CONS_BASIS
-        gap = TerminalStabilityGap(problem, ens, basis, ens.states[:, -1, :])
-        shared = solve_bsde_lsmc(problem, ens, basis, companions=(gap.companion,))
-        plain = solve_bsde_lsmc(problem, ens, basis)
-        assert np.array_equal(shared.Y, plain.Y)
+        gap = TerminalStabilityGap(problem, basis)
+        shared, shared_y = _solve_with_y(problem, ens, basis, visitors=(gap,))
+        plain, plain_y = _solve_with_y(problem, ens, basis)
+        assert np.array_equal(shared_y, plain_y)
+        assert np.array_equal(shared.y_means, plain.y_means)
         assert all(np.array_equal(a, b) for a, b in zip(shared.y_coeffs, plain.y_coeffs))
         assert all(np.array_equal(a, b) for a, b in zip(shared.z_coeffs, plain.z_coeffs))
         assert gap.report().status == "pass"
@@ -480,20 +522,19 @@ class TestTerminalStability:
                 tracemalloc.stop()
 
         plain = peak(lambda: solve_bsde_lsmc(problem, ens, PROD_BASIS))
-        shared = peak(lambda: solve_bsde_lsmc(problem, ens, PROD_BASIS, companions=(
-            TerminalStabilityGap(problem, ens, PROD_BASIS, ens.states[:, -1, :]).companion,
+        shared = peak(lambda: solve_bsde_lsmc(problem, ens, PROD_BASIS, visitors=(
+            TerminalStabilityGap(problem, PROD_BASIS),
         )))
         assert shared - plain <= 0.05 * P * (N + 1) * 8
 
     def test_companion_terminal_shape_is_validated(self):
         params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=100)
-        companion = bsde.Companion(problem, np.zeros((7, 1)), lambda i, column, costate: None)
-        with pytest.raises(ValueError, match="companion terminal"):
-            solve_bsde_lsmc(problem, ens, PROD_BASIS, companions=(companion,))
+        with pytest.raises(ValueError, match="companion column"):
+            solve_bsde_lsmc(problem, ens, PROD_BASIS, visitors=(_Column(problem, np.zeros((7, 1))),))
 
     def test_report_needs_a_solved_companion(self):
         params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=100)
-        gap = TerminalStabilityGap(problem, ens, PROD_BASIS, ens.states[:, -1, :])
+        gap = TerminalStabilityGap(problem, PROD_BASIS)
         with pytest.raises(RuntimeError):
             gap.report()
 
@@ -506,23 +547,19 @@ class TestTerminalStability:
 class TestCompanionCap:
     def test_a_companion_solves_under_its_own_binding_cap(self):
         params, problem, ens = _consumption_setup(n_paths=1000)
-        seen = {}
-
-        def visit(i, column, costate):
-            seen[i] = [None if a is None else a.copy() for a in (*column, *costate)]
-
-        companion = bsde.Companion(problem, np.zeros((1000, 1)), visit, driver_state_cap=0.8)
-        shared = solve_bsde_lsmc(problem, ens, CONS_BASIS, companions=(companion,))
-        plain = solve_bsde_lsmc(problem, ens, CONS_BASIS)
-        alone = solve_bsde_lsmc(problem, ens, CONS_BASIS, driver_state_cap=0.8)
-        assert float(np.abs(alone.Y - plain.Y).max()) > 0.0  # the cap binds
+        column = _Column(problem, np.zeros((1000, 1)), cap=0.8)
+        shared, shared_y = _solve_with_y(problem, ens, CONS_BASIS, visitors=(column,))
+        plain, plain_y = _solve_with_y(problem, ens, CONS_BASIS)
+        alone, alone_y = _solve_with_y(problem, ens, CONS_BASIS, driver_state_cap=0.8)
+        assert float(np.abs(alone_y - plain_y).max()) > 0.0  # the cap binds
         # the costate keeps no cap of the companion's
-        assert np.array_equal(shared.Y, plain.Y)
+        assert np.array_equal(shared_y, plain_y)
         assert all(np.array_equal(a, b) for a, b in zip(shared.z_coeffs, plain.z_coeffs))
+        seen = column.seen
         assert sorted(seen) == list(range(81))
         for i, (y, z, y_costate, z_costate) in seen.items():
-            assert np.array_equal(y, alone.Y[:, i, :])
-            assert np.array_equal(y_costate, plain.Y[:, i, :])
+            assert np.array_equal(y, alone_y[:, i, :])
+            assert np.array_equal(y_costate, plain_y[:, i, :])
             if i == 80:
                 assert z is None and z_costate is None
             else:
@@ -532,24 +569,22 @@ class TestCompanionCap:
 
     def test_companion_cap_must_be_positive(self):
         params, problem, ens = _consumption_setup(steps=10, n_paths=50)
-        companion = bsde.Companion(
-            problem, np.zeros((50, 1)), lambda i, column, costate: None, driver_state_cap=0.0
-        )
+        column = _Column(problem, np.zeros((50, 1)), cap=0.0)
         with pytest.raises(ValueError, match="driver_state_cap"):
-            solve_bsde_lsmc(problem, ens, CONS_BASIS, companions=(companion,))
+            solve_bsde_lsmc(problem, ens, CONS_BASIS, visitors=(column,))
 
 
 def _cylinder_two_solve_reference(problem, ens, basis, truncation_m, truncation_p, cylinder):
     """The check as two full solves on a copy of the kept paths: (statistic, z gap, kept)."""
     mask = np.abs(ens.states).max(axis=(1, 2)) < cylinder
     sub = ens.take_paths(mask)
-    sol_m = solve_bsde_lsmc(problem, sub, basis, driver_state_cap=truncation_m)
-    sol_p = solve_bsde_lsmc(problem, sub, basis, driver_state_cap=truncation_p)
+    sol_m, y_m = _solve_with_y(problem, sub, basis, driver_state_cap=truncation_m)
+    sol_p, y_p = _solve_with_y(problem, sub, basis, driver_state_cap=truncation_p)
     diff_z = max(
         float(np.abs(sol_m.z_at(i, sub.states[:, i, :]) - sol_p.z_at(i, sub.states[:, i, :])).max())
         for i in range(ens.grid.steps)
     )
-    return float(np.abs(sol_m.Y - sol_p.Y).max()), diff_z, int(mask.sum())
+    return float(np.abs(y_m - y_p).max()), diff_z, int(mask.sum())
 
 
 class TestCylinderConsistency:
@@ -606,7 +641,7 @@ class TestCylinderConsistency:
         assert report.details["kept_fraction"] == kept / 1500
         assert report.n_samples == kept
 
-    def test_check_stores_one_costate(self):
+    def test_check_stores_no_costate_table(self):
         import tracemalloc
 
         from smpsolve.experiments import LogisticParams, logistic_problem
@@ -628,4 +663,40 @@ class TestCylinderConsistency:
             tracemalloc.stop()
         assert report.details["kept_fraction"] == 1.0
         one_y = 4000 * (grid.steps + 1) * problem.state_dim * 8
-        assert peak <= 1.25 * one_y
+        assert peak <= 0.25 * one_y
+
+
+class TestVisitors:
+    def test_each_node_is_handed_over_once_from_the_horizon_down(self):
+        params, problem, ens = _production_setup(horizon=2.0, steps=20, n_paths=300)
+        seen = []
+
+        class Record(CostateVisitor):
+            def start(self, ensemble):
+                seen.append(("start", ensemble))
+
+            def __call__(self, node):
+                shapes = [None if a is None else a.shape for a in (node.u, node.z)]
+                seen.append((node.i, node.x.shape, node.y.shape, *shapes, node.advance is None))
+                assert np.array_equal(node.x, ens.states[:, node.i, :])
+                if node.u is not None:
+                    assert np.array_equal(node.u, ens.control(node.i))
+
+        solve_bsde_lsmc(problem, ens, PROD_BASIS, visitors=(Record(),))
+        assert seen[0] == ("start", ens)
+        assert seen[1] == (20, (300, 1), (300, 1), None, None, True)
+        assert seen[2:] == [(i, (300, 1), (300, 1), (300, 1), (300, 1, 1), False) for i in range(19, -1, -1)]
+
+    def test_node_means_are_the_tables_means_to_the_bit(self):
+        params, problem, ens = _consumption_setup(n_paths=1000)
+        sol, Y = _solve_with_y(problem, ens, CONS_BASIS)
+        assert np.array_equal(sol.y_means, Y.mean(axis=0))
+        assert np.array_equal(sol.y0(), Y[:, 0, :].mean(axis=0))
+
+    def test_a_reused_visitor_holds_its_last_solve(self):
+        params, problem, a = _production_setup(horizon=2.0, steps=20, n_paths=300, seed=1)
+        _, _, b = _production_setup(horizon=2.0, steps=20, n_paths=300, seed=2)
+        table = CostateTable()
+        solve_bsde_lsmc(problem, a, PROD_BASIS, visitors=(table,))
+        solve_bsde_lsmc(problem, b, PROD_BASIS, visitors=(table,))
+        assert np.array_equal(table.Y, _solve_with_y(problem, b, PROD_BASIS)[1])

@@ -9,6 +9,7 @@ import pytest
 
 from smpsolve import (
     BlendedControl,
+    CostateTable,
     FeedbackControl,
     NoiseBatch,
     PicardError,
@@ -247,7 +248,9 @@ class TestRiccatiOracle:
             )
         problem = definition.problem(params)
         grid = TimeGrid.auto(problem.beta, steps)
-        run = experiments.ExperimentRun(definition, params, problem, grid, n_paths, seed, definition.basis)
+        run = experiments.ExperimentRun(
+            definition, params, problem, grid, n_paths, seed, definition.basis, checks=("oracle",)
+        )
         (report,) = definition.checks["oracle"](run)
         return report
 
@@ -275,8 +278,11 @@ class TestRiccatiOracle:
         params = definition.params_type()
         problem = definition.problem(params)
         grid = TimeGrid.auto(problem.beta, steps)
-        run = experiments.ExperimentRun(definition, params, problem, grid, n_paths, 3, definition.basis)
-        run.solution  # simulated and solved before tracing starts
+        run = experiments.ExperimentRun(
+            definition, params, problem, grid, n_paths, 3, definition.basis, checks=("oracle",)
+        )
+        run.ensemble  # simulated before tracing starts
+        # the backward pass, which reduces the node gaps, and the check
         tracemalloc.start()
         try:
             (report,) = definition.checks["oracle"](run)
@@ -379,15 +385,18 @@ class TestLogisticStructure:
 
         monkeypatch.setattr(experiments, "solve_bsde_lsmc", spy)
         monkeypatch.setattr(experiments, "simulate_forward", simulate_spy)
+        table, fresh_table = CostateTable(), CostateTable()
         result = logistic_picard_solve(
-            LogisticParams(), TimeGrid(horizon=2.0, steps=50), n_paths=1500, seed=0
+            LogisticParams(), TimeGrid(horizon=2.0, steps=50), n_paths=1500, seed=0, visitors=(table,)
         )
         # the last pass repeats the controls of the one before: it neither
         # simulates nor solves
         assert result.converged and result.residuals[-1] == 0.0
         assert len(solves) == len(simulations) == result.iterations
-        fresh = solve(result.problem, result.ensemble, RegressionBasis(degree=4))
-        assert np.array_equal(result.solution.Y, fresh.Y)
+        # the visitors hold the last pass solved, the returned one
+        fresh = solve(result.problem, result.ensemble, RegressionBasis(degree=4), visitors=(fresh_table,))
+        assert np.array_equal(table.Y, fresh_table.Y)
+        assert np.array_equal(result.solution.y_means, fresh.y_means)
         # the last law, simulated, retraces the returned paths
         again = simulate(result.problem, result.law, result.grid, 1500, 0, noise=result.ensemble.noise)
         assert np.array_equal(again.states, result.ensemble.states)
@@ -404,11 +413,11 @@ class TestLogisticStructure:
             passes.append([weakref.ref(ens)])
             return ens
 
-        def spy(problem, ens, basis):
+        def spy(problem, ens, basis, **kwargs):
             # every earlier pass's paths and costate are gone when a solve
             # starts, released without waiting for the cycle collector
             assert not any(ref() is not None for earlier in passes[:-1] for ref in earlier)
-            sol = solve(problem, ens, basis)
+            sol = solve(problem, ens, basis, **kwargs)
             passes[-1].append(weakref.ref(sol))
             return sol
 
@@ -438,7 +447,7 @@ def _constant_surface(ensemble, value):
     constant = BasisTransform(shift=np.zeros(1), scale=np.ones(1), degenerate=True)
     return BsdeSolution(
         ensemble=ensemble,
-        Y=None,
+        y_means=None,
         basis=RegressionBasis(degree=1),
         transforms=[constant] * steps,
         y_coeffs=[np.array([[value]])] * steps,
@@ -455,7 +464,8 @@ class TestPicardSafeguards:
     def _solve(monkeypatch, values):
         surfaces = iter(values)
         monkeypatch.setattr(
-            experiments, "solve_bsde_lsmc", lambda problem, ens, basis: _constant_surface(ens, next(surfaces))
+            experiments, "solve_bsde_lsmc",
+            lambda problem, ens, basis, visitors: _constant_surface(ens, next(surfaces)),
         )
         return logistic_picard_solve(LogisticParams(), TimeGrid(horizon=2.0, steps=10), n_paths=50, seed=0)
 
@@ -520,11 +530,14 @@ class TestRunExperiment:
         assert "mean_state" in run.curves and "mean_costate" not in run.curves
 
     def test_picard_check_alone_records_the_loops_paths_and_costate(self):
-        run = run_experiment("logistic", grid=TimeGrid(horizon=2.0, steps=20), n_paths=300, checks=("picard",))
+        table = CostateTable()
+        run = run_experiment(
+            "logistic", grid=TimeGrid(horizon=2.0, steps=20), n_paths=300, checks=("picard",), visitors=(table,)
+        )
         loop = run.candidate
         assert run.ensemble is loop.ensemble and run.solution is loop.solution
         assert run.scalars["y0_estimate"] == float(loop.solution.y0()[0])
-        assert np.array_equal(run.curves["mean_costate"], loop.solution.Y[:, :, 0].mean(axis=0))
+        assert np.array_equal(run.curves["mean_costate"], table.Y[:, :, 0].mean(axis=0))
         assert run.scalars["picard_iterations"] == loop.iterations
 
     def test_reading_the_paths_after_a_problem_only_run_simulates_nothing(self, monkeypatch):
@@ -590,14 +603,17 @@ class TestRunExperiment:
         solve = bsde.solve_bsde_lsmc
 
         def spy(*args, **kwargs):
-            solves.append(kwargs.get("companions", ()))
+            solves.append(kwargs.get("visitors", ()))
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "solve_bsde_lsmc", spy)
         monkeypatch.setattr(bsde, "solve_bsde_lsmc", spy)
         result = run_experiment(name, n_paths=2000)
-        # stability rides the candidate's solve as its one companion
-        assert len(solves) == 1 and len(solves[0]) == 1
+        # every check that reads the costate rides the candidate's one pass
+        assert len(solves) == 1
+        assert sorted(type(v).__name__ for v in solves[0]) == [
+            "NodeReduction", "PointwiseSample", "TailCostate", "TerminalStabilityGap"
+        ]
         assert result.report_by_name("terminal_stability").status == PASS
 
     # logistic: the two Picard passes, then the cylinder check's one two-column pass
@@ -618,7 +634,7 @@ class TestRunExperiment:
         assert len(calls) == passes
 
     def test_stability_of_a_solved_picard_candidate(self):
-        # the fixed point's costate exists before the check: its column takes a solve of its own
+        # the column rides every Picard pass; the last pass solved decides
         result = run_experiment("logistic", n_paths=2000, checks=("stability",))
         report = result.report_by_name("terminal_stability")
         assert report.status == PASS
@@ -780,3 +796,88 @@ def test_only_the_candidate_flows_draw_noise():
         ("experiments", "ExperimentRun.ensemble"),
         ("experiments", "logistic_picard_solve"),
     }
+
+
+class TestCostateVisitors:
+    """The run's figures of Y are formed in the backward pass; a dump's Y
+    table gives the same figures, to the bit."""
+
+    def test_figures_match_the_dumped_table_to_the_bit(self):
+        from smpsolve.forward import _row_chunks
+        from smpsolve.problems import hamiltonian, maximize_hamiltonian_in_u
+        from smpsolve.verify import DETERMINISTIC_SE
+        from smpsolve import stream_competitor
+
+        definition = get_experiment("consumption")
+        table = CostateTable()
+        run = run_experiment(
+            "consumption", grid=TimeGrid.auto(ConsumptionParams().resolved_beta(), 80), n_paths=1500, seed=3,
+            checks=("oracle", "pointwise_max", "tvc"), visitors=(table,),
+        )
+        ens, problem, grid, Y = run.ensemble, run.problem, run.grid, table.Y
+        P, N = ens.n_paths, grid.steps
+
+        # per-node reductions of the table
+        assert np.array_equal(run.curves["costate_times_state"], (Y[:, :, 0] * ens.states[:, :, 0]).mean(axis=0))
+        assert np.array_equal(run.curves["mean_costate"], Y[:, :, 0].mean(axis=0))
+        y0 = float(Y[:, 0, :].mean(axis=0)[0])
+        assert run.scalars["y0_estimate"] == y0 == run.report_by_name("oracle").details["y0_estimate"]
+
+        # tvc: m over every node from whole windows of the table
+        law = definition.competitors(run.params)[definition.tvc_competitor]
+        times = grid.times()[:-1]
+        m, se, scale = np.empty(N), np.empty(N), np.empty(N)
+
+        def gather(s, x, u):
+            e = s + u.shape[1]
+            weighted = np.einsum("pin,pin->pi", Y[:, s:e, :], x[:, :-1, :] - ens.states[:, s:e, :])
+            weighted *= np.exp(-problem.beta * times[s:e])
+            m[s:e], se[s:e] = weighted.mean(axis=0), weighted.std(axis=0, ddof=1)
+            scale[s:e] = np.abs(weighted).mean(axis=0)
+
+        stream_competitor(problem, ens, law, gather)
+        se /= math.sqrt(P)
+        se[se <= DETERMINISTIC_SE * scale] = 0.0
+        tvc = run.report_by_name("transversality")
+        n_tail = tvc.details["tail_nodes"]
+        score = m[-n_tail:] - 3.0 * se[-n_tail:]
+        best = int(np.argmin(score)) + N - n_tail
+        assert tvc.details["best_node"] == best and tvc.details["best_margin"] == score.min()
+        assert tvc.details["last_node_m"] == m[-1] and tvc.details["last_node_se"] == se[-1]
+        if tvc.details["route"] == "direct":
+            assert tvc.statistic == m[best]
+        else:
+            assert tvc.statistic == np.polyfit(times[-n_tail:], np.log(m[-n_tail:]), 1)[0]
+
+        # pointwise_max: the same nodes, Y read off the table, Z and u
+        # evaluated on whole row chunks after the solve
+        max_time = definition.pointwise_window(grid.horizon)
+        n_steps = max(1, min(N, int(math.ceil(max_time / grid.dt))))
+        paths = np.flatnonzero(~ens.exploded)
+        flat = np.random.default_rng(run.seed + 4).choice(paths.size * n_steps, size=10_000, replace=False)
+        p_idx, i_idx = paths[flat // n_steps], flat % n_steps
+        x, y = ens.states[p_idx, i_idx, :], Y[p_idx, i_idx, :]
+        u, z = np.empty((10_000, 1)), np.empty((10_000, 1, 1))
+        for i in np.unique(i_idx):
+            rows = np.flatnonzero(i_idx == i)
+            u[rows] = ens.control(int(i), p_idx[rows])
+            cover, where = _row_chunks(p_idx[rows], P)
+            z[rows] = run.solution.z_at(int(i), ens.states[cover, i, :])[where]
+        u_star, _ = maximize_hamiltonian_in_u(x, y, z, problem)
+        h_star = hamiltonian(x, u_star, y, z, problem)
+        rel = np.maximum(h_star - hamiltonian(x, u, y, z, problem), 0.0) / np.maximum(1.0, np.abs(h_star))
+        assert run.report_by_name("pointwise_max").statistic == float(np.percentile(rel, 99.9))
+
+    def test_a_default_run_holds_its_states_and_noise_alone(self):
+        run_experiment("consumption", n_paths=200)  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            run = run_experiment("consumption", n_paths=4000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        ens = run.ensemble
+        assert run.all_passed
+        # besides the two tables: the tail of Y that tvc keeps (a tenth of
+        # a table), the pointwise sample and the per-path costs
+        assert held <= ens.states.nbytes + ens.noise.increments.nbytes + 0.5 * ens.states.nbytes

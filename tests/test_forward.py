@@ -267,7 +267,7 @@ class TestRecomputedControls:
         params = ProductionPlanningParams()
         problem = production_problem(params)
         law, sol = self._costate_law(problem, params, TimeGrid(horizon=2.0, steps=30), 300)
-        held = [sol, sol.ensemble, sol.Y]
+        held = [sol, sol.ensemble]
         refs = [weakref.ref(sol), weakref.ref(sol.ensemble)]
         assert not any(isinstance(v, (BsdeSolution, PathEnsemble)) for v in vars(law).values())
         x = np.linspace(0.0, 3.0, 11)[:, None]

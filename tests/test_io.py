@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smpsolve import RegressionBasis, TimeGrid, simulate_forward, solve_bsde_lsmc
+from smpsolve import CostateTable, RegressionBasis, TimeGrid, simulate_forward, solve_bsde_lsmc
 from smpsolve.experiments import (
     ConsumptionParams,
     consumption_optimal_law,
@@ -43,8 +43,9 @@ def _small_run(n_paths=60, steps=20):
     problem = consumption_problem(params)
     grid = TimeGrid(horizon=2.0, steps=steps)
     ens = simulate_forward(problem, consumption_optimal_law(params), grid, n_paths, seed=0)
-    sol = solve_bsde_lsmc(problem, ens, CONS_BASIS)
-    return ens, sol
+    table = CostateTable()
+    sol = solve_bsde_lsmc(problem, ens, CONS_BASIS, visitors=(table,))
+    return ens, sol, table.Y
 
 
 class TestArrayFormat:
@@ -98,22 +99,22 @@ class TestArrayFormat:
 
 class TestEnsembleDump:
     def test_save_ensemble_and_costates(self, tmp_path):
-        ens, sol = _small_run()
+        ens, sol, Y = _small_run()
         efiles = save_ensemble(tmp_path / "run", ens)
-        cfiles = save_costates(tmp_path / "run", sol)
+        cfiles = save_costates(tmp_path / "run", sol, Y)
         kinds = {}
         for f in efiles + cfiles:
             kind, arr = read_array(f)
             kinds[kind] = arr
         assert np.array_equal(kinds[KIND_STATES], ens.states)
         assert np.array_equal(kinds[KIND_CONTROLS], ens.controls)
-        assert np.array_equal(kinds[KIND_COSTATE], sol.Y)
+        assert np.array_equal(kinds[KIND_COSTATE], Y)
         z = np.stack([sol.z_at(i, ens.states[:, i, :]) for i in range(ens.grid.steps)], axis=1)
         assert z.shape == (ens.n_paths, ens.grid.steps, 1, 1)
         assert np.array_equal(kinds[KIND_Z], z)
 
     def test_time_major_dump_is_path_major_on_disk(self, tmp_path):
-        ens, _ = _small_run()
+        ens, _, _ = _small_run()
         assert not ens.states.flags.c_contiguous
         states, controls = save_ensemble(tmp_path / "run", ens)
         write_array(tmp_path / "ref.smp", np.ascontiguousarray(ens.states), KIND_STATES)
@@ -125,10 +126,10 @@ class TestEnsembleDump:
     def test_computed_tables_dump_as_the_whole_tables_would(self, tmp_path, monkeypatch, n_paths):
         # the controls and Z are computed a block of paths at a time; with
         # blocks of one aligned chunk the files are those of the whole tables
-        ens, sol = _small_run(n_paths=n_paths, steps=12)
+        ens, sol, Y = _small_run(n_paths=n_paths, steps=12)
         monkeypatch.setattr(smp_io, "COMPUTED_BLOCK_BYTES", 1)
         _, controls = save_ensemble(tmp_path / "run", ens)
-        _, z_file = save_costates(tmp_path / "run", sol)
+        _, z_file = save_costates(tmp_path / "run", sol, Y)
         write_array(tmp_path / "ref.smp", ens.controls, KIND_CONTROLS)
         assert controls.read_bytes() == (tmp_path / "ref.smp").read_bytes()
         z = time_major(n_paths, 12, 1, 1)
@@ -151,7 +152,7 @@ class TestEnsembleDump:
         assert (tmp_path / "states.smp").read_bytes() == (tmp_path / "ref.smp").read_bytes()
 
     def test_paths_csv_shape(self, tmp_path):
-        ens, _ = _small_run(n_paths=7, steps=4)
+        ens, _, _ = _small_run(n_paths=7, steps=4)
         f = tmp_path / "paths.csv"
         write_paths_csv(f, ens, max_paths=3)
         rows = list(csv.reader(f.open()))
@@ -164,7 +165,7 @@ class TestEnsembleDump:
     @pytest.mark.parametrize("max_paths", [3, 100])
     def test_paths_csv_matches_element_wise_rows(self, tmp_path, max_paths):
         # reference: one repr per cell, the terminal node padded with blanks
-        ens, _ = _small_run(n_paths=7, steps=4)
+        ens, _, _ = _small_run(n_paths=7, steps=4)
         f = tmp_path / "paths.csv"
         write_paths_csv(f, ens, max_paths=max_paths)
         buf = io.StringIO(newline="")

@@ -8,8 +8,10 @@ import pytest
 
 from smpsolve import (
     ConstantControl,
+    CostateTable,
     CostEstimate,
     PathCostSum,
+    PointwiseSample,
     RegressionBasis,
     SimulationError,
     TimeGrid,
@@ -22,6 +24,7 @@ from smpsolve import (
     simulate_forward,
     solve_bsde_lsmc,
     stream_competitor,
+    TailCostate,
 )
 from smpsolve.problems import (
     AssumptionConstants,
@@ -49,6 +52,12 @@ from smpsolve.reports import INCONCLUSIVE
 
 CONS_BASIS = RegressionBasis(degree=4, reciprocal=True)
 PROD_BASIS = RegressionBasis(degree=4)
+
+
+def _ride(problem, ens, basis, *visitors):
+    """Solve the costate on ``ens`` with ``visitors``; returns them."""
+    solve_bsde_lsmc(problem, ens, basis, visitors=visitors)
+    return visitors
 
 
 class TestPathCosts:
@@ -155,13 +164,13 @@ class TestStreamedCompetitors:
     def test_tvc_matches_a_stored_competitor(self, name, grid_name):
         definition, problem, competitors, cand = _streamed_setup(name, grid_name)
         grid, n_paths = cand.grid, cand.n_paths
-        sol = solve_bsde_lsmc(problem, cand, definition.basis)
+        tail, table = _ride(problem, cand, definition.basis, TailCostate(), CostateTable())
         law = competitors[definition.tvc_competitor]
-        report = check_tvc(problem, sol, law)
+        report = check_tvc(problem, tail, law)
 
         # m(t) and its SE from the stored competitor, over nodes 0..N-1
         rival = simulate_forward(problem, law, grid, n_paths, seed=7, noise=cand.noise)
-        weighted = np.einsum("pin,pin->pi", sol.Y[:, :-1], rival.states[:, :-1] - cand.states[:, :-1])
+        weighted = np.einsum("pin,pin->pi", table.Y[:, :-1], rival.states[:, :-1] - cand.states[:, :-1])
         weighted *= np.exp(-problem.beta * grid.times()[:-1])
         m = weighted.mean(axis=0)
         se = weighted.std(axis=0, ddof=1) / math.sqrt(n_paths)
@@ -229,8 +238,8 @@ class TestStreamedCompetitors:
         assert counts == {"clipped_paths": 8, "exploded_paths": 0}
         report = cost_dominance(path_costs(problem, cand), {"dive": costing.total}, {"dive": counts})
         assert report.details["competitors"]["dive"]["clipped_paths"] == 8
-        sol = solve_bsde_lsmc(problem, cand, RegressionBasis(degree=1))
-        tvc = check_tvc(problem, sol, ConstantControl([1.0]))
+        (tail,) = _ride(problem, cand, RegressionBasis(degree=1), TailCostate())
+        tvc = check_tvc(problem, tail, ConstantControl([1.0]))
         assert tvc.details["clipped_paths"] == 8
 
     def test_exploding_competitor_raises_like_simulate_forward(self):
@@ -268,10 +277,10 @@ class TestPointwiseMax:
         problem = production_problem(params)
         grid = TimeGrid(horizon=12.0, steps=240)
         ens = simulate_forward(problem, production_optimal_law(params), grid, 3000, seed=2)
-        sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
         # sample clear of the terminal layer where the zero-terminal costate
         # departs from the stationary policy
-        report = check_pointwise_max(problem, sol, n_points=4000, tol=1e-3, max_time=6.0)
+        (sample,) = _ride(problem, ens, PROD_BASIS, PointwiseSample(n_points=4000, max_time=6.0))
+        report = check_pointwise_max(problem, sample, tol=1e-3)
         assert report.status == "pass"
         assert report.statistic <= 1e-3
 
@@ -280,8 +289,8 @@ class TestPointwiseMax:
         problem = production_problem(params)
         grid = TimeGrid(horizon=8.0, steps=160)
         ens = simulate_forward(problem, ConstantControl([params.u_high]), grid, 2000, seed=3)
-        sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
-        report = check_pointwise_max(problem, sol, n_points=4000, tol=1e-3, max_time=6.0)
+        (sample,) = _ride(problem, ens, PROD_BASIS, PointwiseSample(n_points=4000, max_time=6.0))
+        report = check_pointwise_max(problem, sample, tol=1e-3)
         assert report.status == "fail"
         assert report.statistic > 0.01
 
@@ -294,11 +303,11 @@ class TestPointwiseMax:
         problem = production_problem(params)
         grid = TimeGrid(horizon=8.0, steps=160)
         ens = simulate_forward(problem, production_optimal_law(params), grid, 2000, seed=3)
-        sol = solve_bsde_lsmc(problem, ens, PROD_BASIS)
+        (sample,) = _ride(problem, ens, PROD_BASIS, PointwiseSample(n_points=4000, max_time=6.0))
         wrong = dataclasses.replace(
             problem, stationary_control=lambda x, y, z: params.u1 + scale * y[..., 0:1] / (2.0 * params.c)
         )
-        report = check_pointwise_max(wrong, sol, n_points=4000, tol=1e-3, max_time=6.0)
+        report = check_pointwise_max(wrong, sample, tol=1e-3)
         assert report.details["maximizer_gap_bound"] < -1e-3
         assert report.status == INCONCLUSIVE
 
@@ -309,12 +318,12 @@ class TestTransversality:
         problem = consumption_problem(params)
         grid = TimeGrid(horizon=horizon, steps=steps)
         ens = simulate_forward(problem, consumption_optimal_law(params), grid, n_paths, seed=4)
-        sol = solve_bsde_lsmc(problem, ens, CONS_BASIS)
-        return params, problem, grid, ens, sol
+        (tail,) = _ride(problem, ens, CONS_BASIS, TailCostate())
+        return params, problem, grid, ens, tail
 
     def test_direct_route_with_heavier_consumption(self):
-        params, problem, grid, ens, sol = self._setup()
-        report = check_tvc(problem, sol, ConstantControl([params.cap]))
+        params, problem, grid, ens, tail = self._setup()
+        report = check_tvc(problem, tail, ConstantControl([params.cap]))
         assert report.status == "pass"
         assert report.details["route"] == "direct"
         # the verdict is read at the best tail node, whatever node N-1 shows
@@ -322,9 +331,9 @@ class TestTransversality:
         assert report.statistic - report.tolerance == report.details["best_margin"]
 
     def test_implied_route_with_lighter_consumption(self):
-        params, problem, grid, ens, sol = self._setup()
+        params, problem, grid, ens, tail = self._setup()
         quarter = 0.25 * params.resolved_beta()
-        report = check_tvc(problem, sol, ConstantControl([quarter]))
+        report = check_tvc(problem, tail, ConstantControl([quarter]))
         assert report.status == "pass"
         assert report.details.get("route") == "integrability"
         assert report.details["tail_decay_rate"] < 0.0
@@ -335,20 +344,20 @@ class TestTransversality:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_costate_fails(self, bad):
         # the implied-route setup passes on finite arrays; one bad path must fail it
-        params, problem, grid, ens, sol = self._setup()
+        params, problem, grid, ens, tail = self._setup()
         quarter = 0.25 * params.resolved_beta()
-        sol.Y[7] = bad
+        tail.Y[7] = bad
         with np.errstate(invalid="ignore"):
-            report = check_tvc(problem, sol, ConstantControl([quarter]))
+            report = check_tvc(problem, tail, ConstantControl([quarter]))
         assert report.status == "fail"
 
     def test_peak_memory_is_two_path_arrays(self):
         # the competitor is stepped through a window and m(t) gathered per window
         n_paths, steps = 4000, 400
-        params, problem, grid, ens, sol = self._setup(n_paths=n_paths, steps=steps)
+        params, problem, grid, ens, tail = self._setup(n_paths=n_paths, steps=steps)
         tracemalloc.start()
         try:
-            check_tvc(problem, sol, ConstantControl([params.cap]))
+            check_tvc(problem, tail, ConstantControl([params.cap]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -356,8 +365,8 @@ class TestTransversality:
 
     def test_start_node_is_not_in_the_tail(self):
         # both ensembles start at x0, so m(0) = 0 would pass vacuously
-        params, problem, grid, ens, sol = self._setup(n_paths=200, horizon=2.0, steps=2)
-        report = check_tvc(problem, sol, ConstantControl([params.cap]))
+        params, problem, grid, ens, tail = self._setup(n_paths=200, horizon=2.0, steps=2)
+        report = check_tvc(problem, tail, ConstantControl([params.cap]))
         assert report.details["tail_nodes"] == 1
         assert report.details["best_node"] == 1
 
@@ -365,8 +374,8 @@ class TestTransversality:
         # constant-rate consumption keeps X'/X deterministic and the
         # reciprocal basis fits Y = g(t)/X, so the per-path values agree to
         # roundoff: SE 0, and the positive tail passes by the implied route
-        params, problem, grid, ens, sol = self._setup()
-        report = check_tvc(problem, sol, ConstantControl([0.25 * params.resolved_beta()]))
+        params, problem, grid, ens, tail = self._setup()
+        report = check_tvc(problem, tail, ConstantControl([0.25 * params.resolved_beta()]))
         assert report.details["last_node_se"] == 0.0
         assert report.details["last_node_m"] > 0.0
         assert report.details["best_margin"] > 0.0
@@ -512,3 +521,23 @@ class TestIdentities:
         report = check_identities(dataclasses.replace(problem, multiplicative=wrong), spec)
         assert report.status == "fail"
         assert report.details["split_gap"] > 1e-6
+
+
+class TestCostateReaders:
+    def test_a_sample_must_ride_a_whole_pass(self):
+        problem = production_problem(ProductionPlanningParams())
+        with pytest.raises(RuntimeError):
+            check_pointwise_max(problem, PointwiseSample())
+
+    def test_the_tail_reads_live_paths_only(self):
+        params = ConsumptionParams()
+        problem = consumption_problem(params)
+        ens = simulate_forward(problem, consumption_optimal_law(params), TimeGrid(4.0, 40), 300, seed=4)
+        (tail,) = _ride(problem, ens, CONS_BASIS, TailCostate())
+        assert tail.first == 36 and tail.Y.shape == (300, 4, 1)
+        assert check_tvc(problem, tail, ConstantControl([params.cap])).details["tail_nodes"] == 4
+        del ens
+        with pytest.raises(RuntimeError):
+            check_tvc(problem, tail, ConstantControl([params.cap]))
+        with pytest.raises(RuntimeError):
+            check_tvc(problem, TailCostate(), ConstantControl([params.cap]))
