@@ -44,7 +44,10 @@ DISCOUNT_TAIL = 1e-4
 POSITIVITY_FLOOR = 1e-12
 SANDWICH_MARGIN = 1e-9
 SANDWICH_MAX_FRACTION = 1e-3
-# paths per noise draw buffer: 256 paths x 250 steps is 0.5 MB
+# paths per noise draw buffer: 256 paths x 250 steps is 0.5 MB.  Freeing the
+# buffer raises glibc's dynamic mmap threshold above the 8-byte-per-path
+# temporaries of every later step (160 KB at 20k paths, above the 128 KiB
+# default), so the heap reuses them instead of mapping each one afresh
 NOISE_BLOCK = 256
 # a surface evaluated on part of an ensemble's rows is evaluated on the whole
 # chunks of this many rows that hold them (see _row_chunks)
@@ -188,7 +191,8 @@ class NoiseBatch:
             raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
         increments = time_major(n_paths, n_steps, noise_dim)
         # draws need contiguous rows, so each block of paths is drawn path by
-        # path into a small buffer and then copied over time-major
+        # path into a small buffer and then copied over time-major, in the
+        # table's memory order
         block = np.empty((min(n_paths, NOISE_BLOCK), n_steps * noise_dim))
         # one generator, re-keyed per path: the same stream as a fresh
         # Generator(Philox(key=[seed, p])) for every path
@@ -200,11 +204,9 @@ class NoiseBatch:
                 fresh["state"]["key"][1] = start + r
                 gen.bit_generator.state = fresh
                 gen.standard_normal(out=row)
-            np.multiply(
-                rows.reshape(len(rows), n_steps, noise_dim),
-                math.sqrt(dt),
-                out=increments[start : start + len(rows)],
-            )
+            rows *= math.sqrt(dt)
+            staged = rows.reshape(len(rows), n_steps, noise_dim)
+            increments[start : start + len(rows)].swapaxes(0, 1)[...] = staged.swapaxes(0, 1)
         return cls(dt=dt, increments=increments)
 
     def take_paths(self, index: Array) -> "NoiseBatch":
@@ -438,6 +440,7 @@ def step_forward(
     coeff = problem.coefficients
     lower, upper = problem.domain.lower, problem.domain.upper
     mult = problem.multiplicative if positive else None
+    scalar_noise = problem.noise_dim == 1
 
     for i in range(grid.steps):
         j = i % window
@@ -456,7 +459,13 @@ def step_forward(
             sig = np.asarray(coeff.diffusion(x, u), dtype=float)
             np.multiply(b, dt, out=x_new)
             x_new += x
-            x_new += np.einsum("pic,pc->pi", sig, dW)
+            if scalar_noise:
+                # the einsum's one-term sum as a product: they differ only in
+                # the sign of a zero, which adding it to x + b dt drops unless
+                # that is -0.0 as well
+                x_new += sig[:, :, 0] * dW
+            else:
+                x_new += np.einsum("pic,pc->pi", sig, dW)
             euler = x_new[:, 0]
         else:
             # b = rate x + residual and sigma = vol x, so the Euler candidate,
@@ -465,13 +474,14 @@ def step_forward(
             core = x_new[:, 0]
             rate = np.asarray(mult.linear_rate(u), dtype=float).reshape(n_paths)
             vol = mult.volatility
+            shock = vol * dW[:, 0]
             euler = rate * dt
             euler += 1.0
-            euler += vol * dW[:, 0]
+            euler += shock
             euler *= x[:, 0]
             np.subtract(rate, 0.5 * vol * vol, out=core)
             core *= dt
-            core += vol * dW[:, 0]
+            core += shock
             np.exp(core, out=core)
             core *= x[:, 0]
             if mult.residual is not None:
@@ -479,14 +489,20 @@ def step_forward(
                 euler += res
                 core += res
         if positive:
-            crossed |= euler <= 0.0
-            low = x_new[:, 0] <= POSITIVITY_FLOOR
-            if low.any():
+            # NaN fails both tests, so it builds the masks, which skip it
+            if not euler.min() > 0.0:
+                crossed |= euler <= 0.0
+            if not x_new.min() > POSITIVITY_FLOOR:
+                low = x_new[:, 0] <= POSITIVITY_FLOOR
                 clipped |= low
                 x_new[low, 0] = POSITIVITY_FLOOR
+            # every state is now at or above the floor, or NaN
+            inside = x_new.max() <= EXPLOSION_GUARD
+        else:
+            inside = max(x_new.max(), -x_new.min()) <= EXPLOSION_GUARD
 
         # one scalar test while every path is in bounds; NaN and inf fail it
-        if frozen or not max(x_new.max(), -x_new.min()) <= EXPLOSION_GUARD:
+        if frozen or not inside:
             exploded |= ~(np.abs(x_new).max(axis=1) <= EXPLOSION_GUARD)
             frozen = bool(exploded.any())
             x_new[exploded] = x[exploded]

@@ -33,6 +33,8 @@ KIND_COSTATE = 3
 KIND_Z = 4
 
 WRITE_BLOCK_BYTES = 1 << 20
+# steps per tile when a time-major block is copied to C order for its write
+COPY_TILE_STEPS = 16
 # the block size of a table computed for its dump: each block costs one
 # evaluation per step, so its blocks are larger than the copies written
 COMPUTED_BLOCK_BYTES = 16 << 20
@@ -56,8 +58,8 @@ def write_rows(
     a block gives the rows of a full-width evaluation to the bit (see
     :func:`smpsolve.forward._row_chunks`).  The payload is C order
     whatever the layout of a block: a C-contiguous block is written as it
-    is, any other ``WRITE_BLOCK_BYTES`` at a time, so a time-major block is
-    never copied whole.
+    is, any other ``WRITE_BLOCK_BYTES`` at a time through one reused
+    buffer, so a time-major block is never copied whole.
     """
     block_bytes = COMPUTED_BLOCK_BYTES if block_bytes is None else block_bytes
     header = np.array([FORMAT_VERSION, kind, len(shape), *shape], dtype="<u4")
@@ -65,15 +67,38 @@ def write_rows(
     row_bytes = max(8 * math.prod(shape[1:]), 1)
     block = max(ROW_ALIGN, block_bytes // row_bytes // ROW_ALIGN * ROW_ALIGN)
     copy = max(1, WRITE_BLOCK_BYTES // row_bytes)
+    buffer = None
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header.tobytes())
         for start in range(0, n_rows, block):
             rows = rows_of(slice(start, start + block))
-            for part in range(0, len(rows), copy):
-                fh.write(np.ascontiguousarray(rows[part : part + copy], dtype="<f8").data)
+            if rows.flags.c_contiguous and rows.dtype == "<f8":
+                fh.write(rows.data)
+            else:
+                if buffer is None:
+                    buffer = np.empty((copy, *shape[1:]), dtype="<f8")
+                for part in range(0, len(rows), copy):
+                    fh.write(_copy_tiled(rows[part : part + copy], buffer).data)
             # released before the next block is computed, not after
             del rows
+
+
+def _copy_tiled(rows: Array, buffer: Array) -> Array:
+    """``rows`` copied into the leading rows of the C-order ``buffer``.
+
+    Rows of a time-major block lie one step apart in memory, so a row by
+    row copy reads each step's stretch of rows once per row.  Tiles of
+    ``COPY_TILE_STEPS`` steps across all the rows read each stretch once,
+    while it is in cache.
+    """
+    out = buffer[: len(rows)]
+    if rows.ndim < 2:
+        out[...] = rows
+        return out
+    for s in range(0, rows.shape[1], COPY_TILE_STEPS):
+        out[:, s : s + COPY_TILE_STEPS] = rows[:, s : s + COPY_TILE_STEPS]
+    return out
 
 
 def _by_step(steps: int, at: Callable[[int], Array]) -> Array:
@@ -171,23 +196,26 @@ def write_paths_csv(path, ensemble: PathEnsemble, max_paths: int = 100) -> None:
     P = min(ensemble.n_paths, max_paths)
     n = ensemble.state_dim
     k = ensemble.domain.dim
+    steps = ensemble.grid.steps
     header = ["path", "step", "time"]
     header += [f"x{j}" for j in range(n)]
     header += [f"u{j}" for j in range(k)]
-    # csv writes a float as its repr, so rows of Python floats keep every
-    # digit; they are built one path at a time
-    times = ensemble.grid.times().tolist()
-    controls = _by_step(ensemble.grid.steps, lambda i: ensemble.control(i, slice(0, P)))
-    # the terminal node has no control
-    blank = [""] * k
+    controls = _by_step(steps, lambda i: ensemble.control(i, slice(0, P)))
+    # the rows csv.writer would write: each float as its repr, which keeps
+    # every digit and never needs quoting, and CRLF line ends.  The step and
+    # time cells are the same on every path, and the repr of a path's whole
+    # list of rows gives the rest in one call
+    steps_times = [f"{i},{t!r}," for i, t in enumerate(ensemble.grid.times().tolist())]
+    # the terminal node has no control, and its k cells stay empty
+    blank = "," * k
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for p in range(P):
-            states, applied = ensemble.states[p].tolist(), controls[p].tolist()
-            writer.writerows(
-                [p, i, t, *x, *u] for i, (t, x, u) in enumerate(zip(times, states, applied + [blank]))
-            )
+            cells = np.concatenate([ensemble.states[p, :steps], controls[p]], axis=1).tolist()
+            cells.append(ensemble.states[p, steps].tolist())
+            rows = repr(cells)[2:-2].replace(", ", ",").split("],[")
+            rows[-1] += blank
+            fh.write("".join(f"{p},{at}{row}\r\n" for at, row in zip(steps_times, rows)))
 
 
 def write_reports_csv(path, reports: List[VerificationReport]) -> None:

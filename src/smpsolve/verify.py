@@ -63,11 +63,14 @@ class PathCostSum:
 
     def __call__(self, s: int, x: Array, u: Array) -> None:
         e = s + u.shape[1]
-        part = np.dot(self.cost(x[:, :-1], u), self.weights[s:e])
         if self.total is None:
-            self.total = part
+            # the dot's sum starts from +0.0, and so does the total
+            self.total = np.zeros(x.shape[0])
+        if e == s + 1:
+            # a one-step window: the dot's one-term sum, as a product
+            self.total += self.cost(x[:, 0], u[:, 0]) * self.weights[s]
         else:
-            self.total += part
+            self.total += np.dot(self.cost(x[:, :-1], u), self.weights[s:e])
         if e == self.weights.size - 1:
             self.total += self.cost(x[:, -1], u[:, -1]) * self.weights[-1]
 

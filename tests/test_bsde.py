@@ -25,6 +25,7 @@ from smpsolve.problems import (
     CoefficientField,
     ControlDomain,
     DiscountedProblem,
+    grad_x_hamiltonian,
 )
 from smpsolve.experiments import (
     ConsumptionParams,
@@ -700,3 +701,84 @@ class TestVisitors:
         solve_bsde_lsmc(problem, a, PROD_BASIS, visitors=(table,))
         solve_bsde_lsmc(problem, b, PROD_BASIS, visitors=(table,))
         assert np.array_equal(table.Y, _solve_with_y(problem, b, PROD_BASIS)[1])
+
+
+def _same_bits(a, b) -> bool:
+    """Equal to the bit: signed zeros and NaN payloads included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _planar_problem() -> DiscountedProblem:
+    """Two states, two noises, state-dependent drift gradient and diffusion."""
+
+    def grad_diffusion(x, u):
+        gs = np.zeros(x.shape[:-1] + (2, 2, 2))
+        gs[..., 0, 0, 0] = 0.3
+        gs[..., 1, 1, 0] = 0.1 * x[..., 1]
+        gs[..., 1, 0, 1] = -0.2
+        return gs
+
+    coeffs = CoefficientField(
+        state_dim=2,
+        noise_dim=2,
+        control_dim=1,
+        drift=lambda x, u: -x + u,
+        diffusion=lambda x, u: 0.1 * np.ones(x.shape[:-1] + (2, 2)),
+        running_cost=lambda x, u: -(x**2).sum(axis=-1),
+        grad_drift=lambda x, u: np.stack([-1.0 - x, 0.5 * x], axis=-1),
+        grad_cost=lambda x, u: -2.0 * x,
+        grad_diffusion=grad_diffusion,
+    )
+    return DiscountedProblem(
+        coefficients=coeffs,
+        domain=ControlDomain([-1.0], [1.0]),
+        beta=3.0,
+        constants=AssumptionConstants(0.0, 0.0, 0.3, 0.3),
+        x0=np.array([0.5, -0.5]),
+    )
+
+
+class TestSharedDriverTerms:
+    @pytest.mark.parametrize("setup", ["consumption", "production", "planar"])
+    def test_a_backward_step_is_two_driver_calls(self, setup):
+        # the step forms the driver's y-free terms once for its predictor and
+        # corrector; the reference calls grad_x_hamiltonian for each
+        rng = np.random.default_rng(2)
+        if setup == "planar":
+            problem, basis, P = _planar_problem(), RegressionBasis(degree=2), 500
+            x, u = rng.standard_normal((P, 2)), rng.uniform(-1.0, 1.0, (P, 1))
+            dW, target = rng.standard_normal((P, 2)) * 0.1, rng.standard_normal((P, 2))
+            dt = 0.01
+        else:
+            _, problem, ens = _consumption_setup() if setup == "consumption" else _production_setup()
+            basis = CONS_BASIS if setup == "consumption" else PROD_BASIS
+            i = 7
+            x, u, dW = ens.states[:, i], ens.control(i), ens.noise.increments[:, i]
+            # negative targets: production's zero drift gradient times a
+            # negative y is -0.0, which the one-term sum from +0.0 is not
+            target, dt = -np.abs(rng.standard_normal((ens.n_paths, 1))), ens.grid.dt
+        valid = np.ones(x.shape[0], dtype=bool)
+        valid[::50] = False
+        design, _ = basis.fit(x, valid=valid)
+        fit, _, _ = bsde._least_squares(design, valid)
+        y, z, z_coeffs = bsde._backward_step(problem, design, fit, valid, target, x, u, dW, dt)
+
+        n, d = target.shape[1], dW.shape[1]
+        y_pred = design @ fit(target)
+        resid = np.where(valid[:, None], target - y_pred, 0.0)
+        want_z = (design @ fit((resid[:, :, None] * dW[:, None, :]).reshape(-1, n * d) / dt)).reshape(-1, n, d)
+        y_half = y_pred + grad_x_hamiltonian(x, u, y_pred, want_z, problem) * dt
+        want_y = y_pred + grad_x_hamiltonian(x, u, y_half, want_z, problem) * dt
+        assert _same_bits(z, want_z) and _same_bits(y, want_y)
+        assert np.array_equal(z_coeffs, fit((resid[:, :, None] * dW[:, None, :]).reshape(-1, n * d) / dt))
+
+    def test_the_scalar_driver_keeps_the_einsum_zeros(self):
+        # production's drift gradient is zero: gb * y is -0.0 for y < 0,
+        # where the einsum's sum from +0.0 reads +0.0
+        problem = production_problem(ProductionPlanningParams())
+        x = np.array([[problem.x0[0]], [0.5], [2.0]])
+        u, z = np.full((3, 1), 0.3), np.zeros((3, 1, 1))
+        y = np.array([[-1.0], [-0.0], [2.0]])
+        grad = bsde._driver(problem, x, u, z)
+        assert _same_bits(grad(y), grad_x_hamiltonian(x, u, y, z, problem))

@@ -38,6 +38,7 @@ from smpsolve.problems import (
     CoefficientField,
     ControlDomain,
     DiscountedProblem,
+    MultiplicativeStructure,
     StateRegion,
 )
 from smpsolve.experiments import (
@@ -152,13 +153,14 @@ class TestNoiseBatch:
         scaled = batch.increments / math.sqrt(0.04)
         assert abs(scaled.std() - 1.0) < 0.02
 
-    def test_matches_a_fresh_generator_per_path(self):
-        # 300 paths span two draw blocks
-        batch = NoiseBatch.generate(5, 300, 9, 2, 0.25)
+    @pytest.mark.parametrize("noise_dim", [1, 2])
+    def test_matches_a_fresh_generator_per_path(self, noise_dim):
+        # 300 paths span a whole draw block and a part one
+        batch = NoiseBatch.generate(5, 300, 9, noise_dim, 0.25)
         for p in range(300):
             gen = np.random.Generator(np.random.Philox(key=[5, p]))
-            expected = (gen.standard_normal(9 * 2) * math.sqrt(0.25)).reshape(9, 2)
-            assert np.array_equal(batch.increments[p], expected)
+            expected = (gen.standard_normal(9 * noise_dim) * math.sqrt(0.25)).reshape(9, noise_dim)
+            assert _same_bits(batch.increments[p], expected)
 
     def test_seeds_beyond_int64_are_rejected(self):
         # a key cast through float64 would give 2**63 and 2**63 + 1 one stream
@@ -615,3 +617,151 @@ class TestStreamedPathChecks:
         finally:
             tracemalloc.stop()
         assert peak < 0.2 * n_paths * (steps + 1) * 8
+
+
+def _same_bits(a, b) -> bool:
+    """Equal to the bit: signed zeros and NaN payloads included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _reference_flow(problem, law, grid, noise, x0):
+    """The stepper written out with einsum and full masks at every step:
+    (states, euler_crossed, floor_clipped, exploded)."""
+    P, n = x0.shape
+    states = np.empty((P, grid.steps + 1, n))
+    states[:, 0] = x0
+    crossed, clipped, exploded = (np.zeros(P, dtype=bool) for _ in range(3))
+    positive = problem.state_region is StateRegion.POSITIVE_HALF_LINE
+    mult = problem.multiplicative if positive else None
+    c, dt = problem.coefficients, grid.dt
+    for i in range(grid.steps):
+        x = states[:, i]
+        u = np.clip(law.control_at(grid.times()[i], x), problem.domain.lower, problem.domain.upper)
+        dW = noise.increments[:, i]
+        if mult is None:
+            x_new = c.drift(x, u) * dt + x + np.einsum("pic,pc->pi", c.diffusion(x, u), dW)
+            euler = x_new[:, 0].copy()
+        else:
+            rate, vol = mult.linear_rate(u), mult.volatility
+            res = mult.residual(x, u) * dt
+            euler = ((rate * dt + 1.0) + vol * dW[:, 0]) * x[:, 0] + res
+            x_new = (np.exp((rate - 0.5 * vol * vol) * dt + vol * dW[:, 0]) * x[:, 0] + res)[:, None]
+        if positive:
+            crossed |= euler <= 0.0
+            low = x_new[:, 0] <= POSITIVITY_FLOOR
+            clipped |= low
+            x_new[low, 0] = POSITIVITY_FLOOR
+        exploded |= ~(np.abs(x_new).max(axis=1) <= EXPLOSION_GUARD)
+        x_new[exploded] = x[exploded]
+        states[:, i + 1] = x_new
+    return states, crossed, clipped, exploded
+
+
+def _whole_space_problem(n: int, d: int) -> DiscountedProblem:
+    """Linear drift with state-dependent noise in n states and d noises."""
+
+    def diffusion(x, u):
+        scale = 0.2 + 0.1 * np.cos(x)
+        return scale[..., :, None] * np.linspace(0.5, 1.5, d)
+
+    coeffs = CoefficientField(
+        state_dim=n,
+        noise_dim=d,
+        control_dim=1,
+        drift=lambda x, u: x - u,
+        diffusion=diffusion,
+        running_cost=lambda x, u: np.zeros(x.shape[:-1]),
+        grad_drift=lambda x, u: np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)),
+        grad_cost=lambda x, u: np.zeros_like(x),
+    )
+    return DiscountedProblem(
+        coefficients=coeffs,
+        domain=ControlDomain([-1.0], [1.0]),
+        beta=4.0,
+        constants=AssumptionConstants(1.0, 1.0, 0.1, 0.1),
+        x0=np.zeros(n),
+    )
+
+
+def _half_line_problem(multiplicative: bool) -> DiscountedProblem:
+    """A loud scalar half-line problem whose paths cross, clip at the floor
+    (pushed from [0.004, 0.01)) and leave the guard (above 1e7 the rate is
+    2, or the drift 1e9); a NaN control turns a path NaN."""
+
+    def residual(x, u):
+        return np.where((x[:, 0] >= 0.004) & (x[:, 0] < 0.01), -1.0, 0.0) + 0.0 * u[:, 0]
+
+    def drift(x, u):
+        return u * x + residual(x, u)[:, None]
+
+    def euler_drift(x, u):
+        return np.where(x > 1e7, 1e9, 0.0) + residual(x, u)[:, None]
+
+    coeffs = CoefficientField(
+        state_dim=1,
+        noise_dim=1,
+        control_dim=1,
+        drift=drift if multiplicative else euler_drift,
+        diffusion=(lambda x, u: x[..., :, None]) if multiplicative else (lambda x, u: np.full(x.shape + (1,), 0.6)),
+        running_cost=lambda x, u: np.zeros(x.shape[:-1]),
+        grad_drift=lambda x, u: u[..., :, None],
+        grad_cost=lambda x, u: np.zeros_like(x),
+    )
+    return DiscountedProblem(
+        coefficients=coeffs,
+        domain=ControlDomain([0.0], [2.0]),
+        beta=10.0,
+        constants=AssumptionConstants(2.0, 2.0, 1.0, 1.0),
+        x0=np.array([1.0]),
+        state_region=StateRegion.POSITIVE_HALF_LINE,
+        multiplicative=MultiplicativeStructure(1.0, lambda u: u[:, 0], residual) if multiplicative else None,
+    )
+
+
+class TestStepKernels:
+    """The stepper's products, in-place sums and bound-gated masks, against
+    the einsum and full-mask reference, to the bit."""
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (1, 2)])
+    def test_euler_matches_the_einsum_reference(self, n, d):
+        problem = _whole_space_problem(n, d)
+        grid = TimeGrid(horizon=3.0, steps=30)
+        x0 = np.random.default_rng(4).standard_normal((500, n))
+        # one path leaves the guard: x' = x grows it 1.1-fold per step
+        x0[17] = 9e7
+        law = FeedbackControl(lambda t, x: np.sin(t + x[:, 0]))
+        ens = simulate_forward(problem, law, grid, 500, seed=6, x0=x0)
+        states, *flags = _reference_flow(problem, law, grid, ens.noise, x0)
+        assert ens.exploded.tolist() == flags[2].tolist() and np.flatnonzero(flags[2]).tolist() == [17]
+        assert _same_bits(ens.states, states)
+        for got, want in zip((ens.euler_crossed, ens.floor_clipped, ens.exploded), flags):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("multiplicative", [True, False])
+    def test_half_line_matches_the_mask_reference(self, multiplicative):
+        problem = _half_line_problem(multiplicative)
+        grid = TimeGrid(horizon=5.0, steps=10)
+        # the loud paths start small, so that they cross by less than 0.01,
+        # where a loose crossing test would not look
+        x0 = np.full((1000, 1), 1e-7)
+        x0[:4], x0[4:8], x0[8:58] = 5e7, 5000.0, 0.005
+
+        def control(t, x):
+            # NaN at one step only, so that the other steps take the tests
+            # gated on each array's min and max
+            nan_now = (x[:, 0] > 500.0) & (x[:, 0] < 1e6) & (t == 2.0)
+            return np.where(x[:, 0] > 1e6, 2.0, np.where(nan_now, np.nan, 0.05))
+
+        law = FeedbackControl(control)
+        ens = simulate_forward(problem, law, grid, 1000, seed=8, x0=x0)
+        states, crossed, clipped, exploded = _reference_flow(problem, law, grid, ens.noise, x0)
+        # every bound is hit: guard and NaN paths freeze, low paths clip, loud paths cross
+        assert np.flatnonzero(exploded).tolist() == list(range(8))
+        assert (states[4:8, 5:] == states[4:8, 4:5]).all()
+        assert clipped[8:58].mean() > 0.5 and crossed[58:].mean() > 0.2
+        assert np.isfinite(states).all()
+        assert _same_bits(ens.states, states)
+        np.testing.assert_array_equal(ens.euler_crossed, crossed)
+        np.testing.assert_array_equal(ens.floor_clipped, clipped)
+        np.testing.assert_array_equal(ens.exploded, exploded)

@@ -7,7 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smpsolve import CostateTable, RegressionBasis, TimeGrid, simulate_forward, solve_bsde_lsmc
+from smpsolve import (
+    CostateTable,
+    FeedbackControl,
+    NoiseBatch,
+    PathEnsemble,
+    RegressionBasis,
+    TimeGrid,
+    simulate_forward,
+    solve_bsde_lsmc,
+)
 from smpsolve.experiments import (
     ConsumptionParams,
     consumption_optimal_law,
@@ -16,6 +25,7 @@ from smpsolve.experiments import (
 from smpsolve import io as smp_io
 from smpsolve.forward import ROW_ALIGN, time_major
 from smpsolve.io import (
+    COPY_TILE_STEPS,
     FORMAT_VERSION,
     KIND_CONTROLS,
     KIND_COSTATE,
@@ -32,7 +42,9 @@ from smpsolve.io import (
     write_paths_csv,
     write_reports_csv,
     write_results_json,
+    write_rows,
 )
+from smpsolve.problems import ControlDomain
 from smpsolve.reports import VerificationReport
 
 CONS_BASIS = RegressionBasis(degree=4, reciprocal=True)
@@ -182,6 +194,64 @@ class TestEnsembleDump:
                     row += [""]
                 writer.writerow(row)
         assert f.read_bytes() == buf.getvalue().encode()
+
+
+EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, -2.5]
+
+
+def _edge_ensemble(n_paths=3, steps=5):
+    """Two states and two controls per node that cycle through edge values
+    (the controls skip the infinities, which the box would clip)."""
+    grid = TimeGrid(horizon=1.0, steps=steps)
+    states = time_major(n_paths, steps + 1, 2)
+    states[...] = np.resize(EDGE_VALUES, states.size).reshape(states.shape)
+    applied = time_major(n_paths, steps, 2)
+    applied[...] = np.resize([v for v in EDGE_VALUES if not np.isinf(v)], applied.size).reshape(applied.shape)
+    law = FeedbackControl(lambda t, x: applied[: x.shape[0], grid.step_at(t)])
+    return PathEnsemble(
+        grid=grid,
+        states=states,
+        law=law,
+        domain=ControlDomain([-1e17, -1e17], [1e17, 1e17]),
+        noise=NoiseBatch(dt=grid.dt, increments=time_major(n_paths, steps, 1)),
+        euler_crossed=np.zeros(n_paths, dtype=bool),
+        floor_clipped=np.zeros(n_paths, dtype=bool),
+        exploded=np.zeros(n_paths, dtype=bool),
+    )
+
+
+class TestDumpKernels:
+    def test_paths_csv_is_the_csv_writer_rendering(self, tmp_path):
+        # csv.writer renders each float itself; the terminal row ends in
+        # two empty control cells
+        ens = _edge_ensemble()
+        f = tmp_path / "paths.csv"
+        write_paths_csv(f, ens)
+        controls = ens.controls
+        assert np.isnan(controls).any() and (controls == 5e-324).any()
+        assert ((controls == 0.0) & np.signbit(controls)).any()
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["path", "step", "time", "x0", "x1", "u0", "u1"])
+        for p in range(ens.n_paths):
+            for i, t in enumerate(ens.grid.times().tolist()):
+                u = controls[p, i].tolist() if i < ens.grid.steps else ["", ""]
+                writer.writerow([p, i, t, *ens.states[p, i].tolist(), *u])
+        assert f.read_bytes() == buf.getvalue().encode()
+        assert f.read_bytes().split(b"\r\n")[-2].endswith(b",,")
+
+    @pytest.mark.parametrize("n_paths", [1, 63, 65, 4097])
+    def test_time_major_writes_round_trip(self, tmp_path, n_paths):
+        # two whole tiles and a short one, in one or several copies per block
+        steps = 2 * COPY_TILE_STEPS + 3
+        a = time_major(n_paths, steps, 2)
+        a[...] = np.random.default_rng(n_paths).standard_normal(a.shape)
+        write_array(tmp_path / "a.smp", a)
+        write_rows(tmp_path / "r.smp", a.shape, KIND_STATES, lambda rows: a[rows], block_bytes=1 << 16)
+        for name, kind in (("a.smp", KIND_GENERIC), ("r.smp", KIND_STATES)):
+            got_kind, back = read_array(tmp_path / name)
+            assert got_kind == kind and back.shape == a.shape
+            assert np.array_equal(back, a)
 
 
 class TestCsvTables:
