@@ -199,18 +199,16 @@ def _command_list() -> int:
 
 
 def _command_run(args) -> int:
+    import platform
+
+    import numpy
+
     from . import experiments
     from .forward import SimulationError, TimeGrid
     from .bsde import CostateTable, RegressionError
     from .experiments import PicardError, get_experiment, run_experiment
-    from .io import (
-        save_costates,
-        save_ensemble,
-        write_curves_csv,
-        write_paths_csv,
-        write_reports_csv,
-        write_results_json,
-    )
+    from .io import write_curves_csv, write_dumps, write_reports_csv, write_results_json
+    from .parallel import usable_cpus
 
     experiment_names = {d.name for d in experiments.list_experiments()}
     try:
@@ -305,6 +303,10 @@ def _command_run(args) -> int:
         "metadata": {
             "generated_at": datetime.now(timezone.utc).isoformat(),
             "command": "run",
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            # the CPUs smpsolve.parallel.fork_map may split work across
+            "cpus": usable_cpus(),
         },
     }
     write_results_json(out / "results.json", payload)
@@ -314,15 +316,12 @@ def _command_run(args) -> int:
         if result.ensemble is None:
             print("note: --dump-paths wrote nothing: no selected check simulated paths", file=sys.stderr)
         else:
-            write_paths_csv(out / "paths.csv", result.ensemble)
-            save_ensemble(out / name, result.ensemble)
             if result.solution is None:
                 print(
                     "note: --dump-paths wrote no costate (_y, _z) files: no selected check solved it",
                     file=sys.stderr,
                 )
-            else:
-                save_costates(out / name, result.solution, table.Y)
+            write_dumps(out, name, result.ensemble, result.solution, table.Y)
 
     for report in result.reports:
         print(report.summary_line())

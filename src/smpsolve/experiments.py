@@ -56,6 +56,7 @@ from .forward import (
     stream_competitor,
     time_major,
 )
+from .parallel import fork_map
 from .problems import (
     AssumptionConstants,
     CoefficientField,
@@ -1035,12 +1036,24 @@ def _tvc(run: ExperimentRun) -> List[VerificationReport]:
 
 def _costs(run: ExperimentRun) -> List[VerificationReport]:
     ens = run.ensemble
-    costs, degenerate = {"candidate": path_costs(run.problem, ens)}, {}
-    for name, law in run.definition.competitors(run.params).items():
-        if name not in run.competitor_costs:
-            costing = PathCostSum(run.problem, run.grid)
-            flags = stream_competitor(run.problem, ens, law, costing)
-            run.competitor_costs[name] = costing.total, degenerate_paths(flags)
+    competitors = run.definition.competitors(run.params)
+    todo = [name for name in competitors if name not in run.competitor_costs]
+
+    def cost(name: str | None) -> tuple[Array, dict]:
+        if name is None:
+            # the candidate: its stored paths, costed in this process
+            return path_costs(run.problem, ens), {}
+        costing = PathCostSum(run.problem, run.grid)
+        flags = stream_competitor(run.problem, ens, competitors[name], costing)
+        return costing.total, degenerate_paths(flags)
+
+    # the flows are independent: the later competitors may be stepped in a
+    # second process while this one costs the candidate and the first ones
+    items = [None, *todo]
+    (candidate, _), *streamed = fork_map(cost, items, len(items) * ens.n_paths * run.grid.steps)
+    run.competitor_costs.update(zip(todo, streamed))
+    costs, degenerate = {"candidate": candidate}, {}
+    for name in competitors:
         costs[name], degenerate[name] = run.competitor_costs[name]
     for name, j in costs.items():
         run.costs[name] = CostEstimate.from_path_costs(j, run.grid.horizon, label=name)

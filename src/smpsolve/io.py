@@ -19,6 +19,7 @@ import numpy as np
 
 from .bsde import BsdeSolution
 from .forward import ROW_ALIGN, PathEnsemble, time_major
+from .parallel import fork_map
 from .reports import VerificationReport
 
 Array = np.ndarray
@@ -138,17 +139,27 @@ def save_ensemble(prefix, ensemble: PathEnsemble) -> List[Path]:
     The ensemble keeps no controls table: the (P, N, k) controls are
     recomputed (:meth:`PathEnsemble.control`) a block of paths at a time.
     """
+    return [_save_states(prefix, ensemble), _save_controls(prefix, ensemble)]
+
+
+def _suffixed(prefix, suffix: str) -> Path:
     prefix = Path(prefix)
-    paths = [
-        prefix.with_name(prefix.name + "_states.smp"),
-        prefix.with_name(prefix.name + "_controls.smp"),
-    ]
-    write_array(paths[0], ensemble.states, KIND_STATES)
+    return prefix.with_name(prefix.name + suffix)
+
+
+def _save_states(prefix, ensemble: PathEnsemble) -> Path:
+    path = _suffixed(prefix, "_states.smp")
+    write_array(path, ensemble.states, KIND_STATES)
+    return path
+
+
+def _save_controls(prefix, ensemble: PathEnsemble) -> Path:
+    path = _suffixed(prefix, "_controls.smp")
     shape = (ensemble.n_paths, ensemble.grid.steps, ensemble.domain.dim)
     write_rows(
-        paths[1], shape, KIND_CONTROLS, lambda rows: _by_step(shape[1], lambda i: ensemble.control(i, rows))
+        path, shape, KIND_CONTROLS, lambda rows: _by_step(shape[1], lambda i: ensemble.control(i, rows))
     )
-    return paths
+    return path
 
 
 def save_costates(prefix, solution: BsdeSolution, Y: Array) -> List[Path]:
@@ -160,21 +171,58 @@ def save_costates(prefix, solution: BsdeSolution, Y: Array) -> List[Path]:
     :meth:`BsdeSolution.z_at` at the states of the paths it was solved on, a
     block of paths at a time, only for the write.
     """
+    _check_y(solution, Y)
+    return [_save_y(prefix, Y), _save_z(prefix, solution)]
+
+
+def _check_y(solution: BsdeSolution, Y: Array) -> None:
+    P, n = solution.ensemble.n_paths, solution.ensemble.state_dim
+    if np.shape(Y) != (P, solution.grid.steps + 1, n):
+        raise ValueError("Y must be the (n_paths, steps + 1, state_dim) table of the solve")
+
+
+def _save_y(prefix, Y: Array) -> Path:
+    path = _suffixed(prefix, "_y.smp")
+    write_array(path, Y, KIND_COSTATE)
+    return path
+
+
+def _save_z(prefix, solution: BsdeSolution) -> Path:
+    path = _suffixed(prefix, "_z.smp")
     states = solution.ensemble.states
     P, steps, n = states.shape[0], solution.grid.steps, states.shape[2]
-    if np.shape(Y) != (P, steps + 1, n):
-        raise ValueError("Y must be the (n_paths, steps + 1, state_dim) table of the solve")
-    prefix = Path(prefix)
-    paths = [
-        prefix.with_name(prefix.name + "_y.smp"),
-        prefix.with_name(prefix.name + "_z.smp"),
-    ]
-    write_array(paths[0], Y, KIND_COSTATE)
     shape = (P, steps, n, solution.z_coeffs[0].shape[1] // n)
     write_rows(
-        paths[1], shape, KIND_Z, lambda rows: _by_step(steps, lambda i: solution.z_at(i, states[rows, i, :]))
+        path, shape, KIND_Z, lambda rows: _by_step(steps, lambda i: solution.z_at(i, states[rows, i, :]))
     )
-    return paths
+    return path
+
+
+def write_dumps(
+    out, name: str, ensemble: PathEnsemble, solution: BsdeSolution | None = None, Y: Array | None = None
+) -> None:
+    """Write every ``--dump-paths`` file of a run into the directory ``out``.
+
+    ``paths.csv`` (:func:`write_paths_csv`) and ``<name>_states.smp`` and
+    ``<name>_controls.smp`` (:func:`save_ensemble`); with a ``solution`` and
+    its ``Y`` table also ``<name>_y.smp`` and ``<name>_z.smp``
+    (:func:`save_costates`).  The files are independent, and a second
+    process may write about half of them (:func:`smpsolve.parallel.fork_map`),
+    with the same bytes.
+    """
+    out = Path(out)
+    prefix = out / name
+    jobs = [(_save_states, prefix, ensemble)]
+    if solution is not None:
+        _check_y(solution, Y)
+        jobs += [(_save_z, prefix, solution), (_save_y, prefix, Y)]
+    # ordered so that fork_map's halves take about equal time; measured at
+    # 20k paths, in seconds: states 0.02-0.03, Z 0.07-0.09, Y 0.015,
+    # paths.csv 0.03-0.07 (100 paths), controls 0.07-0.09
+    jobs += [(write_paths_csv, out / "paths.csv", ensemble), (_save_controls, prefix, ensemble)]
+    # the size of the work: P x N nodes for each table but paths.csv
+    tables = len(jobs) - 1
+    fork_map(lambda job: job[0](*job[1:]), jobs, tables * ensemble.n_paths * ensemble.grid.steps)
 
 
 def write_curves_csv(path, curves: Dict[str, Array]) -> None:

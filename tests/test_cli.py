@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -471,3 +472,7 @@ class TestArtifacts:
         assert payload["experiment"] == "production"
         assert payload["metadata"]["command"] == "run"
         assert "generated_at" in payload["metadata"]
+        # the environment: versions as strings, and the CPUs the run could use
+        assert payload["metadata"]["python"] == platform.python_version()
+        assert payload["metadata"]["numpy"] == np.__version__
+        assert isinstance(payload["metadata"]["cpus"], int) and payload["metadata"]["cpus"] >= 1
